@@ -9,11 +9,13 @@ Every benchmark's ``extra_info`` additionally records the process's
 peak RSS, so memory claims (like the engine's flat-arena scaling) are
 machine-checkable from the emitted benchmark JSON alongside wall-clock.
 
-Each measured session also appends one record per benchmark —
+A session that asks pytest-benchmark to save its results
+(``--benchmark-json PATH``, ``--benchmark-save NAME`` or
+``--benchmark-autosave``) also appends one record per benchmark —
 wall-clock, events/sec where the benchmark reports one, and the full
 ``extra_info`` — to ``BENCH_engine.json`` next to this file, building
-a machine-readable perf trajectory across runs (``--benchmark-disable``
-sessions record nothing and leave the file untouched).
+a machine-readable perf trajectory across runs.  Plain test runs
+(tier-1 included) record nothing and leave the file untouched.
 """
 
 import json
@@ -96,9 +98,23 @@ def _record_benchmark_telemetry(request):
         _session_records.append(record)
 
 
+def _saving_results(config) -> bool:
+    """Whether pytest-benchmark was asked to save this session."""
+    return any(
+        config.getoption(name, default=None)
+        for name in (
+            "benchmark_json",
+            "benchmark_save",
+            "benchmark_autosave",
+        )
+    )
+
+
 def pytest_sessionfinish(session, exitstatus):
-    """Append this session's measured benchmarks to the trajectory."""
-    if not _session_records:
+    """Append this session's measured benchmarks to the trajectory,
+    when the session saves its benchmark results."""
+    if not _session_records or not _saving_results(session.config):
+        _session_records.clear()
         return
     history = []
     if BENCH_LOG.exists():

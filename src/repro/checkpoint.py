@@ -69,7 +69,9 @@ __all__ = [
 
 #: Bump when the payload layout or the state-dict contracts change
 #: incompatibly; loads from another schema are rejected outright.
-CHECKPOINT_SCHEMA = 1
+#: Schema 2: arenas carry the ``instance`` column and ``payload["obs"]``
+#: holds ``{"spec", "state"}`` (telemetry is derived after drain).
+CHECKPOINT_SCHEMA = 2
 
 _INF = float("inf")
 
@@ -184,21 +186,15 @@ def _rebuild_serve(scenario: ServingScenario, times, requests, obs=None):
         instance.window_end = window_end
     policy = make_policy(scenario.policy)
     policy.reset()
-    hooks = None
-    tick_s = None
     if obs is not None and obs.active:
-        # Mirror prepare_serving's wiring so the restored snapshot's
-        # hook state lands on an identically shaped observer.
-        hooks = obs.wrap(None, pid=0)
-        obs.register_fleet(0, f"fleet ({scenario.mix})", fleet)
-        tick_s = obs.engine_tick_s(None)
+        # Mirror prepare_serving's wiring: telemetry is derived from
+        # the restored stream after drain.
+        obs.observe(0, f"fleet ({scenario.mix})", fleet, requests)
     engine = Engine(
         fleet,
         policy,
         max_batch=scenario.max_batch,
         max_wait_s=scenario.max_wait_ms * 1e-3,
-        hooks=hooks,
-        tick_s=tick_s,
     )
     return ServingExecution(
         scenario=scenario,
@@ -286,12 +282,12 @@ def _payload(kind, scenario, execution, every_s, next_t, obs=None) -> dict:
         "requests": execution.requests,
         "times": execution.times,
     }
-    # Telemetry configuration rides along (the recorded state itself
-    # is inside the snapshot's hook state) so a resume can verify it
-    # re-ran with matching flags.  Written only when active, keeping
-    # pre-telemetry payload layouts byte-compatible.
+    # Telemetry configuration rides along so a resume can verify it
+    # re-ran with matching flags, with the control-side facts recorded
+    # so far (spans and metrics are re-derived from the stream after
+    # drain).  Written only when active.
     if obs is not None and obs.active:
-        payload["obs"] = obs.spec()
+        payload["obs"] = {"spec": obs.spec(), "state": obs.state_dict()}
     return payload
 
 
@@ -380,10 +376,10 @@ def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
 
     If the checkpoint was taken with telemetry active, ``obs`` must be
     an :class:`~repro.obs.Observability` configured with the same
-    flags (and vice versa) — the recorded spans live inside the hook
-    state and need an identically shaped observer to land on, so a
-    mismatch raises :class:`~repro.errors.ReproError` up front rather
-    than producing a silently truncated trace.
+    flags (and vice versa) — the recorded control-side state needs an
+    identically configured session to land on, so a mismatch raises
+    :class:`~repro.errors.ReproError` up front rather than producing a
+    silently different trace.
 
     Returns:
         ``(kind, scenario, report)`` with ``kind`` one of ``"serve"``
@@ -392,8 +388,9 @@ def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
     from .obs import Observability
 
     payload = load_checkpoint(path)
+    obs_payload = payload.get("obs")
     Observability.check_resume(
-        payload.get("obs"),
+        obs_payload["spec"] if obs_payload is not None else None,
         obs if obs is not None and obs.active else None,
     )
     kind = payload["kind"]
@@ -413,6 +410,8 @@ def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
         )
     try:
         execution.engine.restore(payload["snapshot"], requests)
+        if obs_payload is not None:
+            obs.load_state_dict(obs_payload["state"])
     except (KeyError, TypeError, ConfigError) as exc:
         raise ReproError(
             f"checkpoint {path} does not match this build's state "

@@ -77,6 +77,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -621,6 +622,27 @@ def _obs_from(args):
     return Observability(trace=trace is not None, metrics_every_s=every)
 
 
+#: Float flags whose NaN/inf value would hang the event loop (a NaN
+#: rate or window never advances simulated time) or fabricate numbers.
+_FINITE_FLAGS = (
+    ("--qps", "qps"),
+    ("--max-wait-ms", "max_wait_ms"),
+    ("--diurnal-period", "diurnal_period_s"),
+    ("--metrics-every", "metrics_every_s"),
+)
+
+
+def _check_finite_flags(args) -> None:
+    """Reject non-finite float flags by their own names before any
+    scenario machinery sees them."""
+    for flag, dest in _FINITE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise ReproError(
+                f"{flag} must be a finite number (got {value})"
+            )
+
+
 def _reject_obs_with(args, what: str) -> None:
     if (
         getattr(args, "trace_path", None)
@@ -765,6 +787,7 @@ def _resume(args, out) -> None:
 
 
 def _serve(args, out) -> None:
+    _check_finite_flags(args)
     if args.sweep_policies or args.sweep_instances or args.curve_qps:
         _reject_checkpoint_with(args, "serve sweeps")
         _reject_obs_with(args, "serve sweeps")
@@ -907,6 +930,7 @@ def _multi_fleet(args, base, cache, out, obs=None) -> None:
 
 
 def _control(args, out) -> None:
+    _check_finite_flags(args)
     if (
         args.sweep_governors
         or args.sweep_voltages

@@ -163,14 +163,18 @@ class ControlScenario:
             raise ConfigError("need at least one SLO class")
         if self.max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1 ({self.max_batch})")
-        if self.max_wait_ms < 0:
+        if not 0 <= self.max_wait_ms < _INF:
             raise ConfigError(
-                f"max_wait_ms must be >= 0 ({self.max_wait_ms})"
+                f"max_wait_ms must be finite and >= 0 ({self.max_wait_ms})"
             )
-        if self.qps is not None and self.qps <= 0:
-            raise ConfigError(f"qps must be positive ({self.qps})")
-        if self.tick_ms <= 0:
-            raise ConfigError(f"tick_ms must be positive ({self.tick_ms})")
+        if self.qps is not None and not 0 < self.qps < _INF:
+            raise ConfigError(
+                f"qps must be finite and positive ({self.qps})"
+            )
+        if not 0 < self.tick_ms < _INF:
+            raise ConfigError(
+                f"tick_ms must be finite and positive ({self.tick_ms})"
+            )
         if self.stats not in ("exact", "sketch"):
             raise ConfigError(
                 f"unknown stats mode {self.stats!r} "
@@ -537,9 +541,10 @@ def prepare_controlled(
     builds the governor/policy/shedder from the scenario (all
     deterministic, RNG-free), constructs the engine with the control
     hooks, and calls ``engine.begin(requests)`` so the caller can step
-    it with ``run_until``.  An active ``obs`` session wraps the control
-    hooks in telemetry observers (``obs_pid`` names the trace process,
-    the fleet index on multi-fleet runs).
+    it with ``run_until``.  An active ``obs`` session registers the
+    fleet and stream for telemetry derived after drain, and wraps the
+    governor (if any) to log its tick-time control facts (``obs_pid``
+    names the trace process, the fleet index on multi-fleet runs).
     """
     dvfs_model = dvfs_model if dvfs_model is not None else DVFSModel()
     window_end = float(times[-1])
@@ -555,24 +560,18 @@ def prepare_controlled(
     policy.reset()
     shedder = make_shedder(scenario.shedding, scenario.queue_threshold)
 
-    hooks: EngineHooks = ControlHooks(shedder, governor)
-    engine_tick_s = tick_s if governor is not None else None
     if obs is not None and obs.active:
-        hooks = obs.wrap(hooks, pid=obs_pid)
-        obs.register_fleet(
-            obs_pid, f"fleet {obs_pid} ({scenario.mix})", fleet
+        governor = obs.observe(
+            obs_pid, f"fleet {obs_pid} ({scenario.mix})", fleet,
+            requests, governor,
         )
-        # Metrics sampling rides ticks; a governor-less run gets a
-        # metrics-cadence tick (inner on_tick contributes 0 actions,
-        # so the physics is unchanged).
-        engine_tick_s = obs.engine_tick_s(engine_tick_s)
     engine = Engine(
         fleet,
         policy,
         max_batch=scenario.max_batch,
         max_wait_s=scenario.max_wait_ms * 1e-3,
-        hooks=hooks,
-        tick_s=engine_tick_s,
+        hooks=ControlHooks(shedder, governor),
+        tick_s=tick_s if governor is not None else None,
         priority_queues=True,
     )
     engine.begin(requests)

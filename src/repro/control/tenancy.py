@@ -299,7 +299,8 @@ def _member_point(payload: dict):
         home.shed.copy(),
         home.start.copy(),
         home.finish.copy(),
-        [(clone.shed, clone.finish) for clone in clones],
+        home.instance.copy(),
+        [(clone.shed, clone.finish, clone.instance) for clone in clones],
     )
 
 
@@ -336,10 +337,10 @@ def simulate_multi_fleet(
         obs: Optional :class:`~repro.obs.Observability` session; an
             active one records every member fleet into one shared
             trace (fleet k is trace process k) plus a spillover
-            instant per forwarded request.  Telemetry needs the live
-            recorder in-process, so an active session runs the members
-            serially regardless of ``jobs`` — same report, shared
-            observers.
+            instant per forwarded request.  Telemetry is derived from
+            the members' in-process streams (and governor logs), so an
+            active session runs the members serially regardless of
+            ``jobs`` — same report.
     """
     modulator = scenario.shared_modulator()
     path = modulator.build_path(
@@ -491,23 +492,27 @@ def simulate_multi_fleet(
         }
 
     def overlay(k: int, result) -> list[int]:
-        report, shed_col, start_col, finish_col, clone_out = result
+        (
+            report, shed_col, start_col, finish_col, instance_col,
+            clone_out,
+        ) = result
         reports[k] = report
         arena = home_requests[k]
         arena.shed[:] = shed_col
         arena.start[:] = start_col
         arena.finish[:] = finish_col
-        for clone, (c_shed, c_finish) in zip(
+        arena.instance[:] = instance_col
+        for clone, (c_shed, c_finish, c_instance) in zip(
             spill_ins[k], clone_out
         ):
             clone.shed = c_shed
             clone.finish = c_finish
+            clone.instance = c_instance
         return arena.shed_indices()
 
-    # Subprocess workers cannot feed the in-process recorder/timelines,
-    # so an active telemetry session pins the members to the serial
-    # path (identical report either way — sharding is an execution
-    # detail).
+    # Telemetry is derived from the in-process streams and governor
+    # logs, so an active session pins the members to the serial path
+    # (identical report either way — sharding is an execution detail).
     observed = obs is not None and obs.active
     executor = (
         ParallelExecutor(jobs=jobs)

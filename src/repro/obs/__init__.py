@@ -1,36 +1,41 @@
 """Engine telemetry: span tracing, rolling metrics, trace export.
 
-One observability layer under both planes: because every serve and
-control scenario funnels its events through the single
-:class:`~repro.serve.engine.Engine` kernel, instrumenting the engine's
-hook points observes all of them at once.  The pieces:
+One observability layer under both planes: every serve and control
+scenario funnels its requests through the single
+:class:`~repro.serve.engine.Engine` kernel, whose execution paths all
+write the same arena columns — so telemetry is *derived* from the
+drained columns rather than recorded per event.  The pieces:
 
 * :class:`TraceRecorder` — per-request lifecycle spans (arrival ->
-  admit/shed -> batch launch -> complete) and instant events (governor
-  actions, DVFS transitions, spillover forwards) as Chrome trace-event
-  JSON, loadable in Perfetto / ``chrome://tracing``.
+  batch launch -> complete, or a shed instant) and instant events
+  (governor actions, DVFS transitions, spillover forwards) as Chrome
+  trace-event JSON, loadable in Perfetto / ``chrome://tracing``.
 * :class:`MetricsTimeline` — rolling windowed series (offered/admitted/
   shed rate, queue depth, utilization, batch size, power, forecaster
   level/trend) in bounded ring buffers, embedded in ``--json`` reports.
-* :class:`ObserverHooks` — the engine attachment, wrapping a plane's
-  own hooks; observation-only, checkpoint-aware.
+* :mod:`repro.obs.derive` — spans, counters, and timelines computed
+  from a drained run's ``start``/``finish``/``shed``/``instance``
+  columns.
+* :class:`GovernorObserver` — the only live attachment, and only on
+  governed runs: wraps the governor to log the control-side facts
+  (power-up/down, DVFS, forecaster state) the columns cannot show.
 * :class:`Observability` — the per-run session that wires the above
   and aggregates conservation counters.
 
-Telemetry is strictly opt-in: an inactive session touches nothing, and
-the columnar fast paths remain bit-for-bit untouched (tracing selects
-the general loop, which runs the same physics).
+Observing a run never changes its execution path: no run gets an
+extra hook or tick, so traced ``rr``/``ll``/``rr-ctl`` runs stay on
+their columnar kernels.
 """
 
-from .hooks import ObserverHooks
+from .governor import GovernorObserver
 from .metrics import MetricsTimeline
 from .session import Observability
 from .trace import TraceRecorder, render_trace_summary, summarize_trace
 
 __all__ = [
     "MetricsTimeline",
+    "GovernorObserver",
     "Observability",
-    "ObserverHooks",
     "TraceRecorder",
     "render_trace_summary",
     "summarize_trace",

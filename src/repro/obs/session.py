@@ -1,22 +1,48 @@
 """One observability session spanning a whole CLI run.
 
 :class:`Observability` is the object the simulators thread through
-their wiring: it owns the (shared) :class:`TraceRecorder`, hands each
-fleet its own :class:`MetricsTimeline`, wraps plane hooks in
-:class:`ObserverHooks`, and aggregates the conservation counters the
-trace writer embeds in ``otherData``.  An inactive session (no trace,
-no metrics) wraps nothing, so the hot paths never see it.
+their wiring.  :meth:`Observability.observe` registers each engine's
+fleet and request stream; after the run drained, the trace and the
+metrics timelines are derived from the stream's columns
+(:mod:`repro.obs.derive`).  Only a *governor* is wrapped — a
+:class:`GovernorObserver` that logs control-side facts at the ticks it
+runs anyway — so no run gets an extra hook or tick, and every run
+keeps its execution path.  An inactive session (no trace, no metrics)
+registers nothing.
 """
 
 from __future__ import annotations
 
-from ..errors import ConfigError, ReproError
-from ..serve.engine import EngineHooks
-from .hooks import ObserverHooks
-from .metrics import MetricsTimeline
+import numpy as np
+
+from ..errors import ReproError
+from . import derive
+from .governor import ControlLog, GovernorObserver
+from .metrics import check_window
 from .trace import TraceRecorder
 
 __all__ = ["Observability"]
+
+
+class _Observed:
+    """One registered engine: what derivation needs after drain."""
+
+    __slots__ = ("label", "fleet", "requests", "initial", "active", "log")
+
+    def __init__(self, label, fleet, requests, log) -> None:
+        self.label = label
+        self.fleet = fleet
+        self.requests = requests
+        # Operating points and the active count before the run: the
+        # governor log records every later change.
+        self.initial = [
+            (instance.latency_scale, instance.busy_power_w)
+            for instance in fleet.instances
+        ]
+        self.active = sum(
+            1 for instance in fleet.instances if instance.active
+        )
+        self.log = log
 
 
 class Observability:
@@ -33,16 +59,11 @@ class Observability:
         trace: bool = False,
         metrics_every_s: float | None = None,
     ) -> None:
-        if metrics_every_s is not None and metrics_every_s <= 0:
-            raise ConfigError(
-                "metrics interval must be positive "
-                f"({metrics_every_s})"
-            )
+        if metrics_every_s is not None:
+            check_window(metrics_every_s, "metrics interval")
         self.recorder = TraceRecorder() if trace else None
         self.metrics_every_s = metrics_every_s
-        self._timelines: dict[int, MetricsTimeline] = {}
-        self._labels: dict[int, str] = {}
-        self._hooks: list[ObserverHooks] = []
+        self._observed: dict[int, _Observed] = {}
 
     @property
     def active(self) -> bool:
@@ -55,47 +76,32 @@ class Observability:
     # Wiring
     # ------------------------------------------------------------------
 
-    def timeline(self, pid: int = 0) -> MetricsTimeline | None:
-        if self.metrics_every_s is None:
-            return None
-        found = self._timelines.get(pid)
-        if found is None:
-            found = MetricsTimeline(self.metrics_every_s)
-            self._timelines[pid] = found
-        return found
+    def observe(
+        self,
+        pid: int,
+        label: str,
+        fleet,
+        requests,
+        governor=None,
+    ):
+        """Register one engine's fleet and request stream (before the
+        run starts); returns the governor the run should use — wrapped
+        in a :class:`GovernorObserver` when there is one.
 
-    def wrap(
-        self, inner: EngineHooks | None = None, pid: int = 0
-    ) -> ObserverHooks:
-        """The hooks an engine should run with under this session."""
-        hooks = ObserverHooks(
-            inner=inner,
-            recorder=self.recorder,
-            timeline=self.timeline(pid),
-            pid=pid,
-        )
-        self._hooks.append(hooks)
-        return hooks
-
-    def register_fleet(self, pid: int, label: str, fleet) -> None:
-        """Name the trace process/threads for one fleet (idempotent —
-        rebuilt deterministically by a resume's re-wiring)."""
-        self._labels[pid] = label
-        if self.recorder is None:
-            return
-        self.recorder.set_process_name(pid, label)
-        for instance in fleet.instances:
-            self.recorder.set_thread_name(
-                pid, instance.index, f"instance {instance.index}"
-            )
-
-    def engine_tick_s(self, tick_s: float | None) -> float | None:
-        """The tick the engine needs: the plane's own cadence when it
-        has one, else the metrics window (sampling rides ticks), else
-        no ticks at all (tracing alone needs none)."""
-        if tick_s is not None:
-            return tick_s
-        return self.metrics_every_s
+        Idempotent per ``pid`` — a resume's re-wiring re-registers.
+        """
+        log = None
+        if governor is not None:
+            log = ControlLog(self.metrics_every_s)
+            governor = GovernorObserver(governor, log, self.recorder, pid)
+        self._observed[pid] = _Observed(label, fleet, requests, log)
+        if self.recorder is not None:
+            self.recorder.set_process_name(pid, label)
+            for instance in fleet.instances:
+                self.recorder.set_thread_name(
+                    pid, instance.index, f"instance {instance.index}"
+                )
+        return governor
 
     def spill(
         self,
@@ -120,7 +126,7 @@ class Observability:
         )
 
     # ------------------------------------------------------------------
-    # Checkpoint compatibility
+    # Checkpointing
     # ------------------------------------------------------------------
 
     def spec(self) -> dict:
@@ -161,40 +167,124 @@ class Observability:
                 "checkpoint's telemetry flags"
             )
 
+    def state_dict(self) -> dict:
+        """Mid-run telemetry state: the recorded control-side instants
+        and each governed engine's log (everything else is derived
+        from the checkpointed stream after drain)."""
+        return {
+            "recorder": (
+                self.recorder.state_dict()
+                if self.recorder is not None
+                else None
+            ),
+            "logs": {
+                pid: observed.log.state_dict()
+                for pid, observed in self._observed.items()
+                if observed.log is not None
+            },
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Overlay :meth:`state_dict` on a re-wired session."""
+        if self.recorder is not None and state["recorder"] is not None:
+            self.recorder.load_state_dict(state["recorder"])
+        for pid, log_state in state["logs"].items():
+            self._observed[pid].log.load_state_dict(log_state)
+
     # ------------------------------------------------------------------
-    # Output
+    # Output (call after the observed engines drained)
     # ------------------------------------------------------------------
 
+    def _derived(self) -> list:
+        """``(pid, observed, columns, schedule)`` per engine."""
+        result = []
+        for pid in sorted(self._observed):
+            observed = self._observed[pid]
+            cols = derive.columns(observed.requests)
+            sched = derive.Schedule(
+                cols, observed.fleet, observed.initial, observed.log
+            )
+            result.append((pid, observed, cols, sched))
+        return result
+
     def counts(self) -> dict:
-        """Aggregate conservation counters across every wrapped engine
+        """Aggregate conservation counters across every observed engine
         (one per fleet): spans + sheds must equal offered."""
-        offered = sum(hooks.offered for hooks in self._hooks)
-        shed = sum(hooks.shed for hooks in self._hooks)
-        completed = sum(hooks.completed for hooks in self._hooks)
+        offered = completed = shed = 0
+        for observed in self._observed.values():
+            cols = derive.columns(observed.requests)
+            offered += len(cols)
+            completed += int(np.count_nonzero(cols.start >= 0.0))
+            shed += int(np.count_nonzero(cols.shed))
         return {
             "offered": offered,
             "completed": completed,
             "shed": shed,
         }
 
-    def write_trace(self, path) -> None:
+    def trace_events(self) -> list:
+        """Every derived span and shed instant, batches numbered across
+        fleets in launch order (start time, fleet, instance)."""
+        derived = self._derived()
+        if not derived:
+            return []
+        starts = np.concatenate([d[3].start for d in derived])
+        pids = np.concatenate(
+            [np.full(len(d[3].start), d[0]) for d in derived]
+        )
+        insts = np.concatenate([d[3].inst for d in derived])
+        ids = np.empty(len(starts), dtype=np.int64)
+        ids[np.lexsort((insts, pids, starts))] = np.arange(
+            1, len(starts) + 1
+        )
+        events = []
+        offset = 0
+        for pid, _, cols, sched in derived:
+            count = len(sched.start)
+            events.extend(
+                derive.trace_events(
+                    pid, cols, sched, ids[offset:offset + count]
+                )
+            )
+            offset += count
+        return events
+
+    def _check_traced(self) -> None:
         if self.recorder is None:
             raise ReproError(
                 "no trace was recorded (session started without trace)"
             )
-        self.recorder.write(path, other_data=self.counts())
+
+    def trace_payload(self) -> dict:
+        """The complete Chrome trace-event object :meth:`write_trace`
+        writes (recorded instants + derived spans + counters)."""
+        self._check_traced()
+        return self.recorder.to_payload(
+            self.counts(), self.trace_events()
+        )
+
+    def write_trace(self, path) -> None:
+        self._check_traced()
+        self.recorder.write(
+            path, other_data=self.counts(), events=self.trace_events()
+        )
 
     def metrics_payload(self) -> dict | None:
         """The ``--json`` report's ``metrics`` section, or ``None``."""
         if self.metrics_every_s is None:
             return None
         timelines = []
-        for pid in sorted(self._timelines):
-            entry = {"pid": pid}
-            label = self._labels.get(pid)
-            if label is not None:
-                entry["label"] = label
-            entry.update(self._timelines[pid].to_payload())
+        for pid, observed, cols, sched in self._derived():
+            entry = {"pid": pid, "label": observed.label}
+            entry.update(
+                derive.timeline(
+                    cols,
+                    sched,
+                    self.metrics_every_s,
+                    observed.active,
+                    observed.log,
+                ).to_payload()
+            )
             timelines.append(entry)
         return {
             "window_s": self.metrics_every_s,

@@ -1,7 +1,7 @@
 """Chrome trace-event recording for engine runs.
 
 :class:`TraceRecorder` accumulates *complete* spans (``ph == "X"``) and
-*instant* events (``ph == "i"``) during a simulation and writes them as
+*instant* events (``ph == "i"``) and writes them as
 the Chrome trace-event JSON object format — a ``traceEvents`` array
 plus ``otherData`` — which Perfetto (https://ui.perfetto.dev) and
 ``chrome://tracing`` load directly.  Simulated seconds map to trace
@@ -9,11 +9,14 @@ microseconds, fleets map to trace *processes* (``pid``), instances to
 *threads* (``tid``), so the per-instance timeline renders as one lane
 per accelerator.
 
-Recording is deterministic: events carry no wall-clock component, the
-writer orders them by timestamp with insertion order breaking ties, and
-the whole event list round-trips through ``state_dict`` /
-``load_state_dict`` — a killed-and-resumed run reproduces the trace
-byte for byte.
+During a run the recorder only holds control-side instants (governor
+actions, spillover forwards); request/batch spans and shed instants are
+derived from the drained arena columns at write time and passed to
+:meth:`TraceRecorder.write` (see :mod:`repro.obs.derive`).  Recording is
+deterministic: events carry no wall-clock component, the writer orders
+them by timestamp with list order breaking ties, and the recorded list
+round-trips through ``state_dict`` / ``load_state_dict`` — a
+killed-and-resumed run reproduces the trace byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ import tempfile
 
 from ..errors import ReproError
 
-__all__ = ["TraceRecorder", "summarize_trace", "render_trace_summary"]
+__all__ = [
+    "TraceRecorder",
+    "complete_events",
+    "instant_events",
+    "summarize_trace",
+    "render_trace_summary",
+]
 
 
 def _us(ts_s: float) -> float:
@@ -33,13 +42,39 @@ def _us(ts_s: float) -> float:
     return round(ts_s * 1e6, 3)
 
 
+def complete_events(names, cat, ts_s, dur_s, pid, tids, args) -> list:
+    """:meth:`TraceRecorder.complete` events over columns: ``ts_s`` /
+    ``dur_s`` are float arrays (``x * 1e6`` elementwise is the scalar
+    product, so the timestamps round identically), ``names`` /
+    ``tids`` / ``args`` are sequences with one non-empty ``args`` dict
+    per span."""
+    return [
+        {
+            "name": name,
+            "cat": cat,
+            "ph": "X",
+            "ts": ts,
+            "dur": dur,
+            "pid": pid,
+            "tid": tid,
+            "args": arg,
+        }
+        for name, ts, dur, tid, arg in zip(
+            names,
+            [round(x, 3) for x in (ts_s * 1e6).tolist()],
+            [round(x, 3) for x in (dur_s * 1e6).tolist()],
+            tids,
+            args,
+        )
+    ]
+
+
 class TraceRecorder:
     """Accumulates trace events; one recorder spans a whole run (all
     fleets of a multi-fleet scenario share it)."""
 
     def __init__(self) -> None:
         self._events: list[dict] = []
-        self._batch_seq = 0
         # Display names are wiring-time configuration, rebuilt
         # deterministically on resume — deliberately *not* part of
         # state_dict.
@@ -48,11 +83,6 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return len(self._events)
-
-    def next_batch_id(self) -> int:
-        """A run-unique batch id (monotone, checkpoint-safe)."""
-        self._batch_seq += 1
-        return self._batch_seq
 
     def set_process_name(self, pid: int, name: str) -> None:
         self._process_names[pid] = name
@@ -117,21 +147,20 @@ class TraceRecorder:
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        return {
-            "events": list(self._events),
-            "batch_seq": self._batch_seq,
-        }
+        return {"events": list(self._events)}
 
     def load_state_dict(self, state: dict) -> None:
         self._events = list(state["events"])
-        self._batch_seq = state["batch_seq"]
 
     # ------------------------------------------------------------------
     # Output
     # ------------------------------------------------------------------
 
-    def to_payload(self, other_data: dict | None = None) -> dict:
-        """The Chrome trace-event JSON object for the recorded run."""
+    def to_payload(
+        self, other_data: dict | None = None, events=()
+    ) -> dict:
+        """The Chrome trace-event JSON object: the recorded events
+        followed by ``events`` (derived spans), sorted by ``ts``."""
         metadata = []
         for pid, name in sorted(self._process_names.items()):
             metadata.append(
@@ -152,19 +181,21 @@ class TraceRecorder:
                     "args": {"name": name},
                 }
             )
-        # Stable sort: ties keep insertion order, so the byte layout is
-        # a pure function of the simulated schedule.
-        events = sorted(self._events, key=lambda event: event["ts"])
+        # Stable sort: ties keep list order, so the byte layout is a
+        # pure function of the simulated schedule.
+        events = self._events + list(events)
+        events.sort(key=_ts)
         return {
             "traceEvents": metadata + events,
             "displayTimeUnit": "ms",
             "otherData": dict(other_data or {}),
         }
 
-    def write(self, path, other_data: dict | None = None) -> None:
+    def write(
+        self, path, other_data: dict | None = None, events=()
+    ) -> None:
         """Atomically write the trace file (temp file + rename)."""
-        payload = self.to_payload(other_data)
-        text = json.dumps(payload, separators=(",", ":"))
+        payload = self.to_payload(other_data, events)
         directory = os.path.dirname(os.path.abspath(path))
         try:
             fd, tmp_name = tempfile.mkstemp(
@@ -176,7 +207,7 @@ class TraceRecorder:
             ) from exc
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                _dump_compact(payload, handle)
                 handle.write("\n")
             os.replace(tmp_name, path)
         except BaseException:
@@ -185,6 +216,58 @@ class TraceRecorder:
             except OSError:
                 pass
             raise
+
+
+def _ts(event: dict) -> float:
+    return event["ts"]
+
+
+#: Events per encoded slice in :func:`_dump_compact`.
+_DUMP_SLICE = 4096
+
+
+def _dump_compact(payload: dict, handle) -> None:
+    """Write ``json.dumps(payload, separators=(",", ":"))`` — the same
+    bytes — encoding ``traceEvents`` a slice at a time, so a large
+    trace never holds its whole JSON text in memory at once."""
+    events = payload["traceEvents"]
+    handle.write('{"traceEvents":[')
+    for lo in range(0, len(events), _DUMP_SLICE):
+        if lo:
+            handle.write(",")
+        text = json.dumps(
+            events[lo:lo + _DUMP_SLICE],
+            separators=(",", ":"),
+            check_circular=False,
+        )
+        handle.write(text[1:-1])
+    rest = json.dumps(
+        {key: value for key, value in payload.items()
+         if key != "traceEvents"},
+        separators=(",", ":"),
+    )
+    handle.write("]," + rest[1:])
+
+
+def instant_events(name, cat, ts_s, pid, tids, args) -> list:
+    """Thread-scoped :meth:`TraceRecorder.instant` events over columns
+    (``ts_s`` a float array; one ``tid`` and one non-empty ``args`` per
+    event)."""
+    return [
+        {
+            "name": name,
+            "cat": cat,
+            "ph": "i",
+            "ts": ts,
+            "pid": pid,
+            "tid": tid,
+            "s": "t",
+            "args": arg,
+        }
+        for ts, tid, arg in zip(
+            [round(x, 3) for x in (ts_s * 1e6).tolist()], tids, args
+        )
+    ]
 
 
 def summarize_trace(path) -> dict:

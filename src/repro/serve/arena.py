@@ -4,9 +4,9 @@ PR 4's engine allocated one Python ``Request`` object per request —
 fine at 10^4 requests, ruinous at 10^6 (a day-long diurnal trace at
 production QPS).  This module stores the whole request stream as a
 :class:`RequestArena` of parallel numpy columns (arrival, start,
-finish, deadline, priority, class/model ids, shed flags) plus small
-interned side tables (model names, service profiles, SLO class names),
-so per-request state is 8-byte column slots instead of ~400-byte
+finish, deadline, priority, class/model ids, shed flags, routed
+instance) plus small interned side tables (model names, service
+profiles, SLO class names), so per-request state is 8-byte column slots instead of ~400-byte
 Python objects and the engine's fast paths can process it with
 vectorized kernels.
 
@@ -63,6 +63,11 @@ class RequestArena:
         ``-1`` for requests outside the control plane (``slo == ""``).
     ``shed``
         bool; set by admission hooks through views.
+    ``instance``
+        int64; the fleet index the request was routed to (admitted or
+        shed there), ``-1`` until the engine routes it.  Every
+        execution path writes it, so telemetry can be derived from the
+        drained columns.
 
     Side tables (length = distinct models / classes, shared by every
     row): ``model_names``, ``profiles``, ``per_image``, ``setup``,
@@ -79,6 +84,7 @@ class RequestArena:
         "model_idx",
         "class_idx",
         "shed",
+        "instance",
         "model_names",
         "profiles",
         "per_image",
@@ -102,6 +108,7 @@ class RequestArena:
         self.model_idx = np.zeros(n, dtype=np.int64)
         self.class_idx = np.full(n, -1, dtype=np.int64)
         self.shed = np.zeros(n, dtype=bool)
+        self.instance = np.full(n, -1, dtype=np.int64)
         self.model_names = model_names
         self.profiles = profiles
         # A None profile is legal for summary-only request streams
@@ -391,6 +398,14 @@ class Request:
     @shed.setter
     def shed(self, value: bool) -> None:
         self.arena.shed[self.i] = value
+
+    @property
+    def instance(self) -> int:
+        return int(self.arena.instance[self.i])
+
+    @instance.setter
+    def instance(self, value: int) -> None:
+        self.arena.instance[self.i] = value
 
     # -- derived -----------------------------------------------------
     @property

@@ -33,6 +33,8 @@ __all__ = [
     "restore_rng",
 ]
 
+_INF = float("inf")
+
 
 def capture_rng_state(rng: np.random.Generator) -> dict:
     """The generator's exact bit-generator state, as plain picklable
@@ -69,9 +71,9 @@ def thin_nhpp(
     """
     if n < 1:
         raise ConfigError(f"need at least one arrival ({n})")
-    if peak_rate <= 0:
+    if not 0 < peak_rate < _INF:
         raise ConfigError(
-            f"peak_rate must be positive ({peak_rate})"
+            f"peak_rate must be finite and positive ({peak_rate})"
         )
     out = np.empty(n)
     t = 0.0
@@ -96,9 +98,9 @@ class PoissonArrivals:
     rate_qps: float
 
     def __post_init__(self) -> None:
-        if self.rate_qps <= 0:
+        if not 0 < self.rate_qps < _INF:
             raise ConfigError(
-                f"rate_qps must be positive ({self.rate_qps})"
+                f"rate_qps must be finite and positive ({self.rate_qps})"
             )
 
     @property
@@ -161,8 +163,10 @@ class BurstyArrivals:
     mean_dwell_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.rate_qps <= 0:
-            raise ConfigError(f"rate_qps must be positive ({self.rate_qps})")
+        if not 0 < self.rate_qps < _INF:
+            raise ConfigError(
+                f"rate_qps must be finite and positive ({self.rate_qps})"
+            )
         if self.burst_factor < 1:
             raise ConfigError(
                 f"burst_factor must be >= 1 ({self.burst_factor})"
@@ -256,13 +260,13 @@ class DiurnalArrivals:
     amplitude: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.rate_qps <= 0:
+        if not 0 < self.rate_qps < _INF:
             raise ConfigError(
-                f"rate_qps must be positive ({self.rate_qps})"
+                f"rate_qps must be finite and positive ({self.rate_qps})"
             )
-        if self.period_s <= 0:
+        if not 0 < self.period_s < _INF:
             raise ConfigError(
-                f"period_s must be positive ({self.period_s})"
+                f"period_s must be finite and positive ({self.period_s})"
             )
         if not 0.0 <= self.amplitude < 1.0:
             raise ConfigError(
@@ -439,9 +443,9 @@ class SharedModulator:
     ) -> np.ndarray:
         """``n`` arrivals for one fleet at mean rate ``rate_qps``,
         thinned against the shared path on the fleet's own substream."""
-        if rate_qps <= 0:
+        if not 0 < rate_qps < _INF:
             raise ConfigError(
-                f"rate_qps must be positive ({rate_qps})"
+                f"rate_qps must be finite and positive ({rate_qps})"
             )
         peak = rate_qps * self.peak_factor()
 

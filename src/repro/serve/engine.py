@@ -47,6 +47,11 @@ the event loop's observable behaviour *bit-for-bit*:
    through :meth:`EngineHooks.fast_admission` rather than the engine
    importing the control plane.
 
+Every path writes the same outcome columns — ``start``, ``finish``,
+``shed``, and the routed ``instance`` — so telemetry is derived from
+the drained arena (:mod:`repro.obs.derive`) instead of observing the
+loop, and observing a run never changes which path serves it.
+
 The fast paths are *exact*: they reproduce the general loop's floats
 bit-for-bit (same operations in the same order), which
 ``tests/serve/test_engine_parity.py`` and the benchmark's equality
@@ -182,8 +187,7 @@ class EngineHooks:
         ``on_arrival`` is exactly the declared shedding rule against
         the chosen instance, (b) its ``on_complete`` is a no-op, and
         (c) it observes nothing else per event (``on_tick`` never runs
-        because ``tick_s is None`` is a path precondition, and an
-        overridden ``on_launch`` disqualifies the path regardless).
+        because ``tick_s is None`` is a path precondition).
         """
         return None
 
@@ -195,22 +199,6 @@ class EngineHooks:
         self, instance: Instance, now: float, engine: "Engine"
     ) -> None:
         """Accounting after ``instance``'s queue was re-examined."""
-
-    def on_launch(
-        self,
-        instance: Instance,
-        requests: tuple,
-        now: float,
-        finish: float,
-        engine: "Engine",
-    ) -> None:
-        """Observation point right after ``instance`` launched a batch.
-
-        ``requests`` are the batch members (their ``start``/``finish``
-        columns already written), ``finish`` the batch's completion
-        time.  Purely observational: implementations must not mutate
-        engine, fleet, or request state.
-        """
 
     def state_dict(self) -> dict:
         """Serializable hook state for checkpointing.
@@ -312,7 +300,6 @@ class Engine:
         "_admit",
         "_admit_batch",
         "_on_complete",
-        "_on_launch",
         "_on_tick_overridden",
         "_ctl_spec",
         "_fast_reason",
@@ -333,12 +320,14 @@ class Engine:
     ) -> None:
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1 ({max_batch})")
-        if max_wait_s < 0:
+        if not 0 <= max_wait_s < _INF:
             raise ConfigError(
-                f"max_wait_s must be >= 0 ({max_wait_s})"
+                f"max_wait_s must be finite and >= 0 ({max_wait_s})"
             )
-        if tick_s is not None and tick_s <= 0:
-            raise ConfigError(f"tick_s must be positive ({tick_s})")
+        if tick_s is not None and not 0 < tick_s < _INF:
+            raise ConfigError(
+                f"tick_s must be finite and positive ({tick_s})"
+            )
         self.fleet = fleet
         self.policy = policy
         self.max_batch = max_batch
@@ -364,11 +353,6 @@ class Engine:
         self._on_complete = (
             self.hooks.on_complete
             if cls.on_complete is not EngineHooks.on_complete
-            else None
-        )
-        self._on_launch = (
-            self.hooks.on_launch
-            if cls.on_launch is not EngineHooks.on_launch
             else None
         )
         self._on_tick_overridden = (
@@ -411,9 +395,8 @@ class Engine:
         declares a vectorizable shedding rule (the governor-less
         control plane): priority queues, DVFS latency scales, and
         busy-power accounting are folded into the kernel, but ticks,
-        launch observers, per-instance profiles, and any pre-existing
-        instance state still fall back to the general loop, which
-        handles everything.
+        per-instance profiles, and any pre-existing instance state
+        still fall back to the general loop, which handles everything.
 
         As a side effect the *first failing precondition* is recorded
         and surfaced as :attr:`EngineRun.fallback`, so a fallback to
@@ -422,8 +405,6 @@ class Engine:
         self._fast_reason = ""
         if self.tick_s is not None:
             return self._fall_back("periodic tick scheduled (tick_s)")
-        if self._on_launch is not None:
-            return self._fall_back("on_launch hook overridden")
         ctl = self._ctl_spec
         if ctl is None:
             if self._admit is not None or self._admit_batch is not None:
@@ -536,6 +517,7 @@ class Engine:
             )
             arena.start[j::K] = starts_m
             arena.finish[j::K] = fins_m
+            arena.instance[j::K] = j
             # builtins.sum over a float list is the same sequential
             # left fold as the general loop's per-batch ``+=`` chain,
             # bit-for-bit (np.sum is pairwise: close but not
@@ -585,6 +567,7 @@ class Engine:
         setup_tab = arena.setup.tolist()
         start_l = [-1.0] * n
         fin_l = [-1.0] * n
+        inst_l = [-1] * n
         bu = [0.0] * K
         qs = [0.0] * K
         loaded = [-1] * K
@@ -647,6 +630,7 @@ class Engine:
                     if load < best_load:
                         best_load = load
                         j = jj
+                inst_l[rid] = j
                 queues[j].append(rid)
                 qs[j] += per_req[rid]
                 if bu[j] > now:
@@ -727,6 +711,7 @@ class Engine:
 
         arena.start[:] = start_l
         arena.finish[:] = fin_l
+        arena.instance[:] = inst_l
         for j, inst in enumerate(instances):
             inst.busy_until = bu[j]
             inst.loaded_model = (
@@ -933,6 +918,7 @@ class Engine:
                 ev = fin
             if bu > clock:
                 clock = bu
+            arena.instance[j::K] = j
             inst.busy_until = bu
             inst.loaded_model = (
                 arena.model_names[loaded] if loaded >= 0 else None
@@ -990,21 +976,11 @@ class Engine:
         state = self.state
         state.seq += 1
         if due:
-            # Peek the members before the destructive pop so the launch
-            # observer can attribute the batch (identical selection:
-            # launch_head is launch(next_batch(max_batch))).
-            members = (
-                instance.next_batch(max_batch).requests
-                if self._on_launch is not None
-                else None
-            )
             finish = instance.launch_head(max_batch, now)
             heappush(
                 state.heap,
                 (finish, state.seq, _COMPLETE, instance.index),
             )
-            if members is not None:
-                self._on_launch(instance, members, now, finish, self)
         else:
             heappush(
                 state.heap,
@@ -1039,7 +1015,6 @@ class Engine:
             tick_s is None
             and self._admit is None
             and self._on_complete is None
-            and self._on_launch is None
             and all(
                 instance.active for instance in self.fleet.instances
             )
@@ -1146,6 +1121,12 @@ class Engine:
         heap = state.heap
         n = len(requests)
         i = state.cursor
+        first = i
+        # Routed instance per consumed arrival, written back to the
+        # ``instance`` column when the slice returns (one list append
+        # per arrival instead of a view write).
+        routed: list[int] = []
+        route = routed.append
         events = state.events
         tick_actions = state.tick_actions
         peak_heap = state.peak_heap
@@ -1179,6 +1160,7 @@ class Engine:
                     ]
                 )
                 instance = active[policy.choose(request, active, now)]
+                route(instance.index)
                 if admit_batch is not None:
                     if not admit_batch(
                         requests, request.i, request, instance, now,
@@ -1231,6 +1213,11 @@ class Engine:
                 self._maybe_launch(instance, now)
                 if on_complete is not None:
                     on_complete(instance, now, self)
+        if isinstance(requests, RequestArena):
+            requests.instance[first:i] = routed
+        else:
+            for request, index in zip(requests[first:i], routed):
+                request.instance = index
         state.cursor = i
         state.events = events
         state.tick_actions = tick_actions

@@ -50,6 +50,8 @@ __all__ = [
 #: requested: high enough to queue, low enough to be stable.
 _DEFAULT_LOAD = 0.7
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ServingScenario:
@@ -110,12 +112,14 @@ class ServingScenario:
             raise ConfigError(f"instances must be >= 1 ({self.instances})")
         if self.max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1 ({self.max_batch})")
-        if self.max_wait_ms < 0:
+        if not 0 <= self.max_wait_ms < _INF:
             raise ConfigError(
-                f"max_wait_ms must be >= 0 ({self.max_wait_ms})"
+                f"max_wait_ms must be finite and >= 0 ({self.max_wait_ms})"
             )
-        if self.qps is not None and self.qps <= 0:
-            raise ConfigError(f"qps must be positive ({self.qps})")
+        if self.qps is not None and not 0 < self.qps < _INF:
+            raise ConfigError(
+                f"qps must be finite and positive ({self.qps})"
+            )
         if self.stats not in ("exact", "sketch"):
             raise ConfigError(
                 f"unknown stats mode {self.stats!r} "
@@ -250,9 +254,10 @@ def simulate(
             batch statistics are computed from requests that actually
             *entered* a batch, never from shed traffic.
         obs: Optional :class:`~repro.obs.Observability` session; an
-            active one wraps the hooks in telemetry observers (which
-            routes the run down the general loop) without changing the
-            reported physics.
+            active one registers the run for telemetry derived after
+            drain — the execution path and the physics are unchanged
+            (only the chunk-streaming mode, which keeps no arena, is
+            skipped).
     """
     mix = build_mix(
         scenario.mix, scenario.config, scenario.weight_bandwidth
@@ -332,18 +337,14 @@ def _prepare(
     policy = make_policy(scenario.policy)
     policy.reset()
 
-    tick_s = None
     if obs is not None and obs.active:
-        hooks = obs.wrap(hooks, pid=0)
-        obs.register_fleet(0, f"fleet ({scenario.mix})", fleet)
-        tick_s = obs.engine_tick_s(None)
+        obs.observe(0, f"fleet ({scenario.mix})", fleet, requests)
     engine = Engine(
         fleet,
         policy,
         max_batch=scenario.max_batch,
         max_wait_s=scenario.max_wait_ms * 1e-3,
         hooks=hooks,
-        tick_s=tick_s,
     )
     return ServingExecution(
         scenario=scenario,

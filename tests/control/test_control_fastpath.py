@@ -77,6 +77,7 @@ class TestFastPathEquivalence:
         assert np.array_equal(fast_arena.start, gen_arena.start)
         assert np.array_equal(fast_arena.finish, gen_arena.finish)
         assert np.array_equal(fast_arena.shed, gen_arena.shed)
+        assert np.array_equal(fast_arena.instance, gen_arena.instance)
 
         # Report equality (engine counters excluded by compare=False)
         # and cache-key equality: a sweep warmed on one path must hit

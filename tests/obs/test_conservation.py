@@ -37,8 +37,8 @@ _CHECK_TRACE = (
 )
 
 
-def _span_counts(recorder) -> tuple[int, int]:
-    events = recorder.to_payload()["traceEvents"]
+def _span_counts(obs) -> tuple[int, int]:
+    events = obs.trace_payload()["traceEvents"]
     spans = sum(
         1
         for e in events
@@ -52,7 +52,7 @@ def _span_counts(recorder) -> tuple[int, int]:
 
 def _assert_conserved(obs, offered: int) -> None:
     counts = obs.counts()
-    spans, sheds = _span_counts(obs.recorder)
+    spans, sheds = _span_counts(obs)
     assert spans == counts["completed"]
     assert sheds == counts["shed"]
     assert spans + sheds == counts["offered"] == offered
@@ -121,6 +121,23 @@ class TestConservationGrid:
         _assert_conserved(obs_res, scenario.requests)
         assert obs_res.counts()["completed"] == report.requests
 
+    def test_priority_preemption(self):
+        """A preempted victim was admitted and queued before it was
+        shed; its shed verdict lives in the column, so it still ends in
+        exactly one terminal event."""
+        scenario = dataclasses.replace(
+            _control_scenario("bursty"),
+            shedding="priority",
+            queue_threshold=4,
+            autoscale="none",
+            qps=6_000.0,
+        )
+        obs = Observability(trace=True)
+        report = simulate_controlled(scenario, obs=obs)
+        assert report.shed_requests > 0
+        _assert_conserved(obs, scenario.requests)
+        assert obs.counts()["shed"] == report.shed_requests
+
     def test_multi_fleet_spillover(self):
         base = ControlScenario(
             requests=400,
@@ -139,11 +156,11 @@ class TestConservationGrid:
         obs = Observability(trace=True)
         report = simulate_multi_fleet(scenario, obs=obs)
         counts = obs.counts()
-        spans, sheds = _span_counts(obs.recorder)
+        spans, sheds = _span_counts(obs)
         # Spilled requests are re-offered at the receiver, so the
         # engine-local invariant holds with them counted twice.
         assert spans + sheds == counts["offered"]
-        events = obs.recorder.to_payload()["traceEvents"]
+        events = obs.trace_payload()["traceEvents"]
         spills = [e for e in events if e["name"] == "spill"]
         assert len(spills) == report.spilled_requests
         assert {e["pid"] for e in events if e["ph"] != "M"} >= {0, 1}
@@ -181,6 +198,41 @@ class TestTraceDeterminism:
             ),
         )
 
+        obs_res = Observability(trace=True, metrics_every_s=0.05)
+        _, _, resumed = resume_checkpointed(path, obs=obs_res)
+        res_path = tmp_path / "res.json"
+        obs_res.write_trace(res_path)
+        assert resumed == reference
+        assert res_path.read_bytes() == ref_path.read_bytes()
+        assert obs_res.metrics_payload() == obs_ref.metrics_payload()
+
+    def test_ungoverned_cut_and_resume_is_byte_identical(self, tmp_path):
+        """Without a governor the checkpoint carries no telemetry log:
+        spans and metrics are re-derived from the restored arena, and
+        the uninterrupted run took the rr-ctl kernel."""
+        scenario = dataclasses.replace(
+            _control_scenario("bursty"),
+            autoscale="none",
+            policy="round-robin",
+        )
+        obs_ref = Observability(trace=True, metrics_every_s=0.05)
+        reference = simulate_controlled(scenario, obs=obs_ref)
+        assert reference.engine_dispatch == "rr-ctl"
+        ref_path = tmp_path / "ref.json"
+        obs_ref.write_trace(ref_path)
+
+        path = tmp_path / "run.ckpt"
+        obs_cut = Observability(trace=True, metrics_every_s=0.05)
+        execution, engine, _ = cp._begin_control(scenario, obs_cut)
+        t_cut = 0.5 * float(execution.times[-1])
+        engine.run_until(t_cut)
+        save_checkpoint(
+            path,
+            cp._payload(
+                "control", scenario, execution, t_cut, 2 * t_cut,
+                obs_cut,
+            ),
+        )
         obs_res = Observability(trace=True, metrics_every_s=0.05)
         _, _, resumed = resume_checkpointed(path, obs=obs_res)
         res_path = tmp_path / "res.json"
@@ -261,7 +313,9 @@ class TestCheckTraceTool:
         path = tmp_path / "t.json"
         counts = obs.counts()
         counts["offered"] += 1  # claim a request the trace never saw
-        obs.recorder.write(path, other_data=counts)
+        obs.recorder.write(
+            path, other_data=counts, events=obs.trace_events()
+        )
         proc = subprocess.run(
             [sys.executable, str(_CHECK_TRACE), str(path)],
             capture_output=True,
@@ -269,6 +323,87 @@ class TestCheckTraceTool:
         )
         assert proc.returncode == 1
         assert "offered" in proc.stderr
+
+
+def _mutate_first(events, cat, change):
+    for event in events:
+        if event.get("cat") == cat:
+            change(event)
+            return
+
+
+def _stretch_batch(events):
+    _mutate_first(events, "batch", lambda e: e.update(dur=e["dur"] + 1e6))
+
+
+def _dangle_request(events):
+    _mutate_first(events, "request", lambda e: e["args"].update(batch=-1))
+
+
+def _grow_batch(events):
+    _mutate_first(
+        events, "batch", lambda e: e["args"].update(size=e["args"]["size"] + 1)
+    )
+
+
+def _late_member(events):
+    launch = {
+        e["args"]["batch"]: e["ts"]
+        for e in events
+        if e.get("cat") == "batch"
+    }
+
+    def change(event):
+        event["ts"] = launch[event["args"]["batch"]] + 1.0
+
+    _mutate_first(events, "request", change)
+
+
+class TestCheckTraceSchedulePhysics:
+    """The validator's schedule checks reject traces whose counters
+    still balance but whose batches are physically impossible."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory):
+        import json
+
+        obs = Observability(trace=True)
+        simulate_controlled(_control_scenario("bursty"), obs=obs)
+        path = tmp_path_factory.mktemp("trace") / "ok.json"
+        obs.write_trace(path)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_stretch_batch, "overlap"),
+            (_dangle_request, "not a batch span"),
+            (_grow_batch, "member request spans"),
+            (_late_member, "after its batch"),
+        ],
+        ids=["overlap", "dangling-batch", "size", "late-member"],
+    )
+    def test_rejects(self, payload, mutate, message, tmp_path):
+        import copy
+        import json
+
+        broken = copy.deepcopy(payload)
+        events = broken["traceEvents"]
+        mutate(events)
+        meta = [e for e in events if e["ph"] == "M"]
+        rest = sorted(
+            (e for e in events if e["ph"] != "M"), key=lambda e: e["ts"]
+        )
+        broken["traceEvents"] = meta + rest
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        proc = subprocess.run(
+            [sys.executable, str(_CHECK_TRACE), str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert message in proc.stderr
 
 
 class TestSigkillResumeTrace:

@@ -5,13 +5,44 @@ import pytest
 
 from repro.errors import ConfigError, ReproError
 from repro.obs import MetricsTimeline, Observability
+from repro.serve import Engine, make_policy
+from repro.serve.arrival import PoissonArrivals
+from repro.serve.engine import build_requests
 from repro.serve.fleet import Fleet
+from repro.serve.profile import build_mix
 
 
-class _Counters:
-    def __init__(self, offered=0, shed=0):
-        self.offered = offered
-        self.shed = shed
+def _counters(offered=0, shed=0, instances=1):
+    return {
+        "offered": offered,
+        "shed": shed,
+        "served": 0,
+        "batches": 0,
+        "energy": 0.0,
+        "busy": [0.0] * instances,
+    }
+
+
+def _sample(timeline, now, offered=0, shed=0, instances=1):
+    timeline.sample(
+        now,
+        _counters(offered, shed, instances),
+        [0] * instances,
+        instances,
+    )
+
+
+def _observed_run(obs, pid, label, requests=40, seed=0):
+    """One drained round-robin run registered with ``obs``."""
+    rng = np.random.default_rng(seed)
+    times = PoissonArrivals(400.0).times(requests, rng)
+    arena = build_requests(build_mix("mixed"), times, rng)
+    fleet = Fleet(2)
+    policy = make_policy("round-robin")
+    policy.reset()
+    obs.observe(pid, label, fleet, arena)
+    run = Engine(fleet, policy, max_batch=4, max_wait_s=0.002).run(arena)
+    return arena, run
 
 
 class TestTimeline:
@@ -31,15 +62,13 @@ class TestTimeline:
         """A late sample (no ticks fired for a while) advances the
         boundary past `now`, not just by one window."""
         timeline = MetricsTimeline(0.5)
-        fleet = Fleet(1)
-        timeline.sample(3.2, _Counters(10, 0), fleet, None)
+        _sample(timeline, 3.2, offered=10)
         assert timeline.next_sample_t == pytest.approx(3.5)
 
     def test_rates_are_window_deltas(self):
         timeline = MetricsTimeline(1.0)
-        fleet = Fleet(2)
-        timeline.sample(1.0, _Counters(100, 10), fleet, None)
-        timeline.sample(2.0, _Counters(160, 30), fleet, None)
+        _sample(timeline, 1.0, offered=100, shed=10, instances=2)
+        _sample(timeline, 2.0, offered=160, shed=30, instances=2)
         first, second = timeline.samples
         assert first["offered_qps"] == pytest.approx(100.0)
         assert first["shed_qps"] == pytest.approx(10.0)
@@ -51,9 +80,8 @@ class TestTimeline:
         """Two samples at the same instant (degenerate run) must report
         0.0 rates, never inf/nan."""
         timeline = MetricsTimeline(1.0)
-        fleet = Fleet(1)
-        timeline.sample(0.0, _Counters(0, 0), fleet, None)
-        timeline.sample(0.0, _Counters(5, 5), fleet, None)
+        _sample(timeline, 0.0)
+        _sample(timeline, 0.0, offered=5, shed=5)
         for sample in timeline.samples:
             for key, value in sample.items():
                 if isinstance(value, float):
@@ -61,34 +89,23 @@ class TestTimeline:
 
     def test_ring_buffer_bounds_memory_and_reports_drops(self):
         timeline = MetricsTimeline(1.0, maxlen=3)
-        fleet = Fleet(1)
         for i in range(1, 6):
-            timeline.sample(float(i), _Counters(i, 0), fleet, None)
+            _sample(timeline, float(i), offered=i)
         payload = timeline.to_payload()
         assert len(payload["samples"]) == 3
         assert payload["dropped_samples"] == 2
         assert payload["samples"][0]["t"] == 3.0
 
-    def test_state_dict_round_trip(self):
-        timeline = MetricsTimeline(0.5, maxlen=8)
-        fleet = Fleet(1)
-        timeline.sample(0.5, _Counters(10, 1), fleet, None)
-        timeline.sample(1.0, _Counters(25, 2), fleet, None)
-        restored = MetricsTimeline(0.5, maxlen=8)
-        restored.load_state_dict(timeline.state_dict())
-        assert restored.to_payload() == timeline.to_payload()
-        assert restored.next_sample_t == timeline.next_sample_t
-        # The restored timeline keeps sampling from the same baseline.
-        timeline.sample(1.5, _Counters(40, 3), fleet, None)
-        restored.sample(1.5, _Counters(40, 3), fleet, None)
-        assert restored.to_payload() == timeline.to_payload()
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_rejects_non_finite_window(self, window):
+        with pytest.raises(ConfigError, match="finite"):
+            MetricsTimeline(window)
 
 
 class TestObservabilitySession:
     def test_inactive_session(self):
         obs = Observability()
         assert not obs.active
-        assert obs.timeline() is None
         assert obs.metrics_payload() is None
         with pytest.raises(ReproError):
             obs.write_trace("/tmp/never-written.json")
@@ -97,29 +114,36 @@ class TestObservabilitySession:
         with pytest.raises(ConfigError):
             Observability(metrics_every_s=0.0)
 
-    def test_engine_tick_prefers_plane_cadence(self):
-        obs = Observability(metrics_every_s=0.5)
-        assert obs.engine_tick_s(0.01) == 0.01
-        assert obs.engine_tick_s(None) == 0.5
-        assert Observability(trace=True).engine_tick_s(None) is None
+    def test_rejects_non_finite_metrics_interval(self):
+        for window in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                Observability(metrics_every_s=window)
+
+    def test_observed_run_keeps_its_fast_path(self):
+        """Observing only registers the stream: the engine runs with
+        its own (here: no) hooks and keeps the ``rr`` kernel, and the
+        derived spans cover every request."""
+        obs = Observability(trace=True, metrics_every_s=0.01)
+        arena, run = _observed_run(obs, 0, "fleet 0 (mixed)")
+        assert run.dispatch == "rr"
+        assert obs.counts()["completed"] == len(arena)
+        assert obs.metrics_payload()["timelines"][0]["samples"]
 
     def test_per_fleet_timelines(self):
-        obs = Observability(metrics_every_s=1.0)
-        a = obs.timeline(0)
-        b = obs.timeline(1)
-        assert a is not b
-        assert obs.timeline(0) is a
-        obs.register_fleet(0, "fleet 0 (mixed)", Fleet(1))
+        obs = Observability(metrics_every_s=0.01)
+        _observed_run(obs, 1, "fleet 1 (mixed)", seed=1)
+        _observed_run(obs, 0, "fleet 0 (mixed)")
         payload = obs.metrics_payload()
         assert [t["pid"] for t in payload["timelines"]] == [0, 1]
         assert payload["timelines"][0]["label"] == "fleet 0 (mixed)"
+        assert all(t["samples"] for t in payload["timelines"])
 
-    def test_counts_aggregate_across_wrapped_hooks(self):
+    def test_counts_aggregate_across_fleets(self):
         obs = Observability(trace=True)
-        a = obs.wrap(None, pid=0)
-        b = obs.wrap(None, pid=1)
-        a.offered, a.shed, a.completed = 10, 2, 8
-        b.offered, b.shed, b.completed = 5, 0, 5
+        a, _ = _observed_run(obs, 0, "a", requests=10)
+        b, _ = _observed_run(obs, 1, "b", requests=5, seed=3)
+        b.shed[:2] = True
+        b.start[:2] = b.finish[:2] = -1.0
         assert obs.counts() == {
             "offered": 15, "completed": 13, "shed": 2
         }

@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.obs import TraceRecorder, render_trace_summary, summarize_trace
+from repro.obs import (
+    Observability,
+    TraceRecorder,
+    render_trace_summary,
+    summarize_trace,
+)
+from repro.serve import ServingScenario, simulate
 
 
 def _recorded(recorder):
@@ -45,8 +51,22 @@ class TestEventShapes:
         assert (event["tid"], event["s"]) == (0, "p")
 
     def test_batch_ids_are_monotone(self):
-        recorder = TraceRecorder()
-        assert [recorder.next_batch_id() for _ in range(3)] == [1, 2, 3]
+        """Derived batch ids count launches in time order, and every
+        request span names its batch."""
+        obs = Observability(trace=True)
+        simulate(ServingScenario(requests=200, seed=2), obs=obs)
+        events = obs.trace_payload()["traceEvents"]
+        batches = [e for e in events if e.get("cat") == "batch"]
+        assert [e["args"]["batch"] for e in batches] == list(
+            range(1, len(batches) + 1)
+        )
+        sizes = {e["args"]["batch"]: e["args"]["size"] for e in batches}
+        members = {}
+        for event in events:
+            if event.get("cat") == "request":
+                batch = event["args"]["batch"]
+                members[batch] = members.get(batch, 0) + 1
+        assert members == sizes
 
     def test_timestamps_map_to_microseconds(self):
         recorder = TraceRecorder()
@@ -82,13 +102,12 @@ class TestPayloadOrdering:
 
 
 class TestStateDict:
-    def test_round_trip_preserves_events_and_batch_seq(self):
+    def test_round_trip_preserves_events(self):
         recorder = TraceRecorder()
         recorder.complete("m", cat="batch", ts_s=0.1, dur_s=0.2, pid=0, tid=0)
-        recorder.next_batch_id()
+        recorder.instant("power-up", cat="governor", ts_s=0.2, pid=0, tid=1)
         restored = TraceRecorder()
         restored.load_state_dict(recorder.state_dict())
-        assert restored.next_batch_id() == 2
         assert _recorded(restored) == _recorded(recorder)
 
     def test_display_names_are_not_state(self):
@@ -123,6 +142,27 @@ class TestWriteAndSummarize:
         assert text.endswith("\n")
         assert ": " not in text  # compact separators
         assert json.loads(text)["displayTimeUnit"] == "ms"
+
+    @pytest.mark.parametrize("events", [0, 1, 5, 6])
+    def test_sliced_write_equals_one_shot_json(
+        self, tmp_path, monkeypatch, events
+    ):
+        """The writer encodes events a slice at a time; the bytes must
+        equal a one-shot compact dump, at and around slice edges."""
+        import repro.obs.trace as trace
+
+        monkeypatch.setattr(trace, "_DUMP_SLICE", 3)
+        recorder = TraceRecorder()
+        recorder.set_process_name(0, "fleet 0")
+        for i in range(events):
+            recorder.instant("x", cat="c", ts_s=i * 1e-3, pid=0, tid=i)
+        path = tmp_path / "t.json"
+        recorder.write(path, other_data={"offered": events})
+        expected = json.dumps(
+            recorder.to_payload({"offered": events}),
+            separators=(",", ":"),
+        )
+        assert path.read_text() == expected + "\n"
 
     def test_write_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

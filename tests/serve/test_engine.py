@@ -256,6 +256,7 @@ class TestFastPathParity:
         gen_arena, gen_run, gen_fleet = run(True)
         assert np.array_equal(fast_arena.finish, gen_arena.finish)
         assert np.array_equal(fast_arena.start, gen_arena.start)
+        assert np.array_equal(fast_arena.instance, gen_arena.instance)
         # Event counts are NOT compared: the general heap loop counts
         # stale wake pops (provably no-ops) that the fast paths never
         # materialize, so its count is an upper bound.

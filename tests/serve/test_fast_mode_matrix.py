@@ -5,9 +5,10 @@ Each case starts from a configuration eligible for one of the kernels
 one precondition: ``_fast_mode`` must land on the expected path and
 record the *first failing precondition* (surfaced to ``--json`` as
 ``EngineRun.fallback``).  Unsupported control configurations —
-governors, priority-preemptive shedding, DVFS ladders, telemetry —
-must take the general loop and still produce reports identical to a
-forced-general run.
+governors, priority-preemptive shedding, DVFS ladders — must take the
+general loop and still produce reports identical to a forced-general
+run.  Telemetry is derived from the drained columns, so it never moves
+a run off its fast path.
 """
 
 from unittest import mock
@@ -158,6 +159,27 @@ class TestControlPlaneMatrix:
         assert engine._fast_mode(_arena()) is None
         assert "tick" in engine._fast_reason
 
+    def test_telemetry_keeps_rr_ctl_bit_for_bit(self):
+        from repro.obs import Observability
+
+        scenario = ControlScenario(
+            requests=1_500,
+            qps=2_500.0,
+            instances=2,
+            policy="round-robin",
+            shedding="deadline",
+            seed=7,
+        )
+        reference = simulate_controlled(scenario)
+        assert reference.engine_dispatch == "rr-ctl"
+        traced = simulate_controlled(
+            scenario,
+            obs=Observability(trace=True, metrics_every_s=0.05),
+        )
+        assert traced.engine_dispatch == "rr-ctl"
+        assert traced.engine_fallback == ""
+        assert traced == reference
+
 
 class TestUnsupportedConfigsMatchGeneral:
     """Configs outside the kernel's envelope take the general loop and
@@ -191,23 +213,3 @@ class TestUnsupportedConfigsMatchGeneral:
             forced = simulate_controlled(scenario)
         assert forced.engine_dispatch == "general"
         assert report == forced
-
-    def test_telemetry_routes_general_bit_for_bit(self):
-        from repro.obs import Observability
-
-        scenario = ControlScenario(
-            requests=1_500,
-            qps=2_500.0,
-            instances=2,
-            policy="round-robin",
-            shedding="deadline",
-            seed=7,
-        )
-        reference = simulate_controlled(scenario)
-        assert reference.engine_dispatch == "rr-ctl"
-        traced = simulate_controlled(
-            scenario, obs=Observability(trace=True)
-        )
-        assert traced.engine_dispatch == "general"
-        assert traced.engine_fallback
-        assert traced == reference

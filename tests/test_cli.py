@@ -456,7 +456,8 @@ class TestTelemetryCli:
         )
         report_payload = json.loads(report.read_text())
         (engine,) = report_payload["engine"]
-        assert engine["dispatch"] == "general"  # tracing -> general loop
+        # Observing keeps the run on its least-loaded kernel.
+        assert engine["dispatch"] == "ll"
         assert report_payload["metrics"]["timelines"]
         # The report dicts themselves stay telemetry-free.
         assert "engine_events" not in report_payload["reports"][0]
@@ -677,3 +678,81 @@ class TestCheckpointCli:
         )
         assert code == 0
         assert ref.read_bytes() == resumed.read_bytes()
+
+
+class TestNonFiniteInputs:
+    """NaN/inf rates and windows fail with a clear error — before,
+    NaN rates and metric windows hung the event loop (simulated time
+    never advanced) and NaN waits or infinite rates ran to fabricated
+    reports.  The CLI cases run in a subprocess with a timeout, so a
+    regression to hanging fails instead of stalling the suite."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("control", "--requests", "200", "--metrics-every", "nan"),
+             "--metrics-every"),
+            (("control", "--requests", "200", "--metrics-every", "inf"),
+             "--metrics-every"),
+            (("control", "--requests", "200", "--qps", "nan"), "--qps"),
+            (("serve", "--requests", "200", "--arrival", "diurnal",
+              "--diurnal-period", "nan"), "--diurnal-period"),
+            (("serve", "--requests", "200", "--max-wait-ms", "nan"),
+             "--max-wait-ms"),
+            (("serve", "--requests", "200", "--qps", "inf"), "--qps"),
+        ],
+        ids=[
+            "metrics-every-nan",
+            "metrics-every-inf",
+            "qps-nan",
+            "diurnal-period-nan",
+            "max-wait-nan",
+            "qps-inf",
+        ],
+    )
+    def test_cli_rejects(self, argv, flag):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 1, proc.stdout[-500:]
+        assert f"error: {flag} must be a finite number" in proc.stderr
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_constructors_reject(self, value):
+        from repro.control import ControlScenario
+        from repro.errors import ConfigError
+        from repro.obs import Observability
+        from repro.serve import Engine, Fleet, ServingScenario, make_policy
+        from repro.serve.arrival import DiurnalArrivals, PoissonArrivals
+
+        builders = [
+            lambda: ServingScenario(qps=value),
+            lambda: ServingScenario(max_wait_ms=value),
+            lambda: ControlScenario(qps=value),
+            lambda: ControlScenario(max_wait_ms=value),
+            lambda: ControlScenario(tick_ms=value),
+            lambda: PoissonArrivals(value),
+            lambda: DiurnalArrivals(100.0, period_s=value),
+            lambda: Observability(metrics_every_s=value),
+            lambda: Engine(
+                Fleet(1), make_policy("round-robin"), 8, max_wait_s=value
+            ),
+            lambda: Engine(
+                Fleet(1), make_policy("round-robin"), 8, 0.0, tick_s=value
+            ),
+        ]
+        for build in builders:
+            with pytest.raises(ConfigError, match="finite"):
+                build()

@@ -15,7 +15,12 @@ Stdlib-only (runs in CI without installing the package). Checks:
 * the span-conservation invariant against the embedded counters:
   request spans == completed, shed instants == shed, and
   spans + shed == offered — every offered request ends in exactly one
-  terminal event.
+  terminal event;
+* schedule physics, which the counters cannot vouch for (they are
+  derived from the same columns as the spans): batch spans on one
+  ``(pid, tid)`` lane never overlap, every request span's ``batch`` id
+  names a batch span on the same lane, each batch's ``size`` equals
+  its member count, and no member arrived after its batch launched.
 
 Exits 0 and prints a one-line summary when the trace passes; exits 1
 with the first violation otherwise.
@@ -31,6 +36,11 @@ import json
 import sys
 
 _PHASES = {"X", "i", "M"}
+
+#: Span ``ts`` and ``dur`` are each rounded to 1 ns (0.001 µs), so a
+#: batch launched at its predecessor's completion may appear to start
+#: up to two rounding quanta before that predecessor ends.
+_OVERLAP_TOL_US = 0.002
 
 
 def check_trace(path: str) -> str:
@@ -58,6 +68,8 @@ def check_trace(path: str) -> str:
     last_ts = None
     request_spans = 0
     shed_instants = 0
+    batches: dict = {}  # id -> (lane, ts, dur, size)
+    members: list = []  # (event index, batch id, lane, ts)
     for i, event in enumerate(events):
         if not isinstance(event, dict):
             raise ValueError(f"{path}: event {i} is not an object")
@@ -92,10 +104,24 @@ def check_trace(path: str) -> str:
                     f"{path}: span {i} ({event['name']!r}) has "
                     f"invalid duration {dur!r}"
                 )
+            lane = (event["pid"], event["tid"])
+            args = event.get("args") or {}
             if event.get("cat") == "request":
                 request_spans += 1
+                if "batch" in args:
+                    members.append((i, args["batch"], lane, ts))
+            elif event.get("cat") == "batch":
+                batch = args.get("batch")
+                if batch in batches:
+                    raise ValueError(
+                        f"{path}: batch id {batch!r} is used by two "
+                        "batch spans"
+                    )
+                batches[batch] = (lane, ts, dur, args.get("size"))
         elif event["name"] == "shed":
             shed_instants += 1
+
+    _check_schedule(path, batches, members)
 
     counters = payload.get("otherData") or {}
     for key in ("offered", "completed", "shed"):
@@ -126,6 +152,42 @@ def check_trace(path: str) -> str:
         f"{path}: OK — {len(events)} events, {request_spans} request "
         f"spans + {shed_instants} shed == {offered} offered"
     )
+
+
+def _check_schedule(path: str, batches: dict, members: list) -> None:
+    """Batch/request schedule physics (see the module docstring)."""
+    counts: dict = {}
+    for i, batch, lane, ts in members:
+        found = batches.get(batch)
+        if found is None or found[0] != lane:
+            raise ValueError(
+                f"{path}: request span {i} names batch {batch!r}, which "
+                f"is not a batch span on its lane {lane}"
+            )
+        if ts > found[1]:
+            raise ValueError(
+                f"{path}: request span {i} arrived at {ts} after its "
+                f"batch {batch!r} launched at {found[1]}"
+            )
+        counts[batch] = counts.get(batch, 0) + 1
+    lanes: dict = {}
+    for batch, (lane, ts, dur, size) in batches.items():
+        if counts.get(batch, 0) != size:
+            raise ValueError(
+                f"{path}: batch {batch!r} has size {size!r} but "
+                f"{counts.get(batch, 0)} member request spans"
+            )
+        lanes.setdefault(lane, []).append((ts, dur, batch))
+    for lane, spans in lanes.items():
+        spans.sort()
+        for (ts, dur, batch), (next_ts, _, next_batch) in zip(
+            spans, spans[1:]
+        ):
+            if next_ts < ts + dur - _OVERLAP_TOL_US:
+                raise ValueError(
+                    f"{path}: batches {batch!r} and {next_batch!r} "
+                    f"overlap on lane {lane} ({next_ts} < {ts} + {dur})"
+                )
 
 
 def main(argv: list[str]) -> int:
