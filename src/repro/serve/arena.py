@@ -207,6 +207,50 @@ class RequestArena:
         )[class_arr]
         return arena
 
+    @classmethod
+    def single(
+        cls,
+        index: int,
+        model: str,
+        profile: ServiceProfile,
+        arrival: float,
+        start: float,
+        finish: float,
+        slo: str,
+        priority: int,
+        deadline: float,
+        shed: bool,
+    ) -> "RequestArena":
+        """A one-row arena holding exactly these values.
+
+        Multi-fleet spillover builds one per forwarded request
+        (thousands per run), so each column is made from its value
+        directly instead of filled with a default and overwritten.
+        """
+        arena = cls.__new__(cls)
+        arena.arrival = np.array([arrival], dtype=np.float64)
+        arena.start = np.array([start], dtype=np.float64)
+        arena.finish = np.array([finish], dtype=np.float64)
+        arena.deadline = np.array([deadline], dtype=np.float64)
+        arena.index = np.array([index], dtype=np.int64)
+        arena.priority = np.array([priority], dtype=np.int64)
+        arena.model_idx = np.zeros(1, dtype=np.int64)
+        arena.class_idx = np.array([0 if slo else -1], dtype=np.int64)
+        arena.shed = np.array([shed], dtype=bool)
+        arena.instance = np.array([-1], dtype=np.int64)
+        arena.model_names = (model,)
+        arena.profiles = (profile,)
+        arena.per_image = np.array(
+            [0.0 if profile is None else profile.per_image_seconds],
+            dtype=np.float64,
+        )
+        arena.setup = np.array(
+            [0.0 if profile is None else profile.setup_seconds],
+            dtype=np.float64,
+        )
+        arena.slo_names = (slo,) if slo else ()
+        return arena
+
     def __len__(self) -> int:
         return len(self.arrival)
 
@@ -310,21 +354,10 @@ class Request:
         deadline: float = _INF,
         shed: bool = False,
     ) -> None:
-        arena = RequestArena(
-            1,
-            model_names=(model,),
-            profiles=(profile,),
-            slo_names=(slo,) if slo else (),
+        self.arena = RequestArena.single(
+            index, model, profile, arrival, start, finish, slo, priority,
+            deadline, shed,
         )
-        arena.arrival[0] = arrival
-        arena.start[0] = start
-        arena.finish[0] = finish
-        arena.deadline[0] = deadline
-        arena.index[0] = index
-        arena.priority[0] = priority
-        arena.class_idx[0] = 0 if slo else -1
-        arena.shed[0] = shed
-        self.arena = arena
         self.i = 0
 
     # -- identity ----------------------------------------------------

@@ -1217,7 +1217,7 @@ class Engine:
             requests.instance[first:i] = routed
         else:
             for request, index in zip(requests[first:i], routed):
-                request.instance = index
+                request.arena.instance[request.i] = index
         state.cursor = i
         state.events = events
         state.tick_actions = tick_actions

@@ -109,6 +109,40 @@ class TestBuildRequests:
             scalar_pairs.append((model, cls.name))
         assert [(r.model, r.slo) for r in vectorized] == scalar_pairs
 
+    @pytest.mark.parametrize(
+        "slo, profile", [("interactive", EDGE), ("", None)]
+    )
+    def test_single_row_arena_matches_general_constructor(
+        self, slo, profile
+    ):
+        """The keyword Request constructor's one-row arena sets every
+        column and side table exactly as filling a general arena's row
+        does (same values, same dtypes)."""
+        import numpy as np
+
+        from repro.serve.arena import RequestArena
+
+        values = dict(
+            index=7, arrival=0.25, start=0.5, finish=0.75, priority=2,
+            deadline=1.5, shed=True,
+        )
+        single = Request(
+            model="edge-tiny", profile=profile, slo=slo, **values
+        ).arena
+        general = RequestArena(
+            1, ("edge-tiny",), (profile,), (slo,) if slo else ()
+        )
+        for name, value in values.items():
+            getattr(general, name)[0] = value
+        general.class_idx[0] = 0 if slo else -1
+        for name in RequestArena.__slots__:
+            got, want = getattr(single, name), getattr(general, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            else:
+                assert got == want, name
+
 
 class TestHooks:
     def test_on_arrival_sheds(self):
