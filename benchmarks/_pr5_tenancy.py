@@ -3,10 +3,15 @@
 Frozen copy of ``simulate_multi_fleet`` as it stood before the
 epoch-stepped rebuild: every member fleet runs one-shot through
 ``execute_controlled``, donors first, receivers after one spillover
-exchange.  Kept verbatim so the engine benchmark can hold the
-epoch-stepped production path to its throughput (the rebuild must stay
-within 1.1x of this loop on the two-fleet benchmark scenario) while
-the equivalence tests pin its *reports* bit-for-bit.
+exchange.  Kept as the reference so the engine benchmark can hold the
+production path to its throughput (it must stay within 1.1x of this
+loop on the two-fleet benchmark scenario) while the equivalence check
+pins its *reports* bit-for-bit.
+
+Engines only take arenas, so each receiver's stream is assembled here
+row by row — a Python stable sort of home rows and spill-in records,
+then per-row column writes — independently of
+``RequestArena.merge``, which the production path uses.
 
 Not part of the package: benchmark support only.
 """
@@ -29,8 +34,8 @@ from repro.control.tenancy import (
     _forward_target,
 )
 from repro.power.dvfs import DVFSModel
+from repro.serve.arena import RequestArena
 from repro.serve.engine import build_requests
-from repro.serve.fleet import Request
 from repro.serve.simulator import ServingReport
 
 __all__ = ["simulate_multi_fleet_monolithic"]
@@ -89,9 +94,11 @@ def simulate_multi_fleet_monolithic(
 
     arrival_label = f"shared-{scenario.modulator}"
     reports: list[ServingReport | None] = [None] * n_fleets
-    spilled: list[tuple[Request, Request]] = []
+    # Spill-ins are plain records until the receiver's stream is
+    # assembled; each then points at its row of that stream.
+    spilled: list[tuple[dict, object]] = []
     forwarded: set[tuple[int, int]] = set()
-    spill_ins: list[list[Request]] = [[] for _ in range(n_fleets)]
+    spill_ins: list[list[dict]] = [[] for _ in range(n_fleets)]
     class_specs: dict[str, SLOClass] = {}
     for member in scenario.fleets:
         for cls in member.slo_classes:
@@ -104,10 +111,10 @@ def simulate_multi_fleet_monolithic(
         )
         own = {cls.name for cls in member.slo_classes}
         foreign = []
-        for request in spill_ins[k]:
-            if request.slo not in own:
-                own.add(request.slo)
-                foreign.append(class_specs[request.slo])
+        for clone in spill_ins[k]:
+            if clone["slo"] not in own:
+                own.add(clone["slo"])
+                foreign.append(class_specs[clone["slo"]])
         if foreign:
             member = replace(
                 member,
@@ -133,8 +140,7 @@ def simulate_multi_fleet_monolithic(
             )
             if target is None:
                 continue
-            clone = Request(
-                index=0,
+            clone = dict(
                 model=request.model,
                 profile=profile,
                 arrival=request.arrival + hop_s,
@@ -147,13 +153,47 @@ def simulate_multi_fleet_monolithic(
             spill_ins[target].append(clone)
 
     for k in receivers:
-        merged = sorted(
-            [*home_requests[k], *spill_ins[k]],
-            key=lambda request: request.arrival,
+        home = home_requests[k]
+        entries = sorted(
+            [*home, *spill_ins[k]],
+            key=lambda entry: (
+                entry["arrival"] if isinstance(entry, dict)
+                else entry.arrival
+            ),
         )
-        for i, request in enumerate(merged):
-            request.index = i
+        slo_names = list(home.slo_names)
+        for clone in spill_ins[k]:
+            if clone["slo"] not in slo_names:
+                slo_names.append(clone["slo"])
+        merged = RequestArena(
+            len(entries), home.model_names, home.profiles,
+            tuple(slo_names),
+        )
+        home_rows = []
+        for row, entry in enumerate(entries):
+            if isinstance(entry, dict):
+                view = merged.view(row)
+                view.arrival = entry["arrival"]
+                view.priority = entry["priority"]
+                view.deadline = entry["deadline"]
+                merged.model_idx[row] = home.model_names.index(
+                    entry["model"]
+                )
+                merged.class_idx[row] = slo_names.index(entry["slo"])
+                entry["view"] = view
+            else:
+                home_rows.append((row, entry.i))
+                for name in (
+                    "arrival", "deadline", "priority", "model_idx",
+                    "class_idx",
+                ):
+                    getattr(merged, name)[row] = getattr(home, name)[
+                        entry.i
+                    ]
         run_member(k, merged)
+        for row, i in home_rows:
+            for name in ("shed", "start", "finish", "instance"):
+                getattr(home, name)[i] = getattr(merged, name)[row]
 
     completed = met = terminally_shed = 0
     spill_completed = spill_met = 0
@@ -168,7 +208,8 @@ def simulate_multi_fleet_monolithic(
                 )
             elif (k, request.index) not in forwarded:
                 terminally_shed += 1
-    for clone, original in spilled:
+    for record, original in spilled:
+        clone = record["view"]
         if clone.shed:
             terminally_shed += 1
             continue

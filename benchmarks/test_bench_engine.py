@@ -392,10 +392,10 @@ def test_bench_tracing_disabled_is_free(benchmark):
 
 @pytest.mark.benchmark(group="engine")
 def test_bench_epoch_stepped_multi_fleet_overhead(benchmark):
-    """The epoch-stepped multi-fleet rebuild stays within 1.1x of the
-    PR-5 monolithic loop's wall clock on the two-fleet benchmark
-    scenario — epoch slicing and the exchange barrier must be
-    bookkeeping, not a tax on the event loop."""
+    """The production multi-fleet path stays within 1.1x of the PR-5
+    monolithic loop's wall clock on the two-fleet benchmark scenario —
+    the exchange and the spill-in merge must be bookkeeping, not a
+    tax on the event loop."""
     from _pr5_tenancy import simulate_multi_fleet_monolithic
     from repro.control import simulate_multi_fleet
     from test_bench_tenancy import TWO_FLEET
@@ -406,14 +406,15 @@ def test_bench_epoch_stepped_multi_fleet_overhead(benchmark):
     mono_s = _best_seconds(
         lambda: simulate_multi_fleet_monolithic(TWO_FLEET)
     )
-    epoch_s = _best_seconds(lambda: simulate_multi_fleet(TWO_FLEET))
-    ratio = epoch_s / mono_s
+    prod_s = _best_seconds(lambda: simulate_multi_fleet(TWO_FLEET))
+    ratio = prod_s / mono_s
     assert ratio <= 1.1, (
-        f"epoch-stepped multi-fleet is {ratio:.2f}x the monolithic "
-        f"loop ({epoch_s:.3f}s vs {mono_s:.3f}s): over the 1.1x bar"
+        f"production multi-fleet is {ratio:.2f}x the monolithic "
+        f"loop ({prod_s:.3f}s vs {mono_s:.3f}s): over the 1.1x bar"
     )
     benchmark.extra_info["monolithic_s"] = round(mono_s, 4)
-    benchmark.extra_info["epoch_stepped_s"] = round(epoch_s, 4)
+    # Key kept from the epoch-stepped era so the record series lines up.
+    benchmark.extra_info["epoch_stepped_s"] = round(prod_s, 4)
     benchmark.extra_info["overhead_ratio"] = round(ratio, 3)
     benchmark.pedantic(
         lambda: simulate_multi_fleet(TWO_FLEET), rounds=3

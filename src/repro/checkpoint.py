@@ -71,7 +71,9 @@ __all__ = [
 #: incompatibly; loads from another schema are rejected outright.
 #: Schema 2: arenas carry the ``instance`` column and ``payload["obs"]``
 #: holds ``{"spec", "state"}`` (telemetry is derived after drain).
-CHECKPOINT_SCHEMA = 2
+#: Schema 3: arenas drop the ``index`` column (a view's index is its
+#: row).
+CHECKPOINT_SCHEMA = 3
 
 _INF = float("inf")
 

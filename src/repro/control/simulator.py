@@ -37,6 +37,7 @@ from ..arch.params import EDEA_CONFIG, ArchConfig
 from ..errors import ConfigError
 from ..parallel.cache import extension_field
 from ..power.dvfs import DVFSModel
+from ..serve.arena import RequestArena
 from ..serve.arrival import make_arrivals
 from ..serve.engine import (
     Engine,
@@ -223,10 +224,10 @@ class ControlHooks(EngineHooks):
         self._observe_arrival = getattr(
             governor, "observe_arrival", None
         )
-        # Which batched-admission kernel applies.  Exact type checks:
-        # PriorityShedding subclasses QueueDepthShedding but preempts
-        # queued victims, so it (and any other subclass) must keep the
-        # generic scalar path.
+        # Which column-table admission rule applies.  Exact type
+        # checks: PriorityShedding subclasses QueueDepthShedding but
+        # preempts queued victims, so it (and any other subclass) must
+        # keep the generic scalar shedder.
         shedder_type = type(shedder)
         if shedder_type is NoShedding:
             self._batch_kind = "none"
@@ -241,21 +242,11 @@ class ControlHooks(EngineHooks):
         self._batch_cols = None
 
     def on_arrival(self, request, instance, now, engine) -> bool:
-        if self._observe_arrival is not None:
-            self._observe_arrival(now)
-        admitted, victim = self.shedder.admit(request, instance, now)
-        if victim is not None:
-            victim.shed = True
-        return admitted
-
-    def on_arrival_batch(
-        self, arena, index, request, instance, now, engine
-    ) -> bool:
-        """Columnar admission: same decisions (and floats) as
-        :meth:`on_arrival`, reading arena columns instead of view
-        properties.  Shedders outside the three vectorizable kinds —
-        and heterogeneous instances with their own profile tables —
-        delegate to the scalar shedder unchanged."""
+        """Admission through the shedding policy.  The three
+        vectorizable kinds read cached arena column tables (same
+        decisions and floats as the shedder's scalar ``admit``);
+        other shedders — and heterogeneous instances with their own
+        profile tables — run the scalar shedder unchanged."""
         if self._observe_arrival is not None:
             self._observe_arrival(now)
         kind = self._batch_kind
@@ -264,6 +255,8 @@ class ControlHooks(EngineHooks):
         if kind == "queue-depth":
             return len(instance.queue) < self.shedder.threshold
         if kind == "deadline" and instance.profiles is None:
+            arena = request.arena
+            index = request.i
             cols = self._batch_cols
             if cols is None or cols[0] is not arena:
                 cols = self._batch_cols = (
@@ -507,8 +500,8 @@ class ControlExecution:
     :func:`prepare_controlled` builds everything up to (and including)
     ``engine.begin``; the caller advances ``engine`` with
     :meth:`~repro.serve.engine.Engine.run_until` — to drain for the
-    classic one-shot run, or in bounded slices for checkpointed and
-    epoch-stepped execution — and :func:`finalize_controlled` turns
+    classic one-shot run, or in bounded slices for checkpointed
+    execution — and :func:`finalize_controlled` turns
     the drained execution into the :class:`ServingReport`.
     """
 
@@ -518,7 +511,7 @@ class ControlExecution:
     capacity: float
     qps: float
     times: np.ndarray
-    requests: list
+    requests: RequestArena
     engine: Engine
 
 
@@ -529,7 +522,7 @@ def prepare_controlled(
     capacity: float,
     qps: float,
     times: np.ndarray,
-    requests: list,
+    requests: RequestArena,
     dvfs_model: DVFSModel | None = None,
     *,
     obs=None,
@@ -727,7 +720,7 @@ def execute_controlled(
     capacity: float,
     qps: float,
     times: np.ndarray,
-    requests: list,
+    requests: RequestArena,
     dvfs_model: DVFSModel | None = None,
     *,
     obs=None,

@@ -46,8 +46,8 @@ def multi_fleet_sweep(
 
     With a single scenario the worker fan-out has nothing to spread
     over, so ``jobs`` is routed *into* the co-simulation instead:
-    member fleets shard across processes at the spillover epoch
-    barrier.  Reports are bit-identical either way, so both routes
+    member fleets shard across processes (donors, then receivers
+    after the spillover exchange).  Reports are bit-identical either way, so both routes
     share one cache key.
     """
     if not scenarios:

@@ -23,15 +23,15 @@ admission control; spillover can never loop back into a fleet that
 already ran.
 
 Every member fleet is its own :class:`~repro.serve.engine.Engine`,
-advanced through :meth:`~repro.serve.engine.Engine.run_until`-bounded
-*epochs* with the spillover exchange at the phase barrier (donors
-drain, shed rows are forwarded, receivers merge and drain).  Epoch
-length and process sharding (``epoch_s``/``jobs``, keyword-only) are
-execution details — any positive epoch and any job count reproduce
-the identical report — and everything — the latent path, per-fleet
-thinning, engine order — is a pure function of the frozen scenario,
-so multi-fleet reports are cacheable content keys exactly like
-single-fleet ones.
+drained in one call.  Donors drain first; their shed rows cross the
+exchange to the receivers, whose engines then run their home arena
+merged with the forwarded rows (:meth:`RequestArena.merge
+<repro.serve.arena.RequestArena.merge>`) as one arena.  Process
+sharding (``jobs``, keyword-only) is an execution detail — any job
+count reproduces the identical report — and everything — the latent
+path, per-fleet thinning, engine order — is a pure function of the
+frozen scenario, so multi-fleet reports are cacheable content keys
+exactly like single-fleet ones.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 from ..errors import ConfigError
 from ..parallel.executor import ParallelExecutor
 from ..power.dvfs import DVFSModel
-from ..serve.arena import RequestArena
 from ..serve.arrival import SharedModulator
 from ..serve.engine import build_requests
 from ..serve.fleet import Request
@@ -224,60 +223,37 @@ def _forward_target(
     return None, None
 
 
-def _drain_epochs(engine, arena, epoch_s: float) -> list[int]:
-    """Advance one member engine to drain in ``epoch_s``-bounded
-    ``run_until`` slices.
+#: The columns an engine run writes, shipped back from worker runs.
+_OUTCOMES = ("shed", "start", "finish", "instance")
+_INF = float("inf")
 
-    Returns the arena rows the member's admission control shed, in
-    stream order, collected per consumed arrival-cursor window — the
-    rows eligible for spillover at the next exchange barrier.  (Sheds
-    happen only at admission, so the concatenated windows cover every
-    shed request exactly once.)  ``arena`` may be ``None`` when the
-    caller does not forward (receivers, plain lists of merged views).
 
-    The slicing is bit-for-bit the one-shot run: ``run_until`` is the
-    same loop with a horizon check.
-    """
-    shed_rows: list[int] = []
-    prev = engine.state.cursor
-    t = epoch_s
-    while not engine.finished:
-        engine.run_until(t)
-        cursor = engine.state.cursor
-        if arena is not None and cursor > prev:
-            shed_rows.extend(arena.shed_indices(prev, cursor))
-        prev = cursor
-        t += epoch_s
-    return shed_rows
+def _drain_member(
+    member, fleet, mix, capacity, qps, stream, dvfs_model,
+    obs=None, obs_pid: int = 0,
+) -> ServingReport:
+    """Drain one member fleet over its stream in one call."""
+    execution = prepare_controlled(
+        member, fleet, mix, capacity, qps, stream.arrival, stream,
+        dvfs_model=dvfs_model, obs=obs, obs_pid=obs_pid,
+    )
+    execution.engine.run_until(_INF)
+    return finalize_controlled(execution)
 
 
 def _member_point(payload: dict):
-    """Worker half of the spillover barrier: run one member fleet.
+    """Worker half of a sharded phase: run one member fleet.
 
     ``payload`` is checkpoint-shaped — the member's frozen scenario
-    plus its materialized request stream (home arena, and for
-    receivers the spill-in clones forwarded at the barrier).  The
-    worker rebuilds the fleet deterministically, epoch-steps the
-    engine to drain, and ships back the report together with the
-    mutated outcome columns, which the parent overlays by stream
-    position (subprocess arena mutations never propagate by
+    plus its materialized request stream (a receiver's is already
+    merged with its spill-ins).  The worker rebuilds the fleet
+    deterministically, drains the engine, and ships back the report
+    together with the outcome columns, which the parent copies into
+    its own arena (subprocess arena mutations never propagate by
     themselves).
     """
     member = payload["scenario"]
-    home = payload["requests"]
-    clones = payload["spill_ins"]
-    epoch_s = payload["epoch_s"]
-    if clones:
-        # Stable by arrival: home requests keep their relative order,
-        # spill-ins theirs — identical to the parent-side merge.
-        stream = sorted(
-            [*home, *clones],
-            key=lambda request: request.arrival,
-        )
-        for i, request in enumerate(stream):
-            request.index = i
-    else:
-        stream = home
+    stream = payload["requests"]
     dvfs_model = DVFSModel()
     fleet, mix, capacity = build_control_fleet(member, dvfs_model)
     qps = (
@@ -285,55 +261,37 @@ def _member_point(payload: dict):
         if member.qps is not None
         else _DEFAULT_LOAD * capacity
     )
-    stream_times = np.array(
-        [request.arrival for request in stream]
+    report = _drain_member(
+        member, fleet, mix, capacity, qps, stream, dvfs_model
     )
-    execution = prepare_controlled(
-        member, fleet, mix, capacity, qps,
-        stream_times, stream, dvfs_model=dvfs_model,
-    )
-    _drain_epochs(execution.engine, None, epoch_s)
-    report = finalize_controlled(execution)
-    return (
-        report,
-        home.shed.copy(),
-        home.start.copy(),
-        home.finish.copy(),
-        home.instance.copy(),
-        [(clone.shed, clone.finish, clone.instance) for clone in clones],
-    )
+    return report, *(getattr(stream, name) for name in _OUTCOMES)
 
 
 def simulate_multi_fleet(
     scenario: MultiFleetScenario,
     *,
-    epoch_s: float | None = None,
     jobs: int = 1,
     obs=None,
 ) -> MultiFleetReport:
     """Run one correlated multi-fleet scenario to completion.
 
     Deterministic for a given scenario; safe to cache and to fan out
-    across worker processes.  Both knobs below are keyword-only
-    execution details — they never perturb the result or the cache
-    content key.
+    across worker processes.  Execution runs in three steps: every
+    donor (a fleet at rho > 1 under spillover) drains; the exchange
+    forwards each donor's shed rows — read off its drained ``shed``
+    column — to the sibling with the most headroom that can still
+    make the deadline; every receiver then drains its home arena
+    merged with the rows it was sent.  Donors never receive and
+    receivers never forward, so each member drains in one call.
 
     Args:
         scenario: The frozen scenario description.
-        epoch_s: Spillover epoch length in simulated seconds (default:
-            the scenario's modulator ``period_s``).  Each member fleet
-            advances through its run in ``run_until(epoch)`` slices,
-            collecting newly shed requests per consumed arrival-cursor
-            window; the donor -> receiver exchange happens at the
-            barrier between the donor and receiver phases.  Any
-            positive value yields the identical report — the slicing
-            is bit-for-bit the one-shot run.
-        jobs: Worker processes for the member fleets (``1`` = serial).
-            Donors shard across processes first, receivers after the
-            exchange barrier; each worker gets a checkpoint-shaped
-            payload (scenario + materialized stream) and returns its
-            report plus the mutated outcome columns, overlaid by
-            stream position.
+        jobs: Worker processes for the member fleets (``1`` = serial),
+            keyword-only and never part of the result or the cache
+            content key.  Donors shard across processes first,
+            receivers after the exchange; each worker gets a
+            checkpoint-shaped payload (scenario + materialized stream)
+            and returns its report plus the outcome columns.
         obs: Optional :class:`~repro.obs.Observability` session; an
             active one records every member fleet into one shared
             trace (fleet k is trace process k) plus a spillover
@@ -347,12 +305,6 @@ def simulate_multi_fleet(
         np.random.default_rng([scenario.seed, 0])
     )
     dvfs_model = DVFSModel()
-    if epoch_s is None:
-        epoch_s = scenario.period_s
-    if epoch_s <= 0:
-        raise ConfigError(
-            f"epoch_s must be positive ({epoch_s})"
-        )
 
     n_fleets = len(scenario.fleets)
     setups = []  # (fleet, mix, capacity) per member
@@ -401,12 +353,14 @@ def simulate_multi_fleet(
 
     arrival_label = f"shared-{scenario.modulator}"
     reports: list[ServingReport | None] = [None] * n_fleets
-    # clone -> original, to fold sibling outcomes back per request.
-    spilled: list[tuple[Request, Request]] = []
-    # Views are created on demand, so identity is per access; key
-    # forwarded originals by (fleet, index) instead of id().
-    forwarded: set[tuple[int, int]] = set()
-    spill_ins: list[list[Request]] = [[] for _ in range(n_fleets)]
+    # The arena each member's engine runs: its home arena, or for a
+    # receiver that was sent rows, the merge (and ``where``, each
+    # source row's merged row).
+    streams = list(home_requests)
+    wheres: list = [None] * n_fleets
+    # Per receiver: (donor arena, forwarded rows) in forwarding order.
+    spill_ins: list[list] = [[] for _ in range(n_fleets)]
+    forwarded = [0] * n_fleets
     # Donor class specs by name (first definition wins), so a receiver
     # can report spill-ins whose class it does not define itself.
     class_specs: dict[str, SLOClass] = {}
@@ -418,97 +372,49 @@ def simulate_multi_fleet(
         member = replace(
             scenario.fleets[k], arrival=arrival_label
         )
-        own = {cls.name for cls in member.slo_classes}
-        foreign = []
-        for request in spill_ins[k]:
-            if request.slo not in own:
-                own.add(request.slo)
-                foreign.append(class_specs[request.slo])
+        # Spill-ins keep their donor class: the merge appended the
+        # classes the receiver lacks, so grow its reporting classes to
+        # cover every request its engine processed.
+        foreign = streams[k].slo_names[len(member.slo_classes):]
         if foreign:
-            # Spill-ins keep their donor class: grow the receiver's
-            # reporting classes so its per-class table and attainment
-            # cover every request its engine processed.
             member = replace(
                 member,
-                slo_classes=member.slo_classes + tuple(foreign),
+                slo_classes=member.slo_classes
+                + tuple(class_specs[name] for name in foreign),
             )
         return member
 
-    def run_member(k: int, requests) -> list[int]:
-        """In-process member run: epoch-stepped on the parent's own
-        fleet and arena; returns the shed rows (stream order)."""
-        fleet, mix, capacity = setups[k]
-        stream_times = np.array(
-            [request.arrival for request in requests]
-        )
-        execution = prepare_controlled(
-            member_scenario(k), fleet, mix, capacity, rates[k],
-            stream_times, requests, dvfs_model=dvfs_model,
-            obs=obs, obs_pid=k,
-        )
-        arena = requests if isinstance(requests, RequestArena) else None
-        shed_rows = _drain_epochs(execution.engine, arena, epoch_s)
-        reports[k] = finalize_controlled(execution)
-        return shed_rows
-
-    def forward(k: int, shed_rows: list[int]) -> None:
-        """Donor k's barrier exchange: spill its shed rows to the
-        sibling with the most headroom that can still make the
-        deadline."""
+    def forward(k: int) -> None:
+        """Donor k's exchange: spill its shed rows to the sibling with
+        the most headroom that can still make the deadline."""
         if not receivers:
             return
         arena = home_requests[k]
-        for row in shed_rows:
+        targets: dict[int, list[int]] = {}
+        for row in arena.shed_indices():
             request = arena.view(row)
-            target, profile = _forward_target(
+            target, _ = _forward_target(
                 request, receivers, mixes, hop_s
             )
             if target is None:
                 continue
-            clone = Request(
-                index=0,  # re-indexed after the receiver merge
-                model=request.model,
-                profile=profile,
-                arrival=request.arrival + hop_s,
-                slo=request.slo,
-                priority=request.priority,
-                deadline=request.deadline,
-            )
-            spilled.append((clone, request))
-            forwarded.add((k, request.index))
-            spill_ins[target].append(clone)
+            targets.setdefault(target, []).append(row)
             if obs is not None:
                 obs.spill(
                     k, target, request, scenario.spillover_hop_ms
                 )
+        for target, rows in targets.items():
+            spill_ins[target].append((arena, rows))
+            forwarded[k] += len(rows)
 
-    def payload(k: int) -> dict:
-        return {
-            "kind": "control",
-            "scenario": member_scenario(k),
-            "requests": home_requests[k],
-            "spill_ins": list(spill_ins[k]),
-            "epoch_s": epoch_s,
-        }
-
-    def overlay(k: int, result) -> list[int]:
-        (
-            report, shed_col, start_col, finish_col, instance_col,
-            clone_out,
-        ) = result
-        reports[k] = report
-        arena = home_requests[k]
-        arena.shed[:] = shed_col
-        arena.start[:] = start_col
-        arena.finish[:] = finish_col
-        arena.instance[:] = instance_col
-        for clone, (c_shed, c_finish, c_instance) in zip(
-            spill_ins[k], clone_out
-        ):
-            clone.shed = c_shed
-            clone.finish = c_finish
-            clone.instance = c_instance
-        return arena.shed_indices()
+    def settle(k: int) -> None:
+        """Copy a receiver's home-row outcomes back from its merge."""
+        if wheres[k] is None:
+            return
+        home = home_requests[k]
+        rows = wheres[k][:len(home)]
+        for name in _OUTCOMES:
+            getattr(home, name)[:] = getattr(streams[k], name)[rows]
 
     # Telemetry is derived from the in-process streams and governor
     # logs, so an active session pins the members to the serial path
@@ -520,76 +426,88 @@ def simulate_multi_fleet(
         else None
     )
 
-    def run_phases() -> None:
-        # Donor phase: donors epoch-step to drain (donors never
-        # receive, so they shard freely); their sheds cross the
-        # exchange barrier into the receivers' spill-in buffers.
-        if executor is not None and len(donors) > 1:
-            for k, result in zip(
-                donors,
-                executor.map(
-                    _member_point, [(payload(k),) for k in donors]
-                ),
-            ):
-                forward(k, overlay(k, result))
-        else:
-            for k in donors:
-                forward(k, run_member(k, home_requests[k]))
-
-        # Receiver phase, after the barrier: home traffic merged with
-        # the forwarded spill-ins in arrival order (stable: home
-        # requests keep their relative order), then epoch-stepped to
-        # drain.
-        if executor is not None and len(receivers) > 1:
-            for k, result in zip(
-                receivers,
-                executor.map(
-                    _member_point, [(payload(k),) for k in receivers]
-                ),
-            ):
-                overlay(k, result)
-        else:
-            for k in receivers:
-                merged = sorted(
-                    [*home_requests[k], *spill_ins[k]],
-                    key=lambda request: request.arrival,
+    def drain(members: list[int], then) -> None:
+        """Drain ``members`` (sharded when more than one runs at once),
+        calling ``then(k)`` after each."""
+        if executor is not None and len(members) > 1:
+            payloads = [
+                (
+                    {
+                        "kind": "control",
+                        "scenario": member_scenario(k),
+                        "requests": streams[k],
+                    },
                 )
-                for i, request in enumerate(merged):
-                    request.index = i
-                run_member(k, merged)
+                for k in members
+            ]
+            for k, (report, *outcomes) in zip(
+                members, executor.map(_member_point, payloads)
+            ):
+                reports[k] = report
+                for name, column in zip(_OUTCOMES, outcomes):
+                    getattr(streams[k], name)[:] = column
+                then(k)
+        else:
+            for k in members:
+                fleet, mix, capacity = setups[k]
+                reports[k] = _drain_member(
+                    member_scenario(k), fleet, mix, capacity, rates[k],
+                    streams[k], dvfs_model, obs=obs, obs_pid=k,
+                )
+                then(k)
+
+    def run_phases() -> None:
+        drain(donors, forward)
+        for k in receivers:
+            if spill_ins[k]:
+                streams[k], wheres[k] = home_requests[k].merge(
+                    spill_ins[k], hop_s
+                )
+        drain(receivers, settle)
 
     if executor is not None:
-        # One pool spans both phases: the barrier exchanges payloads,
-        # not workers.
+        # One pool spans both phases: the exchange moves rows, not
+        # workers.
         with executor.session():
             run_phases()
     else:
         run_phases()
 
-    # End-to-end accounting per original request.
+    # End-to-end accounting per original request, over columns: home
+    # rows complete at home or were shed there (forwarded or
+    # terminally), and forwarded rows complete or are shed at their
+    # receiver, where their latency runs from the original arrival.
     completed = met = terminally_shed = 0
     spill_completed = spill_met = 0
-    final_latencies: list[float] = []
-    for k in range(n_fleets):
-        for request in home_requests[k]:
-            if not request.shed:
-                completed += 1
-                met += request.finish <= request.deadline
-                final_latencies.append(
-                    request.finish - request.arrival
-                )
-            elif (k, request.index) not in forwarded:
-                terminally_shed += 1
-    for clone, original in spilled:
-        if clone.shed:
-            terminally_shed += 1
+    latencies = []
+    for k, home in enumerate(home_requests):
+        done = ~home.shed
+        finish = home.finish[done]
+        count = int(np.count_nonzero(done))
+        completed += count
+        met += int(np.count_nonzero(finish <= home.deadline[done]))
+        terminally_shed += len(home) - count - forwarded[k]
+        latencies.append(finish - home.arrival[done])
+    for k in receivers:
+        if wheres[k] is None:
             continue
-        completed += 1
-        spill_completed += 1
-        hit = clone.finish <= clone.deadline
+        merged = streams[k]
+        rows = wheres[k][len(home_requests[k]):]
+        origin = np.concatenate(
+            [arena.arrival[src] for arena, src in spill_ins[k]]
+        )
+        done = ~merged.shed[rows]
+        rows = rows[done]
+        finish = merged.finish[rows]
+        count = int(np.count_nonzero(done))
+        hit = int(np.count_nonzero(finish <= merged.deadline[rows]))
+        completed += count
+        spill_completed += count
         met += hit
         spill_met += hit
-        final_latencies.append(clone.finish - original.arrival)
+        terminally_shed += len(done) - count
+        latencies.append(finish - origin[done])
+    final_latencies = np.concatenate(latencies)
 
     offered = sum(member.requests for member in scenario.fleets)
     energy = sum(
@@ -602,14 +520,14 @@ def simulate_multi_fleet(
         offered_requests=offered,
         completed_requests=completed,
         shed_requests=terminally_shed,
-        spilled_requests=len(spilled),
+        spilled_requests=sum(forwarded),
         spill_completed=spill_completed,
-        spill_met=int(spill_met),
-        met_requests=int(met),
+        spill_met=spill_met,
+        met_requests=met,
         attainment=met / offered if offered else 0.0,
         latency_p99_s=(
             float(np.percentile(final_latencies, 99))
-            if final_latencies
+            if final_latencies.size
             else 0.0
         ),
         energy_joules=float(energy),

@@ -71,7 +71,9 @@ class Columns:
         return len(self.arrival)
 
 
-def _arena_columns(arena: RequestArena) -> Columns:
+def columns(arena: RequestArena) -> Columns:
+    """The outcome columns of an engine stream (multi-fleet receivers
+    included: their spill-ins are rows of the merged arena)."""
     cols = Columns()
     cols.arrival = arena.arrival
     cols.start = arena.start
@@ -87,35 +89,6 @@ def _arena_columns(arena: RequestArena) -> Columns:
     ]
     cols.per_image = arena.per_image[midx]
     cols.setup = arena.setup[midx]
-    return cols
-
-
-def columns(requests) -> Columns:
-    """The outcome columns of an engine stream: an arena, or a list of
-    request views (multi-fleet receivers merge home views with spilled
-    clones, each clone owning a one-row arena)."""
-    if isinstance(requests, RequestArena):
-        return _arena_columns(requests)
-    groups: dict[int, tuple] = {}
-    for pos, view in enumerate(requests):
-        entry = groups.get(id(view.arena))
-        if entry is None:
-            entry = groups[id(view.arena)] = (view.arena, [], [])
-        entry[1].append(pos)
-        entry[2].append(view.i)
-    parts = [
-        (positions, rows, _arena_columns(arena))
-        for arena, positions, rows in groups.values()
-    ]
-    if not parts:
-        return _arena_columns(RequestArena(0, (), ()))
-    cols = Columns()
-    for name in _FIELDS:
-        dtype = getattr(parts[0][2], name).dtype
-        column = np.empty(len(requests), dtype=dtype)
-        for positions, rows, part in parts:
-            column[positions] = getattr(part, name)[rows]
-        setattr(cols, name, column)
     return cols
 
 

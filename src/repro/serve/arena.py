@@ -12,23 +12,17 @@ vectorized kernels.
 
 The object API did not go away: :class:`Request` is now a *view* — a
 two-slot proxy holding ``(arena, i)`` whose attribute reads and writes
-go straight through to the columns.  Views keep every object-era
-client working unchanged:
-
-* hooks (shedding, governors) receive views and mutate
-  ``request.shed`` / read ``request.deadline`` as before;
-* tenancy spillover clones a view into a fresh single-row arena and
-  re-times it, then merges donor views into receiver streams;
-* the legacy keyword constructor ``Request(index=..., model=...,
-  profile=..., arrival=...)`` still works (it builds a private
-  single-row arena), so tests and ad-hoc callers need no changes.
+go straight through to the columns.  Hooks (shedding, governors)
+receive views and mutate ``request.shed`` / read ``request.deadline``
+as before.  There is no free-standing request: every view belongs to
+an arena, and its ``index`` *is* its row ``i``.  Multi-fleet spillover
+forwards donor rows as rows too — :meth:`RequestArena.merge` folds
+them into the receiver's home arena as one arrival-ordered stream.
 
 Invariants:
 
 * A view *writes through*: mutating a view mutates its arena, and
-  every view of the same row observes the write.  This is load-bearing
-  for multi-fleet spillover, where donor arenas are re-read after
-  receiver runs.
+  every view of the same row observes the write.
 * :meth:`RequestArena.build` is RNG-draw-identical to the object-era
   ``build_requests`` loop: same uniform block, same inverse-CDF
   boundaries, same model-then-class interleave — fixed seeds reproduce
@@ -58,7 +52,7 @@ class RequestArena:
     ``arrival``/``start``/``finish``/``deadline``
         float64 timestamps; ``start``/``finish`` are ``-1.0`` until
         served, ``deadline`` is ``inf`` without an SLO class.
-    ``index``/``priority``/``model_idx``/``class_idx``
+    ``priority``/``model_idx``/``class_idx``
         int64; ``model_idx`` indexes the side tables, ``class_idx`` is
         ``-1`` for requests outside the control plane (``slo == ""``).
     ``shed``
@@ -79,7 +73,6 @@ class RequestArena:
         "start",
         "finish",
         "deadline",
-        "index",
         "priority",
         "model_idx",
         "class_idx",
@@ -103,7 +96,6 @@ class RequestArena:
         self.start = np.full(n, -1.0, dtype=np.float64)
         self.finish = np.full(n, -1.0, dtype=np.float64)
         self.deadline = np.full(n, _INF, dtype=np.float64)
-        self.index = np.arange(n, dtype=np.int64)
         self.priority = np.zeros(n, dtype=np.int64)
         self.model_idx = np.zeros(n, dtype=np.int64)
         self.class_idx = np.full(n, -1, dtype=np.int64)
@@ -207,50 +199,6 @@ class RequestArena:
         )[class_arr]
         return arena
 
-    @classmethod
-    def single(
-        cls,
-        index: int,
-        model: str,
-        profile: ServiceProfile,
-        arrival: float,
-        start: float,
-        finish: float,
-        slo: str,
-        priority: int,
-        deadline: float,
-        shed: bool,
-    ) -> "RequestArena":
-        """A one-row arena holding exactly these values.
-
-        Multi-fleet spillover builds one per forwarded request
-        (thousands per run), so each column is made from its value
-        directly instead of filled with a default and overwritten.
-        """
-        arena = cls.__new__(cls)
-        arena.arrival = np.array([arrival], dtype=np.float64)
-        arena.start = np.array([start], dtype=np.float64)
-        arena.finish = np.array([finish], dtype=np.float64)
-        arena.deadline = np.array([deadline], dtype=np.float64)
-        arena.index = np.array([index], dtype=np.int64)
-        arena.priority = np.array([priority], dtype=np.int64)
-        arena.model_idx = np.zeros(1, dtype=np.int64)
-        arena.class_idx = np.array([0 if slo else -1], dtype=np.int64)
-        arena.shed = np.array([shed], dtype=bool)
-        arena.instance = np.array([-1], dtype=np.int64)
-        arena.model_names = (model,)
-        arena.profiles = (profile,)
-        arena.per_image = np.array(
-            [0.0 if profile is None else profile.per_image_seconds],
-            dtype=np.float64,
-        )
-        arena.setup = np.array(
-            [0.0 if profile is None else profile.setup_seconds],
-            dtype=np.float64,
-        )
-        arena.slo_names = (slo,) if slo else ()
-        return arena
-
     def __len__(self) -> int:
         return len(self.arrival)
 
@@ -273,18 +221,77 @@ class RequestArena:
         for i in range(len(self.arrival)):
             yield self.view(i)
 
-    def shed_indices(self, lo: int = 0, hi: int | None = None) -> list:
-        """Row indices of shed requests in ``[lo, hi)``, ascending.
+    def shed_indices(self) -> list:
+        """Row indices of shed requests, ascending — after a drain, the
+        rows a multi-fleet donor forwards (priority preemption sheds a
+        queued victim after its arrival, so only the drained column is
+        complete)."""
+        return np.flatnonzero(self.shed).tolist()
 
-        The epoch-stepped spillover exchange walks the arrival-cursor
-        window an epoch consumed and forwards exactly the requests the
-        admission controller shed in it, in stream order — the same
-        order a full-run scan would visit them."""
-        if hi is None:
-            hi = len(self.arrival)
-        return (
-            np.flatnonzero(self.shed[lo:hi]) + lo
-        ).tolist()
+    def merge(
+        self, donors, hop_s: float
+    ) -> tuple["RequestArena", np.ndarray]:
+        """This arena plus rows forwarded from other arenas, as one
+        arrival-ordered stream with fresh outcome columns.
+
+        ``donors`` lists ``(arena, rows)`` pairs in forwarding order.
+        Each donor row arrives ``hop_s`` later than at its source and
+        keeps its priority and deadline; its model and SLO class are
+        re-pointed at this arena's side tables by name (a donor class
+        this arena lacks is appended to the merged class table, in
+        first-forwarded order).  Rows are ordered by a stable arrival
+        sort over this arena's rows followed by the donor rows, so
+        home rows come first at equal arrivals.
+
+        Returns ``(merged, where)``: ``where[s]`` is the merged row of
+        source row ``s``, counting this arena's rows first and then
+        the donor rows in the order given, so outcomes copy back as
+        ``merged.finish[where]``.
+        """
+        models = {name: k for k, name in enumerate(self.model_names)}
+        classes: dict[str, int] = {}
+        for k, name in enumerate(self.slo_names):
+            classes.setdefault(name, k)
+        slo_names = list(self.slo_names)
+        arrival = [self.arrival]
+        deadline = [self.deadline]
+        priority = [self.priority]
+        model_idx = [self.model_idx]
+        class_idx = [self.class_idx]
+        for arena, rows in donors:
+            rows = np.asarray(rows, dtype=np.int64)
+            midx = arena.model_idx[rows]
+            cidx = arena.class_idx[rows]
+            model_map = np.zeros(len(arena.model_names), dtype=np.int64)
+            for m in np.unique(midx).tolist():
+                model_map[m] = models[arena.model_names[m]]
+            # Trailing -1 keeps class-less rows class-less.
+            class_map = np.full(len(arena.slo_names) + 1, -1, np.int64)
+            for c in dict.fromkeys(cidx.tolist()):
+                if c >= 0:
+                    name = arena.slo_names[c]
+                    if name not in classes:
+                        classes[name] = len(slo_names)
+                        slo_names.append(name)
+                    class_map[c] = classes[name]
+            arrival.append(arena.arrival[rows] + hop_s)
+            deadline.append(arena.deadline[rows])
+            priority.append(arena.priority[rows])
+            model_idx.append(model_map[midx])
+            class_idx.append(class_map[cidx])
+        arrival = np.concatenate(arrival)
+        order = np.argsort(arrival, kind="stable")
+        merged = RequestArena(
+            len(order), self.model_names, self.profiles, tuple(slo_names)
+        )
+        merged.arrival[:] = arrival[order]
+        merged.deadline[:] = np.concatenate(deadline)[order]
+        merged.priority[:] = np.concatenate(priority)[order]
+        merged.model_idx[:] = np.concatenate(model_idx)[order]
+        merged.class_idx[:] = np.concatenate(class_idx)[order]
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        return merged, where
 
 
 def _class_pools(mix: ScenarioMix, slo_classes: tuple) -> dict:
@@ -330,9 +337,8 @@ class Request:
     ``profile``, ``arrival``, ``start``, ``finish``, ``slo``,
     ``priority``, ``deadline``, ``shed`` plus the ``latency`` /
     ``queue_wait`` / ``met_deadline`` helpers — over ``(arena, i)``.
-    The legacy constructor builds a private single-row arena, so
-    ``Request(index=0, model=..., profile=..., arrival=...)`` keeps
-    working for tests, hooks, and tenancy spill clones.
+    Views come from their arena (``arena[i]``, iteration, or
+    :meth:`RequestArena.view`); ``index`` is the row ``i``.
 
     Equality is identity (the dataclass era's value-``__eq__`` made
     requests unhashable and was never relied on: queue membership
@@ -341,33 +347,10 @@ class Request:
 
     __slots__ = ("arena", "i")
 
-    def __init__(
-        self,
-        index: int,
-        model: str,
-        profile: ServiceProfile,
-        arrival: float,
-        start: float = -1.0,
-        finish: float = -1.0,
-        slo: str = "",
-        priority: int = 0,
-        deadline: float = _INF,
-        shed: bool = False,
-    ) -> None:
-        self.arena = RequestArena.single(
-            index, model, profile, arrival, start, finish, slo, priority,
-            deadline, shed,
-        )
-        self.i = 0
-
     # -- identity ----------------------------------------------------
     @property
     def index(self) -> int:
-        return int(self.arena.index[self.i])
-
-    @index.setter
-    def index(self, value: int) -> None:
-        self.arena.index[self.i] = value
+        return self.i
 
     @property
     def model(self) -> str:

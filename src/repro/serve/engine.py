@@ -28,7 +28,10 @@ the event loop's observable behaviour *bit-for-bit*:
 1. **General path** — the ``(time, seq)`` event loop below, processing
    one arrival/completion/wake/tick at a time.  Runs whenever hooks,
    ticks, priority queues, or a stateful fleet are in play; iterates
-   arena views, so hook clients still see ``Request`` objects.
+   arena views, so hook clients still see ``Request`` objects.  Every
+   request stream is a :class:`~repro.serve.arena.RequestArena` —
+   multi-fleet receivers included, which merge their spill-ins as
+   rows — so only the configuration decides the path.
 2. **Round-robin fast path** — round-robin striping makes each
    instance's request stream a predetermined slice ``arena[j::K]``, so
    the per-instance timeline is computed with vectorized batch
@@ -86,7 +89,6 @@ from collections import deque
 from itertools import islice
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
 
 import numpy as np
 
@@ -146,34 +148,12 @@ class EngineHooks:
         """Admission decision at the instance the policy chose.
 
         Return ``False`` to shed ``request`` (the engine marks it);
-        preempting a queued victim is the hook's own business.
+        preempting a queued victim is the hook's own business.  The
+        view's ``request.arena``/``request.i`` give hooks the whole
+        stream's columns, so a hook can cache per-arena column tables
+        instead of boxing one float per request.
         """
         return True
-
-    def on_arrival_batch(
-        self,
-        arena: "RequestArena",
-        index: int,
-        request: Request,
-        instance: Instance,
-        now: float,
-        engine: "Engine",
-    ) -> bool:
-        """Columnar admission decision over an arena request stream.
-
-        The engine probes this hook once at construction; when it is
-        overridden and the request stream is a
-        :class:`~repro.serve.arena.RequestArena`, the general loop
-        calls it *instead of* :meth:`on_arrival`, passing the arena
-        and the request's row ``index`` so the hook can amortize
-        per-event Python overhead against cached column tables (one
-        ``.tolist()`` per arena instead of per-request float boxing).
-        Implementations must decide — and side-effect — exactly as
-        their :meth:`on_arrival` would, bit-for-bit; list streams
-        (tenancy's merged home+spill views) keep dispatching the
-        scalar hook.  The base implementation just delegates.
-        """
-        return self.on_arrival(request, instance, now, engine)
 
     def fast_admission(self) -> tuple[str, int] | None:
         """Declare this hook set vectorizable for the ``"rr-ctl"`` path.
@@ -298,7 +278,6 @@ class Engine:
         "tick_s",
         "priority_queues",
         "_admit",
-        "_admit_batch",
         "_on_complete",
         "_on_tick_overridden",
         "_ctl_spec",
@@ -345,11 +324,6 @@ class Engine:
             if cls.on_arrival is not EngineHooks.on_arrival
             else None
         )
-        self._admit_batch = (
-            self.hooks.on_arrival_batch
-            if cls.on_arrival_batch is not EngineHooks.on_arrival_batch
-            else None
-        )
         self._on_complete = (
             self.hooks.on_complete
             if cls.on_complete is not EngineHooks.on_complete
@@ -372,7 +346,7 @@ class Engine:
         self._fast_reason = ""
         self.state: EngineState | None = None
         self.last_run: EngineRun | None = None
-        self._requests: Sequence[Request] | None = None
+        self._requests: RequestArena | None = None
 
     # ------------------------------------------------------------------
     # Fast-path dispatch
@@ -407,7 +381,7 @@ class Engine:
             return self._fall_back("periodic tick scheduled (tick_s)")
         ctl = self._ctl_spec
         if ctl is None:
-            if self._admit is not None or self._admit_batch is not None:
+            if self._admit is not None:
                 return self._fall_back("on_arrival hook overridden")
             if self._on_complete is not None:
                 return self._fall_back("on_complete hook overridden")
@@ -987,7 +961,7 @@ class Engine:
                 (deadline, state.seq, _WAKE, instance.index),
             )
 
-    def begin(self, requests: Sequence[Request]) -> EngineState:
+    def begin(self, requests: RequestArena) -> EngineState:
         """Arm the general loop over ``requests`` without running it.
 
         Seeds a fresh :class:`EngineState` (tick scheduled, sequence
@@ -1064,13 +1038,12 @@ class Engine:
         """
         state = self.state
         requests = self._requests
-        is_arena = isinstance(requests, RequestArena)
         pristine = (
             state.cursor == 0
             and state.events == 0
             and state.clock == 0.0
         )
-        if pristine and t == _INF and is_arena and len(requests):
+        if pristine and t == _INF and len(requests):
             mode = self._fast_mode(requests)
             if mode == "rr-ctl":
                 self.last_run = self._run_round_robin_controlled(
@@ -1092,9 +1065,7 @@ class Engine:
             # checks precede fleet-state checks — so checkpointed
             # reruns report byte-identical telemetry.  Run mechanics
             # are the reason only when the config itself qualifies.
-            if not is_arena:
-                self._fast_reason = "request stream is not an arena"
-            elif len(requests) and self._fast_mode(requests) is not None:
+            if len(requests) and self._fast_mode(requests) is not None:
                 self._fast_reason = (
                     "bounded run_until horizon"
                     if t != _INF
@@ -1103,16 +1074,6 @@ class Engine:
         instances = self.fleet.instances
         policy = self.policy
         admit = self._admit
-        # Batched hook dispatch: hooks that opted in (overrode
-        # on_arrival_batch) get the arena + row index instead of the
-        # scalar on_arrival, amortizing per-event view overhead.
-        # Only arena streams qualify — list streams keep the scalar
-        # hook, whose semantics the batch hook must match.
-        admit_batch = (
-            self._admit_batch
-            if isinstance(requests, RequestArena)
-            else None
-        )
         on_complete = self._on_complete
         hooks = self.hooks
         priority = self.priority_queues
@@ -1161,14 +1122,7 @@ class Engine:
                 )
                 instance = active[policy.choose(request, active, now)]
                 route(instance.index)
-                if admit_batch is not None:
-                    if not admit_batch(
-                        requests, request.i, request, instance, now,
-                        self,
-                    ):
-                        request.shed = True
-                        continue
-                elif admit is not None and not admit(
+                if admit is not None and not admit(
                     request, instance, now, self
                 ):
                     request.shed = True
@@ -1213,11 +1167,7 @@ class Engine:
                 self._maybe_launch(instance, now)
                 if on_complete is not None:
                     on_complete(instance, now, self)
-        if isinstance(requests, RequestArena):
-            requests.instance[first:i] = routed
-        else:
-            for request, index in zip(requests[first:i], routed):
-                request.arena.instance[request.i] = index
+        requests.instance[first:i] = routed
         state.cursor = i
         state.events = events
         state.tick_actions = tick_actions
@@ -1233,17 +1183,13 @@ class Engine:
         self.last_run = run
         return run
 
-    def run(self, requests: Sequence[Request]) -> EngineRun:
-        """Play ``requests`` (non-decreasing arrival order) to drain.
-
-        ``requests`` is a :class:`~repro.serve.arena.RequestArena` or
-        any sequence of request views; arenas additionally unlock the
-        columnar fast paths when the configuration allows (see
-        :meth:`_fast_mode`).  Either way the loop mutates the request
-        state in place — list callers (tenancy's merged home+spill
-        streams) observe writes through their views.
+    def run(self, requests: RequestArena) -> EngineRun:
+        """Play ``requests`` (non-decreasing arrival order) to drain,
+        on a columnar fast path when the configuration allows (see
+        :meth:`_fast_mode`).  Outcomes are written to the arena's
+        columns in place.
         """
-        if isinstance(requests, RequestArena) and len(requests):
+        if len(requests):
             mode = self._fast_mode(requests)
             if mode == "rr":
                 self.last_run = self._run_round_robin(requests)
@@ -1263,18 +1209,15 @@ class Engine:
 
         Returns a plain picklable dict: the :class:`EngineState`
         fields, every instance's ``state_dict`` plus its queue as
-        request stream positions, the policy state, and the hook
-        state.  Queues serialize as indices because the invariant
-        ``request.index == position in the stream`` holds for every
-        engine caller (arena builds index with ``arange``; tenancy
-        reindexes merged streams), so :meth:`restore` can rebind the
-        views against the caller-provided stream.
+        arena rows, the policy state, and the hook state.  A view's
+        ``index`` is its row, so :meth:`restore` rebinds the queued
+        views against the caller-provided arena.
         """
         state = self.state
         instances = []
         for inst in self.fleet.instances:
             entry = inst.state_dict()
-            entry["queue"] = [request.index for request in inst.queue]
+            entry["queue"] = [request.i for request in inst.queue]
             instances.append(entry)
         return {
             "state": {
@@ -1294,7 +1237,7 @@ class Engine:
         }
 
     def restore(
-        self, snapshot: dict, requests: Sequence[Request]
+        self, snapshot: dict, requests: RequestArena
     ) -> EngineState:
         """Rebind a :meth:`snapshot` onto this engine and ``requests``.
 
@@ -1302,7 +1245,7 @@ class Engine:
         as for the original run (they carry no snapshot identity, only
         state); ``requests`` must be the same stream the snapshot was
         taken over, including any mid-run column mutations — restore
-        rebinds queue views by stream position but never rewrites
+        rebinds queue views by arena row but never rewrites
         request columns.
         """
         fields = snapshot["state"]
@@ -1323,7 +1266,7 @@ class Engine:
         ):
             inst.load_state_dict(entry)
             inst.queue.clear()
-            inst.queue.extend(requests[idx] for idx in entry["queue"])
+            inst.queue.extend(requests.view(i) for i in entry["queue"])
         self.policy.load_state_dict(snapshot["policy"])
         self.hooks.load_state_dict(snapshot["hooks"])
         return self.state
@@ -1773,14 +1716,21 @@ def _finish_summary(
     )
 
 
-def _summarize_arena(
+def summarize_requests(
     arena: RequestArena,
-    track_classes: bool,
-    track_models: bool,
-    stats: str,
+    track_classes: bool = False,
+    track_models: bool = False,
+    stats: str = "exact",
 ) -> RequestSummary:
-    """Vectorized summarizer over arena columns (exact floats: the
-    same subtractions/comparisons the object loop performed)."""
+    """Aggregate a drained run with numpy reductions over the arena
+    columns (exact floats: the same subtractions/comparisons the
+    object-era loop performed); ``stats="sketch"`` swaps latency
+    retention for t-digest sketches (see :class:`RequestSummary`).
+
+    Raises:
+        ConfigError: If any admitted request never completed — the
+            event loop's drain invariant was violated.
+    """
     shed = arena.shed
     finish = arena.finish
     arrival = arena.arrival
@@ -1841,85 +1791,6 @@ def _summarize_arena(
         latencies,
         waits,
         model_counts,
-        max_finish,
-        buckets,
-        model_buckets,
-        stats,
-    )
-
-
-def summarize_requests(
-    requests: Sequence[Request] | RequestArena,
-    track_classes: bool = False,
-    track_models: bool = False,
-    stats: str = "exact",
-) -> RequestSummary:
-    """Aggregate a drained run.
-
-    Arenas take a vectorized columnar pass; plain sequences of views
-    (tenancy's merged home+spill streams, tests) take the legacy
-    single O(n) object walk.  Both produce identical exact statistics;
-    ``stats="sketch"`` swaps latency retention for t-digest sketches
-    (see :class:`RequestSummary`).
-
-    Raises:
-        ConfigError: If any admitted request never completed — the
-            event loop's drain invariant was violated.
-    """
-    if isinstance(requests, RequestArena):
-        return _summarize_arena(
-            requests, track_classes, track_models, stats
-        )
-    latencies: list[float] = []
-    waits: list[float] = []
-    counts: dict[str, int] = {}
-    buckets: dict[str, list] | None = {} if track_classes else None
-    model_buckets: dict[str, list] | None = (
-        {} if track_models else None
-    )
-    unserved = 0
-    max_finish = float("-inf")
-    for request in requests:
-        if track_classes:
-            bucket = buckets.get(request.slo)
-            if bucket is None:
-                bucket = buckets[request.slo] = [0, 0, []]
-            bucket[0] += 1
-        if track_models:
-            mbucket = model_buckets.get(request.model)
-            if mbucket is None:
-                mbucket = model_buckets[request.model] = [0, 0, []]
-            mbucket[0] += 1
-        if request.shed:
-            continue
-        finish = request.finish
-        if finish < 0:
-            unserved += 1
-            continue
-        arrival = request.arrival
-        latency = finish - arrival
-        latencies.append(latency)
-        waits.append(request.start - arrival)
-        model = request.model
-        counts[model] = counts.get(model, 0) + 1
-        if finish > max_finish:
-            max_finish = finish
-        met = finish <= request.deadline
-        if track_classes:
-            bucket[1] += met
-            bucket[2].append(latency)
-        if track_models:
-            mbucket[1] += met
-            mbucket[2].append(latency)
-    if unserved:
-        raise ConfigError(
-            f"simulation ended with {unserved} unserved requests"
-        )
-    return _finish_summary(
-        len(latencies),
-        np.array(latencies),
-        np.array(waits),
-        tuple(sorted(counts.items())),
         max_finish,
         buckets,
         model_buckets,

@@ -136,20 +136,21 @@ class Instance:
         self, request: Request, priority_aware: bool = False
     ) -> None:
         """Append a request; with ``priority_aware`` the queue is kept
-        sorted by ``(priority, index)`` so urgent classes batch first.
+        sorted by ``(priority, arena row)`` so urgent classes batch
+        first.
 
         The insertion point is found scanning from the *tail*: arrivals
-        have monotonically increasing indices, so same-or-lower-priority
+        have monotonically increasing rows, so same-or-lower-priority
         traffic (the common case) appends in O(1) and only a
         strictly-higher-priority arrival walks past the lower-priority
         backlog it overtakes — keeping the overload baselines, whose
         single-class queues grow long, linear rather than quadratic.
         """
         if priority_aware and self.queue:
-            key = (request.priority, request.index)
+            key = (request.priority, request.i)
             pos = len(self.queue)
             for queued in reversed(self.queue):
-                if (queued.priority, queued.index) <= key:
+                if (queued.priority, queued.i) <= key:
                     break
                 pos -= 1
             if pos == len(self.queue):

@@ -188,7 +188,7 @@ class ServingReport:
     #: Engine execution counters — diagnostics about *how* the run
     #: executed, not *what* it computed.  ``compare=False`` keeps
     #: report equality (parity goldens, cache round-trips, the
-    #: epoch-vs-monolith check) about the physics, and
+    #: multi-fleet reference check) about the physics, and
     #: ``report_to_dict`` drops them so the JSON report payloads stay
     #: byte-stable; the CLI surfaces them in a separate section.
     engine_events: int = field(default=0, compare=False)

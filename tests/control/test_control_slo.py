@@ -1,6 +1,7 @@
 """SLO classes, class parsing, and admission/shedding policies."""
 
 import pytest
+from arena_rows import arena_of
 
 from repro.control import (
     DEFAULT_SLO_CLASSES,
@@ -12,16 +13,15 @@ from repro.control import (
     simulate_controlled,
 )
 from repro.errors import ConfigError
-from repro.serve import Request, build_mix
+from repro.serve import build_mix
 from repro.serve.fleet import Instance
 
 MIX = build_mix("v1-224")
 PROFILE = MIX.profiles[0]
 
 
-def _request(index, priority=0, deadline=1.0, arrival=0.0):
-    return Request(
-        index=index,
+def _row(priority=0, deadline=1.0, arrival=0.0):
+    return dict(
         model=PROFILE.name,
         profile=PROFILE,
         arrival=arrival,
@@ -125,39 +125,45 @@ class TestShedders:
     def test_none_always_admits(self):
         instance = Instance(index=0)
         shedder = make_shedder("none")
-        admitted, victim = shedder.admit(_request(0), instance, 0.0)
+        admitted, victim = shedder.admit(
+            arena_of(_row())[0], instance, 0.0
+        )
         assert admitted and victim is None
 
     def test_deadline_sheds_infeasible(self):
         instance = Instance(index=0)
         shedder = make_shedder("deadline")
-        feasible = _request(0, deadline=10 * PROFILE.per_image_seconds)
+        feasible, *backlog = arena_of(
+            _row(deadline=10 * PROFILE.per_image_seconds),
+            *(_row() for _ in range(20)),
+        )
         admitted, _ = shedder.admit(feasible, instance, 0.0)
         assert admitted
         # Backlog pushes the estimate past the deadline.
-        for i in range(20):
-            instance.enqueue(_request(i + 1))
+        for request in backlog:
+            instance.enqueue(request)
         admitted, _ = shedder.admit(feasible, instance, 0.0)
         assert not admitted
 
     def test_queue_depth_bounds_admission(self):
         instance = Instance(index=0)
         shedder = make_shedder("queue-depth", queue_threshold=3)
-        for i in range(3):
-            admitted, _ = shedder.admit(_request(i), instance, 0.0)
+        *queued, last = arena_of(*(_row() for _ in range(4)))
+        for request in queued:
+            admitted, _ = shedder.admit(request, instance, 0.0)
             assert admitted
-            instance.enqueue(_request(i))
-        admitted, _ = shedder.admit(_request(99), instance, 0.0)
+            instance.enqueue(request)
+        admitted, _ = shedder.admit(last, instance, 0.0)
         assert not admitted
 
     def test_priority_preempts_lower_class(self):
         instance = Instance(index=0)
         shedder = make_shedder("priority", queue_threshold=2)
-        low_a = _request(0, priority=2)
-        low_b = _request(1, priority=2)
+        low_a, low_b, urgent = arena_of(
+            _row(priority=2), _row(priority=2), _row(priority=0)
+        )
         instance.enqueue(low_a, priority_aware=True)
         instance.enqueue(low_b, priority_aware=True)
-        urgent = _request(2, priority=0)
         admitted, victim = shedder.admit(urgent, instance, 0.0)
         assert admitted
         assert victim is low_b  # newest lowest-priority pays
@@ -167,10 +173,11 @@ class TestShedders:
     def test_priority_sheds_equal_class_arrival(self):
         instance = Instance(index=0)
         shedder = make_shedder("priority", queue_threshold=1)
-        instance.enqueue(_request(0, priority=1), priority_aware=True)
-        admitted, victim = shedder.admit(
-            _request(1, priority=1), instance, 0.0
+        queued, arriving = arena_of(
+            _row(priority=1), _row(priority=1)
         )
+        instance.enqueue(queued, priority_aware=True)
+        admitted, victim = shedder.admit(arriving, instance, 0.0)
         assert not admitted and victim is None
 
 

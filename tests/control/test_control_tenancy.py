@@ -66,6 +66,24 @@ def _overloaded_pair(spillover="deadline", **kwargs):
     return MultiFleetScenario(**defaults)
 
 
+def _priority_three_fleets():
+    """Two priority-shedding donors (rho > 1) and one receiver, so the
+    donor phase really shards under ``jobs=2``."""
+    member = ControlScenario(
+        requests=1_000, instances=2, shedding="priority"
+    )
+    return MultiFleetScenario(
+        fleets=tuple(
+            dataclasses.replace(member, qps=qps)
+            for qps in (9_000.0, 9_000.0, 800.0)
+        ),
+        modulator="diurnal",
+        period_s=0.05,
+        spillover="deadline",
+        seed=1,
+    )
+
+
 class TestPerModelSLOs:
     def test_bound_class_follows_the_model(self):
         """Every request of the bound model carries the bound class
@@ -213,6 +231,65 @@ class TestMultiFleetConservation:
         )
 
 
+class TestPreemptedVictimsSpill:
+    def test_every_donor_shed_is_forwarded(self):
+        """A priority-shedding donor preempts queued victims after
+        their arrival; each is shed at home and must be forwarded like
+        any arrival-time shed (the receiver serves every model and the
+        donor's deadlines all survive the hop here).  The donor used
+        to forward only the sheds of arrivals whose slice had not yet
+        closed — 860 of 884."""
+        scenario = MultiFleetScenario(
+            fleets=(
+                ControlScenario(
+                    mix="v1-224", qps=2_500.0, requests=1_500,
+                    instances=1, shedding="priority",
+                ),
+                ControlScenario(
+                    mix="mixed", qps=800.0, requests=1_500,
+                    instances=4, shedding="deadline",
+                ),
+            ),
+            modulator="diurnal",
+            period_s=0.05,
+            spillover="deadline",
+            seed=1,
+        )
+        report = simulate_multi_fleet(scenario)
+        assert report.fleets[0].shed_requests > 0
+        assert report.spilled_requests == report.fleets[0].shed_requests
+        assert report.conserved
+
+
+class TestMemberDispatch:
+    def test_ungoverned_round_robin_members_take_rr_ctl(self):
+        """Donors drain in one call and receivers run one merged
+        arena, so ungoverned round-robin members — receiver included —
+        take the fused "rr-ctl" kernel, with the report the general
+        loop produces."""
+        from test_control_fastpath import _force_general
+
+        pair = _overloaded_pair()
+        scenario = dataclasses.replace(
+            pair,
+            fleets=tuple(
+                dataclasses.replace(member, policy="round-robin")
+                for member in pair.fleets
+            ),
+        )
+        report = simulate_multi_fleet(scenario)
+        assert report.spilled_requests > 0
+        assert [f.engine_dispatch for f in report.fleets] == [
+            "rr-ctl", "rr-ctl"
+        ]
+        with _force_general():
+            general = simulate_multi_fleet(scenario)
+        assert [f.engine_dispatch for f in general.fleets] == [
+            "general", "general"
+        ]
+        assert report == general
+
+
 class TestDeterministicReplay:
     def test_same_scenario_same_report_and_content_key(self):
         scenario = _overloaded_pair()
@@ -289,25 +366,25 @@ class TestScenarioValidation:
 
 
 class TestEpochSteppedExecution:
-    """The epoch-stepped rebuild against its own knobs: any positive
-    epoch and any job count must reproduce the identical report —
-    `epoch_s`/`jobs` are execution details, not semantics."""
-
-    def test_epoch_length_is_invisible(self):
-        scenario = _overloaded_pair()
-        reference = simulate_multi_fleet(scenario)
-        for epoch_s in (0.25, 1.0, 1e9):
-            assert simulate_multi_fleet(
-                scenario, epoch_s=epoch_s
-            ) == reference
+    """Process sharding against its own knob: any job count must
+    reproduce the identical report — `jobs` is an execution detail,
+    not semantics."""
 
     def test_process_sharding_is_invisible(self):
         scenario = _overloaded_pair()
         reference = simulate_multi_fleet(scenario)
         assert simulate_multi_fleet(scenario, jobs=2) == reference
-        assert simulate_multi_fleet(
-            scenario, jobs=2, epoch_s=0.5
-        ) == reference
+
+    def test_sharded_priority_shedding_two_donors(self):
+        """Priority shedding preempts queued victims after their own
+        arrival; every one of them must be forwarded whether the two
+        donors drain in-process or in worker processes (the sharded
+        path used to forward the preempted victims, the serial path
+        not)."""
+        scenario = _priority_three_fleets()
+        assert simulate_multi_fleet(scenario, jobs=1) == (
+            simulate_multi_fleet(scenario, jobs=2)
+        )
 
     def test_sharded_no_spillover_fleets(self):
         scenario = _overloaded_pair(spillover="none")
@@ -321,11 +398,6 @@ class TestEpochSteppedExecution:
         assert make_key(
             "multi_fleet_point", args=(scenario,)
         ) == make_key("multi_fleet_point", args=(scenario,))
-
-    def test_invalid_epoch_rejected(self):
-        scenario = _overloaded_pair()
-        with pytest.raises(ConfigError, match="epoch_s"):
-            simulate_multi_fleet(scenario, epoch_s=0.0)
 
     def test_single_scenario_sweep_routes_jobs_inward(self):
         # The CLI always hands the sweep one scenario; its --jobs must

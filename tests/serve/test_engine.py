@@ -1,13 +1,13 @@
 """The shared discrete-event kernel: hook protocol and launch paths."""
 
 import pytest
+from arena_rows import arena_of
 
 from repro.errors import ConfigError
 from repro.serve import (
     Engine,
     EngineHooks,
     Fleet,
-    Request,
     make_policy,
     service_profile,
 )
@@ -16,14 +16,16 @@ EDGE = service_profile("edge-tiny")
 V1 = service_profile("mobilenet-v1-224")
 
 
-def _requests(count, gap=0.01, model="edge-tiny", profile=None):
+def _rows(count, gap=0.01, model="edge-tiny", profile=None):
     profile = profile if profile is not None else EDGE
     return [
-        Request(
-            index=i, model=model, profile=profile, arrival=gap * (i + 1)
-        )
+        dict(model=model, profile=profile, arrival=gap * (i + 1))
         for i in range(count)
     ]
+
+
+def _requests(count, **kwargs):
+    return arena_of(*_rows(count, **kwargs))
 
 
 def _engine(fleet, hooks=None, tick_s=None, **kwargs):
@@ -47,8 +49,9 @@ class TestKernel:
         """The engine's batch fast path is the public two-step API."""
         fast, slow = Fleet(1)[0], Fleet(1)[0]
         for instance in (fast, slow):
-            for request in _requests(5, gap=0.0) + _requests(
-                3, gap=0.0, model="mobilenet-v1-224", profile=V1
+            for request in arena_of(
+                *_rows(5, gap=0.0),
+                *_rows(3, gap=0.0, model="mobilenet-v1-224", profile=V1),
             ):
                 instance.enqueue(request)
         assert fast.launch_head(4, now=0.0) == slow.launch(
@@ -108,40 +111,6 @@ class TestBuildRequests:
                     break
             scalar_pairs.append((model, cls.name))
         assert [(r.model, r.slo) for r in vectorized] == scalar_pairs
-
-    @pytest.mark.parametrize(
-        "slo, profile", [("interactive", EDGE), ("", None)]
-    )
-    def test_single_row_arena_matches_general_constructor(
-        self, slo, profile
-    ):
-        """The keyword Request constructor's one-row arena sets every
-        column and side table exactly as filling a general arena's row
-        does (same values, same dtypes)."""
-        import numpy as np
-
-        from repro.serve.arena import RequestArena
-
-        values = dict(
-            index=7, arrival=0.25, start=0.5, finish=0.75, priority=2,
-            deadline=1.5, shed=True,
-        )
-        single = Request(
-            model="edge-tiny", profile=profile, slo=slo, **values
-        ).arena
-        general = RequestArena(
-            1, ("edge-tiny",), (profile,), (slo,) if slo else ()
-        )
-        for name, value in values.items():
-            getattr(general, name)[0] = value
-        general.class_idx[0] = 0 if slo else -1
-        for name in RequestArena.__slots__:
-            got, want = getattr(single, name), getattr(general, name)
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype, name
-                assert np.array_equal(got, want), name
-            else:
-                assert got == want, name
 
 
 class TestHooks:

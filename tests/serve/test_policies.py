@@ -1,11 +1,11 @@
 """Scheduling policies against hand-built fleet states."""
 
 import pytest
+from arena_rows import arena_of
 
 from repro.errors import ConfigError
 from repro.serve import (
     Fleet,
-    Request,
     make_policy,
     service_profile,
 )
@@ -14,25 +14,23 @@ EDGE = service_profile("edge-tiny")
 V1 = service_profile("mobilenet-v1-224")
 
 
-def req(index=0, model="edge-tiny", profile=EDGE, arrival=0.0):
-    return Request(
-        index=index, model=model, profile=profile, arrival=arrival
-    )
+def req(model="edge-tiny", profile=EDGE, arrival=0.0):
+    return arena_of(dict(model=model, profile=profile, arrival=arrival))[0]
 
 
 class TestRoundRobin:
     def test_cycles_in_order(self):
         fleet = Fleet(3)
         policy = make_policy("round-robin")
-        picks = [policy.choose(req(i), fleet, 0.0) for i in range(6)]
+        picks = [policy.choose(req(), fleet, 0.0) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_reset_restarts(self):
         fleet = Fleet(2)
         policy = make_policy("round-robin")
-        policy.choose(req(0), fleet, 0.0)
+        policy.choose(req(), fleet, 0.0)
         policy.reset()
-        assert policy.choose(req(1), fleet, 0.0) == 0
+        assert policy.choose(req(), fleet, 0.0) == 0
 
 
 class TestLeastLoaded:
@@ -46,11 +44,11 @@ class TestLeastLoaded:
     def test_counts_queued_work_in_seconds(self):
         """One queued heavyweight request outweighs two light ones."""
         fleet = Fleet(2)
-        fleet[0].enqueue(req(0, "mobilenet-v1-224", V1))
-        fleet[1].enqueue(req(1, "edge-tiny", EDGE))
-        fleet[1].enqueue(req(2, "edge-tiny", EDGE))
+        fleet[0].enqueue(req("mobilenet-v1-224", V1))
+        fleet[1].enqueue(req("edge-tiny", EDGE))
+        fleet[1].enqueue(req("edge-tiny", EDGE))
         policy = make_policy("least-loaded")
-        assert policy.choose(req(3), fleet, now=0.0) == 1
+        assert policy.choose(req(), fleet, now=0.0) == 1
 
     def test_ties_break_by_index(self):
         fleet = Fleet(4)

@@ -18,25 +18,25 @@ import warnings
 
 import numpy as np
 import pytest
+from arena_rows import arena_of
 
 from repro.control import ControlScenario, SLOClass, simulate_controlled
 from repro.eval.control import report_to_dict
 from repro.serve import ServingScenario, simulate
 from repro.serve.engine import EngineHooks, summarize_requests
-from repro.serve.fleet import Request
 
 
 def _drained(n=4, shed_all=True):
     """A hand-built request stream: every request offered, all shed."""
-    requests = []
-    for i in range(n):
-        request = Request(
-            index=i, model="m", profile=None, arrival=0.1 * i,
-            slo="only",
+    return arena_of(
+        *(
+            dict(
+                model="m", profile=None, arrival=0.1 * i, slo="only",
+                shed=shed_all,
+            )
+            for i in range(n)
         )
-        request.shed = shed_all
-        requests.append(request)
-    return requests
+    )
 
 
 class TestAllShedSummary:

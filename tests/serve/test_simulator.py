@@ -192,15 +192,20 @@ class TestScenarioValidation:
 
 class TestIncrementalBacklog:
     def test_queued_seconds_tracks_queue_contents(self):
-        from repro.serve import Fleet, Request, service_profile
+        from arena_rows import arena_of
+
+        from repro.serve import Fleet, service_profile
 
         edge = service_profile("edge-tiny")
         v1 = service_profile("mobilenet-v1-224")
         fleet = Fleet(1)
         inst = fleet[0]
-        inst.enqueue(Request(0, "edge-tiny", edge, 0.0))
-        inst.enqueue(Request(1, "edge-tiny", edge, 0.0))
-        inst.enqueue(Request(2, "mobilenet-v1-224", v1, 0.0))
+        for request in arena_of(
+            dict(model="edge-tiny", profile=edge),
+            dict(model="edge-tiny", profile=edge),
+            dict(model="mobilenet-v1-224", profile=v1),
+        ):
+            inst.enqueue(request)
         expected = 2 * edge.per_image_seconds + v1.per_image_seconds
         assert inst.pending_seconds(0.0) == pytest.approx(expected)
         inst.launch(inst.next_batch(max_batch=8), now=0.0)  # both edge
