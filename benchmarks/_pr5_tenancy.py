@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from repro.control.simulator import (
-    _DEFAULT_LOAD,
     build_control_fleet,
     execute_controlled,
 )
@@ -36,7 +35,7 @@ from repro.control.tenancy import (
 from repro.power.dvfs import DVFSModel
 from repro.serve.arena import RequestArena
 from repro.serve.engine import build_requests
-from repro.serve.simulator import ServingReport
+from repro.serve.simulator import _DEFAULT_LOAD, ServingReport
 
 __all__ = ["simulate_multi_fleet_monolithic"]
 

@@ -15,10 +15,13 @@ uninterrupted one:
   bit-generator states captured after stream construction;
 * the checkpoint cadence, so a resumed run keeps saving on schedule.
 
-Checkpointed execution always steps the engine's general loop in
-bounded :meth:`~repro.serve.engine.Engine.run_until` slices — which is
+Checkpointed execution steps the engine's general loop in bounded
+:meth:`~repro.serve.engine.Engine.run_until` slices — which is
 bit-for-bit the one-shot run — and both the uninterrupted and the
-resumed path converge on the same ``finalize_*`` report builders.
+resumed path build through the same per-plane wiring and converge on
+the same ``finalize_*`` report builders.  Without a cadence a run
+drains in one ``run_until(inf)``, so it dispatches to a columnar fast
+path exactly as the one-shot simulators do.
 Serve scenarios with ``stats="sketch"`` are the one caveat: plain
 :func:`repro.serve.simulate` may take the chunk-interleaved streaming
 mode whose RNG consumption differs by design, so the equality
@@ -38,22 +41,22 @@ import pickle
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .control.simulator import (
     ControlScenario,
-    _DEFAULT_LOAD as _CONTROL_DEFAULT_LOAD,
+    _control_inputs,
     build_control_fleet,
     finalize_controlled,
     prepare_controlled,
 )
 from .errors import ConfigError, ReproError
 from .power.dvfs import DVFSModel
-from .serve.arrival import capture_rng_state, make_arrivals
-from .serve.engine import build_requests
+from .serve.arrival import capture_rng_state
 from .serve.simulator import (
     ServingScenario,
+    _offered_qps,
+    _serve_inputs,
+    _wire_serving,
     finalize_serving,
     prepare_serving,
 )
@@ -166,82 +169,20 @@ def _begin_serve(scenario: ServingScenario, obs=None):
 
 def _rebuild_serve(scenario: ServingScenario, times, requests, obs=None):
     """The serve execution around an already-materialized (and
-    possibly mid-run-mutated) stream: everything
-    :func:`~repro.serve.simulator.prepare_serving` builds except the
-    stream itself, which must never be regenerated on resume."""
-    from .serve.engine import Engine
-    from .serve.fleet import Fleet
-    from .serve.policies import make_policy
-    from .serve.profile import build_mix
-    from .serve.simulator import _DEFAULT_LOAD, ServingExecution
-
-    mix = build_mix(
-        scenario.mix, scenario.config, scenario.weight_bandwidth
+    possibly mid-run-mutated) stream, which must never be regenerated
+    on resume: :func:`~repro.serve.simulator._wire_serving` over it."""
+    mix, capacity, qps, *_ = _serve_inputs(scenario)
+    return _wire_serving(
+        scenario, mix, capacity, qps, times, requests, obs=obs
     )
-    capacity = scenario.instances / mix.mean_service_seconds()
-    qps = scenario.qps if scenario.qps is not None else (
-        _DEFAULT_LOAD * capacity
-    )
-    fleet = Fleet(scenario.instances)
-    window_end = float(times[-1])
-    for instance in fleet:
-        instance.window_end = window_end
-    policy = make_policy(scenario.policy)
-    policy.reset()
-    if obs is not None and obs.active:
-        # Mirror prepare_serving's wiring: telemetry is derived from
-        # the restored stream after drain.
-        obs.observe(0, f"fleet ({scenario.mix})", fleet, requests)
-    engine = Engine(
-        fleet,
-        policy,
-        max_batch=scenario.max_batch,
-        max_wait_s=scenario.max_wait_ms * 1e-3,
-    )
-    return ServingExecution(
-        scenario=scenario,
-        mix=mix,
-        capacity=capacity,
-        qps=qps,
-        times=times,
-        requests=requests,
-        fleet=fleet,
-        engine=engine,
-    )
-
-
-def _control_inputs(scenario: ControlScenario):
-    """The control plane's stream construction, mirroring
-    ``simulate_controlled_detailed`` exactly (same RNG consumption)."""
-    dvfs_model = DVFSModel()
-    fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
-    qps = scenario.qps if scenario.qps is not None else (
-        _CONTROL_DEFAULT_LOAD * capacity
-    )
-    arrivals = make_arrivals(
-        scenario.arrival,
-        qps,
-        burst_factor=scenario.burst_factor,
-        trace=scenario.trace,
-        diurnal_period_s=scenario.diurnal_period_s,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-    )
-    n = scenario.requests
-    if scenario.arrival == "trace":
-        n = min(n, len(scenario.trace))
-    rng = np.random.default_rng(scenario.seed)
-    times = arrivals.times(n, rng)
-    requests = build_requests(
-        mix, times, rng, slo_classes=scenario.slo_classes
-    )
-    return dvfs_model, fleet, mix, capacity, qps, times, requests, rng
 
 
 def _begin_control(scenario: ControlScenario, obs=None):
     """Build and arm a fresh checkpointable control execution."""
-    (
-        dvfs_model, fleet, mix, capacity, qps, times, requests, rng,
-    ) = _control_inputs(scenario)
+    dvfs_model = DVFSModel()
+    fleet, mix, capacity, qps, times, requests, rng = _control_inputs(
+        scenario, dvfs_model
+    )
     execution = prepare_controlled(
         scenario, fleet, mix, capacity, qps, times, requests,
         dvfs_model=dvfs_model, obs=obs,
@@ -258,12 +199,9 @@ def _rebuild_control(scenario: ControlScenario, times, requests, obs=None):
     engine snapshot overlays their mid-run state afterwards)."""
     dvfs_model = DVFSModel()
     fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
-    qps = scenario.qps if scenario.qps is not None else (
-        _CONTROL_DEFAULT_LOAD * capacity
-    )
     return prepare_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
-        dvfs_model=dvfs_model, obs=obs,
+        scenario, fleet, mix, capacity, _offered_qps(scenario, capacity),
+        times, requests, dvfs_model=dvfs_model, obs=obs,
     )
 
 
@@ -333,9 +271,10 @@ def run_serve_checkpointed(
     """One serve-plane run with periodic checkpoints.
 
     Steps the general loop in ``every_s``-simulated-second slices,
-    saving an atomic checkpoint after each; the report is identical to
-    :func:`repro.serve.simulate` for ``stats="exact"`` scenarios (the
-    general loop and the columnar fast paths agree bit-for-bit).
+    saving an atomic checkpoint after each (without a cadence it
+    drains in one call, fast paths included); the report is identical
+    to :func:`repro.serve.simulate` for ``stats="exact"`` scenarios
+    (the general loop and the columnar fast paths agree bit-for-bit).
     """
     _validate_cadence(every_s)
     execution, engine, finalize = _begin_serve(scenario, obs)

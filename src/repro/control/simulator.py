@@ -38,20 +38,22 @@ from ..errors import ConfigError
 from ..parallel.cache import extension_field
 from ..power.dvfs import DVFSModel
 from ..serve.arena import RequestArena
-from ..serve.arrival import make_arrivals
 from ..serve.engine import (
     Engine,
     EngineHooks,
-    EngineRun,
     build_requests,
-    realized_offered_qps,
     summarize_requests,
 )
 from ..serve.fleet import Fleet
 from ..serve.policies import make_policy
 from ..serve.profile import DEFAULT_WEIGHT_BANDWIDTH, build_mix
 from ..serve.sketch import StreamingLatencyStats
-from ..serve.simulator import ServingReport
+from ..serve.simulator import (
+    ServingReport,
+    _arrival_process,
+    _offered_qps,
+    _serving_report,
+)
 from .autoscale import GOVERNORS, make_governor
 from .hetero import InstanceSpec, configure_instance
 from .slo import (
@@ -81,9 +83,6 @@ _INF = float("inf")
 #: Same feasibility epsilon as the shedders in :mod:`repro.control.slo`
 #: — the batched admission hook must reproduce their floats bit-for-bit.
 _EPS = 1e-12
-
-#: Default offered load (fraction of full-fleet capacity), as in serve.
-_DEFAULT_LOAD = 0.7
 
 #: Sizing governors start from the minimum fleet; pure-DVFS keeps all
 #: instances powered and only moves their frequency.
@@ -499,10 +498,11 @@ class ControlExecution:
 
     :func:`prepare_controlled` builds everything up to (and including)
     ``engine.begin``; the caller advances ``engine`` with
-    :meth:`~repro.serve.engine.Engine.run_until` — to drain for the
-    classic one-shot run, or in bounded slices for checkpointed
-    execution — and :func:`finalize_controlled` turns
-    the drained execution into the :class:`ServingReport`.
+    :meth:`~repro.serve.engine.Engine.run_until` — to drain in one
+    call, where the engine dispatches to a columnar fast path if the
+    configuration qualifies, or in bounded slices for checkpointed
+    execution — and :func:`finalize_controlled` turns the drained
+    execution into the :class:`ServingReport`.
     """
 
     scenario: ControlScenario
@@ -590,27 +590,12 @@ def finalize_controlled(execution: ControlExecution) -> ServingReport:
     """
     scenario = execution.scenario
     fleet = execution.fleet
-    capacity = execution.capacity
-    qps = execution.qps
-    times = execution.times
     requests = execution.requests
-    state = execution.engine.state
-    # Counters read from the engine *state*, not the last run_until
-    # slice, so a resumed run reports identical values to an
-    # uninterrupted one (the CLI's byte-equality pin).  The dispatch
-    # path (and any fallback reason) comes from the run itself: the
-    # rr-ctl kernel backfills the state's counters, so both sources
-    # agree whichever path drained the engine.
-    last = execution.engine.last_run
-    run = EngineRun(
-        events=state.events,
-        tick_actions=state.tick_actions,
-        peak_heap=state.peak_heap,
-        dispatch=last.dispatch if last is not None else "general",
-        fallback=last.fallback if last is not None else "",
-    )
-    n = len(requests)
-    window_end = float(times[-1])
+    # ``last_run`` holds the run's cumulative counters on every path
+    # (a run_until slice reports the totals so far, not the slice's),
+    # so a resumed run reports the values an uninterrupted one does.
+    run = execution.engine.last_run
+    window_end = float(execution.times[-1])
 
     track_models = any(
         cls.model is not None for cls in scenario.slo_classes
@@ -639,51 +624,17 @@ def finalize_controlled(execution: ControlExecution) -> ServingReport:
         idle = max(0.0, instance.powered_seconds - instance.busy_seconds)
         energy += instance.energy_joules + idle * instance.idle_power_w
 
-    total_batches = sum(i.batches for i in fleet)
-    return ServingReport(
-        mix=scenario.mix,
-        arrival=scenario.arrival,
-        policy=scenario.policy,
+    return _serving_report(
+        scenario,
+        summary,
+        fleet,
+        run,
+        offered=len(requests),
+        window_end=window_end,
+        qps=execution.qps,
+        capacity=execution.capacity,
+        makespan=end_time,
         instances=len(fleet),
-        requests=completed,
-        offered_qps=realized_offered_qps(
-            scenario.arrival, times, n, qps
-        ),
-        capacity_qps=float(capacity),
-        makespan_s=end_time,
-        sustained_qps=completed / end_time if end_time > 0 else 0.0,
-        # An all-shed overload run completes nothing: report explicit
-        # zeros instead of feeding empty arrays through mean/percentile
-        # (NaN + RuntimeWarning in the report).
-        latency_mean_s=summary.latency_mean() if completed else 0.0,
-        latency_p50_s=(
-            summary.latency_percentile(50) if completed else 0.0
-        ),
-        latency_p95_s=(
-            summary.latency_percentile(95) if completed else 0.0
-        ),
-        latency_p99_s=(
-            summary.latency_percentile(99) if completed else 0.0
-        ),
-        latency_max_s=summary.latency_max() if completed else 0.0,
-        mean_wait_s=summary.wait_mean() if completed else 0.0,
-        mean_batch_size=(
-            completed / total_batches if total_batches else 0.0
-        ),
-        setups=sum(i.setups for i in fleet),
-        utilization=tuple(
-            i.busy_seconds / end_time if end_time > 0 else 0.0
-            for i in fleet
-        ),
-        served_per_instance=tuple(i.served for i in fleet),
-        per_model_counts=summary.model_counts,
-        busy_window_s=window_end,
-        utilization_busy=tuple(
-            i.busy_seconds_window / window_end if window_end > 0 else 0.0
-            for i in fleet
-        ),
-        offered_requests=n,
-        shed_requests=n - completed,
         energy_joules=float(energy),
         joules_per_request=(
             float(energy / completed) if completed else None
@@ -706,10 +657,6 @@ def finalize_controlled(execution: ControlExecution) -> ServingReport:
             if end_time > 0
             else 0.0
         ),
-        engine_events=run.events,
-        engine_peak_heap=run.peak_heap,
-        engine_dispatch=run.dispatch,
-        engine_fallback=run.fallback,
     )
 
 
@@ -743,6 +690,24 @@ def execute_controlled(
     return finalize_controlled(execution)
 
 
+def _control_inputs(scenario: ControlScenario, dvfs_model: DVFSModel):
+    """The control plane's input head: the configured fleet and the
+    materialized request stream, shared by one-shot and checkpointed
+    runs (identical RNG consumption).
+
+    Returns ``(fleet, mix, capacity, qps, times, requests, rng)``;
+    ``rng`` is positioned just past stream construction.
+    """
+    fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
+    qps = _offered_qps(scenario, capacity)
+    arrivals, n, rng = _arrival_process(scenario, qps)
+    times = arrivals.times(n, rng)
+    requests = build_requests(
+        mix, times, rng, slo_classes=scenario.slo_classes
+    )
+    return fleet, mix, capacity, qps, times, requests, rng
+
+
 def simulate_controlled_detailed(
     scenario: ControlScenario,
     *,
@@ -753,27 +718,8 @@ def simulate_controlled_detailed(
     ramp, need per-request outcomes the aggregate report folds away).
     """
     dvfs_model = DVFSModel()
-    fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
-
-    qps = scenario.qps if scenario.qps is not None else (
-        _DEFAULT_LOAD * capacity
-    )
-    arrivals = make_arrivals(
-        scenario.arrival,
-        qps,
-        burst_factor=scenario.burst_factor,
-        trace=scenario.trace,
-        diurnal_period_s=scenario.diurnal_period_s,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-    )
-    n = scenario.requests
-    if scenario.arrival == "trace":
-        n = min(n, len(scenario.trace))
-
-    rng = np.random.default_rng(scenario.seed)
-    times = arrivals.times(n, rng)
-    requests = build_requests(
-        mix, times, rng, slo_classes=scenario.slo_classes
+    fleet, mix, capacity, qps, times, requests, _ = _control_inputs(
+        scenario, dvfs_model
     )
     report = execute_controlled(
         scenario, fleet, mix, capacity, qps, times, requests,

@@ -46,9 +46,8 @@ from ..power.dvfs import DVFSModel
 from ..serve.arrival import SharedModulator
 from ..serve.engine import build_requests
 from ..serve.fleet import Request
-from ..serve.simulator import ServingReport
+from ..serve.simulator import ServingReport, _offered_qps
 from .simulator import (
-    _DEFAULT_LOAD,
     ControlScenario,
     build_control_fleet,
     finalize_controlled,
@@ -256,13 +255,9 @@ def _member_point(payload: dict):
     stream = payload["requests"]
     dvfs_model = DVFSModel()
     fleet, mix, capacity = build_control_fleet(member, dvfs_model)
-    qps = (
-        member.qps
-        if member.qps is not None
-        else _DEFAULT_LOAD * capacity
-    )
     report = _drain_member(
-        member, fleet, mix, capacity, qps, stream, dvfs_model
+        member, fleet, mix, capacity, _offered_qps(member, capacity),
+        stream, dvfs_model,
     )
     return report, *(getattr(stream, name) for name in _OUTCOMES)
 
@@ -312,11 +307,7 @@ def simulate_multi_fleet(
     for member in scenario.fleets:
         fleet, mix, capacity = build_control_fleet(member, dvfs_model)
         setups.append((fleet, mix, capacity))
-        rates.append(
-            member.qps
-            if member.qps is not None
-            else _DEFAULT_LOAD * capacity
-        )
+        rates.append(_offered_qps(member, capacity))
 
     rhos = [
         rates[k] / setups[k][2] if setups[k][2] > 0 else 0.0

@@ -469,6 +469,11 @@ class TraceArrivals:
         if not self.timestamps_s:
             raise ConfigError("trace must contain at least one timestamp")
         arr = np.asarray(self.timestamps_s, dtype=np.float64)
+        # NaN compares False both ways, so the ordering checks below
+        # would let it through (and a NaN or infinite arrival hangs the
+        # event loop or poisons every percentile).
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError("trace timestamps must be finite numbers")
         if np.any(arr < 0) or np.any(np.diff(arr) < 0):
             raise ConfigError(
                 "trace timestamps must be non-negative and sorted"

@@ -23,7 +23,11 @@ Four execution paths share one physics
 
 Requests live in a columnar :class:`~repro.serve.arena.RequestArena`
 (see that module) and the engine picks the fastest path that preserves
-the event loop's observable behaviour *bit-for-bit*:
+the event loop's observable behaviour *bit-for-bit*.  The choice is
+made in one place, :meth:`Engine.run_until`: a pristine begun run
+draining to infinity takes the kernel :meth:`Engine._fast_mode` picks;
+everything else steps the general loop.  :meth:`Engine.run` is exactly
+``begin`` + ``run_until(inf)``.
 
 1. **General path** — the ``(time, seq)`` event loop below, processing
    one arrival/completion/wake/tick at a time.  Runs whenever hooks,
@@ -114,7 +118,6 @@ __all__ = [
     "build_requests",
     "summarize_requests",
     "run_streaming_round_robin",
-    "realized_offered_qps",
 ]
 
 _COMPLETE, _WAKE, _TICK = 1, 2, 3
@@ -720,10 +723,6 @@ class Engine:
         busy-energy accrual.  Shed rows are masked in the arena and
         never enter a queue, exactly as when ``on_arrival`` declined
         them.
-
-        Runs over a begun pristine :class:`EngineState` and backfills
-        it (cursor, events, clock), so ``finalize``-style consumers
-        that read counters from the state see a drained run.
         """
         kind, threshold = self._ctl_spec
         instances = self.fleet.instances
@@ -754,7 +753,6 @@ class Engine:
         )
         shed_ids: list[int] = []
         events = n
-        clock = a_l[n - 1]
         for j, inst in enumerate(instances):
             scale = inst.latency_scale
             # Scaled per-image table per instance: x * scale
@@ -890,8 +888,6 @@ class Engine:
                 nbatches += 1
                 loaded = model
                 ev = fin
-            if bu > clock:
-                clock = bu
             arena.instance[j::K] = j
             inst.busy_until = bu
             inst.loaded_model = (
@@ -909,15 +905,16 @@ class Engine:
         if shed_ids:
             arena.shed[shed_ids] = True
         self.policy._next += n
-        # Backfill the begun state so finalizers and resumption
-        # checks (finished, counter reads) see a drained run.
-        state = self.state
-        state.cursor = n
-        state.events = events
-        state.clock = clock
         return EngineRun(
             events=events, tick_actions=0, dispatch="rr-ctl"
         )
+
+    #: Fast-path name (see :meth:`_fast_mode`) -> its kernel.
+    _kernels = {
+        "rr": _run_round_robin,
+        "ll": _run_least_loaded,
+        "rr-ctl": _run_round_robin_controlled,
+    }
 
     # ------------------------------------------------------------------
     # General event loop
@@ -1029,43 +1026,45 @@ class Engine:
         ``run_until(inf)`` is bit-for-bit the legacy ``run()``.
         Returns the *cumulative* counters of the run so far.
 
-        A *pristine* begun state (no arrivals consumed, no events
-        processed) draining to infinity over an arena may dispatch to
-        the controlled round-robin kernel instead — the fast path for
-        ``engine.begin(...)``-then-drain callers like the control
-        plane, exact by the same parity pins as :meth:`run`.  Bounded
+        This is the engine's one dispatch point.  A *pristine* begun
+        state (no arrivals consumed, no events processed) draining to
+        infinity runs whichever columnar kernel :meth:`_fast_mode`
+        picks — ``"rr"``, ``"ll"``, or ``"rr-ctl"`` — exact by the
+        parity pins, and the state is backfilled so the run reads as
+        drained (:attr:`finished`, cumulative counters).  Bounded
         horizons and resumed runs always step the general loop.
         """
         state = self.state
         requests = self._requests
-        pristine = (
-            state.cursor == 0
+        fresh = (
+            t == _INF
+            and state.cursor == 0
             and state.events == 0
             and state.clock == 0.0
         )
-        if pristine and t == _INF and len(requests):
+        # Diagnose a run that cannot take a kernel at most once per
+        # engine (the reason is sticky until _fast_mode reassesses):
+        # the config-level precondition leads when one fails, which is
+        # identical whether the run drains in one call, in bounded
+        # checkpoint slices, or in a resumed process — tick_s and hook
+        # checks precede fleet-state checks — so checkpointed reruns
+        # report byte-identical telemetry.  Run mechanics are the
+        # reason only when the config itself qualifies.
+        if len(requests) and (fresh or not self._fast_reason):
             mode = self._fast_mode(requests)
-            if mode == "rr-ctl":
-                self.last_run = self._run_round_robin_controlled(
-                    requests
+            if mode is not None and fresh:
+                run = self._kernels[mode](self, requests)
+                state.cursor = len(requests)
+                state.events = run.events
+                # Where the general loop's clock ends: the last
+                # arrival or completion.
+                state.clock = max(
+                    [float(requests.arrival[-1])]
+                    + [inst.busy_until for inst in self.fleet.instances]
                 )
-                return self.last_run
+                self.last_run = run
+                return run
             if mode is not None:
-                # The serve-plane kernels dispatch via run();
-                # a begun run steps the general loop unchanged.
-                self._fast_reason = (
-                    f'begun run ("{mode}" dispatches via run())'
-                )
-        elif not self._fast_reason:
-            # Diagnose at most once per engine (the reason is sticky
-            # until _fast_mode reassesses): lead with the config-level
-            # precondition when one fails, which is identical whether
-            # the run drains in one call, in bounded checkpoint
-            # slices, or in a resumed process — tick_s and hook
-            # checks precede fleet-state checks — so checkpointed
-            # reruns report byte-identical telemetry.  Run mechanics
-            # are the reason only when the config itself qualifies.
-            if len(requests) and self._fast_mode(requests) is not None:
                 self._fast_reason = (
                     "bounded run_until horizon"
                     if t != _INF
@@ -1184,19 +1183,12 @@ class Engine:
         return run
 
     def run(self, requests: RequestArena) -> EngineRun:
-        """Play ``requests`` (non-decreasing arrival order) to drain,
-        on a columnar fast path when the configuration allows (see
+        """Play ``requests`` (non-decreasing arrival order) to drain:
+        exactly :meth:`begin` + ``run_until(inf)``, so a columnar fast
+        path runs when the configuration allows (see
         :meth:`_fast_mode`).  Outcomes are written to the arena's
         columns in place.
         """
-        if len(requests):
-            mode = self._fast_mode(requests)
-            if mode == "rr":
-                self.last_run = self._run_round_robin(requests)
-                return self.last_run
-            if mode == "ll":
-                self.last_run = self._run_least_loaded(requests)
-                return self.last_run
         self.begin(requests)
         return self.run_until(_INF)
 
@@ -1804,22 +1796,16 @@ def summarize_requests(
 
 
 @dataclass(slots=True)
-class StreamingSummary:
-    """What :func:`run_streaming_round_robin` hands the report builder.
-
-    Latency aggregates live in ``latency`` (a
-    :class:`~repro.serve.sketch.StreamingLatencyStats`); fleet
-    counters (busy seconds, served, batches, setups, window busy time)
-    were written to the instances in place, exactly like an engine run.
+class StreamingSummary(RequestSummary):
+    """What :func:`run_streaming_round_robin` hands the report builder:
+    a sketch-mode :class:`RequestSummary` (same latency reads) plus the
+    stream's busy-window end and kernel event count.  Fleet counters
+    (busy seconds, served, batches, setups, window busy time) were
+    written to the instances in place, exactly like an engine run.
     """
 
-    completed: int
-    latency: StreamingLatencyStats
-    wait_mean: float
-    model_counts: tuple
-    max_finish: float
-    window_end: float
-    events: int
+    window_end: float = 0.0
+    events: int = 0
 
 
 def run_streaming_round_robin(
@@ -2005,22 +1991,14 @@ def run_streaming_round_robin(
     )
     return StreamingSummary(
         completed=int(sum(served)),
-        latency=latency,
-        wait_mean=wait_sum / n if n else 0.0,
+        latencies=None,
+        waits=None,
         model_counts=model_counts,
         max_finish=max_finish,
+        class_buckets=None,
+        stats="sketch",
+        latency_sketch=latency,
+        wait_mean_value=wait_sum / n if n else 0.0,
         window_end=window_end,
         events=events,
     )
-
-
-def realized_offered_qps(
-    arrival: str, times: np.ndarray, n: int, qps: float
-) -> float:
-    """The offered rate a report should carry: trace replays report the
-    rate of the prefix actually played, everything else the configured
-    rate."""
-    if arrival == "trace":
-        span = float(times[-1])
-        return n / span if span > 0 else float(n)
-    return float(qps)

@@ -28,8 +28,9 @@ from .arrival import capture_rng_state, make_arrivals
 from .engine import (
     Engine,
     EngineHooks,
+    EngineRun,
+    RequestSummary,
     build_requests,
-    realized_offered_qps,
     run_streaming_round_robin,
     summarize_requests,
 )
@@ -259,26 +260,6 @@ def simulate(
             (only the chunk-streaming mode, which keeps no arena, is
             skipped).
     """
-    mix = build_mix(
-        scenario.mix, scenario.config, scenario.weight_bandwidth
-    )
-    capacity = scenario.instances / mix.mean_service_seconds()
-    qps = scenario.qps if scenario.qps is not None else (
-        _DEFAULT_LOAD * capacity
-    )
-    arrivals = make_arrivals(
-        scenario.arrival,
-        qps,
-        burst_factor=scenario.burst_factor,
-        trace=scenario.trace,
-        diurnal_period_s=scenario.diurnal_period_s,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-    )
-    n = scenario.requests
-    if scenario.arrival == "trace":
-        n = min(n, len(scenario.trace))
-
-    rng = np.random.default_rng(scenario.seed)
     if (
         scenario.stats == "sketch"
         and hooks is None
@@ -286,12 +267,8 @@ def simulate(
         and scenario.policy == "round-robin"
         and scenario.max_wait_ms > 0
     ):
-        return _simulate_streaming(scenario, mix, arrivals, n, rng, qps, capacity)
-    execution = _prepare(
-        scenario, hooks, mix, arrivals, n, rng, qps, capacity, obs=obs
-    )
-    # engine.run (not begin/run_until) so the columnar fast paths keep
-    # dispatching for hook-free arena configurations.
+        return _simulate_streaming(scenario)
+    execution = prepare_serving(scenario, hooks, obs=obs)
     execution.engine.run(execution.requests)
     return finalize_serving(execution)
 
@@ -301,11 +278,12 @@ class ServingExecution:
     """One built serving run, ready to execute.
 
     :func:`prepare_serving` materializes the stream and the engine;
-    the caller drives the engine — ``engine.run(requests)`` for the
-    one-shot path (fast dispatch included), or ``engine.begin`` +
-    bounded ``run_until`` slices for checkpointed execution — and
-    :func:`finalize_serving` aggregates the drained execution into
-    the :class:`ServingReport`.
+    the caller drives the engine — ``engine.run(requests)`` (which is
+    ``engine.begin`` + ``run_until(inf)``) to drain in one call, or
+    ``engine.begin`` + bounded ``run_until`` slices for checkpointed
+    execution; either way the engine alone decides whether a columnar
+    fast path serves the run — and :func:`finalize_serving`
+    aggregates the drained execution into the :class:`ServingReport`.
     """
 
     scenario: ServingScenario
@@ -323,13 +301,60 @@ class ServingExecution:
     rng_state: dict | None = None
 
 
-def _prepare(
-    scenario, hooks, mix, arrivals, n, rng, qps, capacity, obs=None
-) -> ServingExecution:
-    times = arrivals.times(n, rng)
-    requests = build_requests(mix, times, rng)
-    rng_state = capture_rng_state(rng)
+def _offered_qps(scenario, capacity: float) -> float:
+    """The offered rate of a serve- or control-plane scenario: its
+    ``qps``, or :data:`_DEFAULT_LOAD` of fleet ``capacity`` if unset."""
+    if scenario.qps is not None:
+        return scenario.qps
+    return _DEFAULT_LOAD * capacity
 
+
+def _arrival_process(scenario, qps: float):
+    """``(arrivals, n, rng)`` for a serve- or control-plane scenario:
+    its arrival process at ``qps``, the number of requests to play (a
+    trace clamps it), and the seeded generator the stream draws from."""
+    arrivals = make_arrivals(
+        scenario.arrival,
+        qps,
+        burst_factor=scenario.burst_factor,
+        trace=scenario.trace,
+        diurnal_period_s=scenario.diurnal_period_s,
+        diurnal_amplitude=scenario.diurnal_amplitude,
+    )
+    n = scenario.requests
+    if scenario.arrival == "trace":
+        n = min(n, len(scenario.trace))
+    return arrivals, n, np.random.default_rng(scenario.seed)
+
+
+def _serve_inputs(scenario: ServingScenario):
+    """The serve plane's input head, shared by every build path:
+    ``(mix, capacity, qps, arrivals, n, rng)``."""
+    mix = build_mix(
+        scenario.mix, scenario.config, scenario.weight_bandwidth
+    )
+    capacity = scenario.instances / mix.mean_service_seconds()
+    qps = _offered_qps(scenario, capacity)
+    return (mix, capacity, qps, *_arrival_process(scenario, qps))
+
+
+def _wire_serving(
+    scenario: ServingScenario,
+    mix,
+    capacity: float,
+    qps: float,
+    times: np.ndarray,
+    requests,
+    hooks: EngineHooks | None = None,
+    *,
+    obs=None,
+) -> ServingExecution:
+    """Wire a serve run around an already-materialized stream: fleet,
+    busy window, policy, telemetry registration, and the engine.
+
+    All RNG-free, so :func:`prepare_serving` and checkpoint resume
+    (which must never regenerate a mid-run-mutated stream) share it.
+    """
     fleet = Fleet(scenario.instances)
     window_end = float(times[-1])
     for instance in fleet:
@@ -355,7 +380,6 @@ def _prepare(
         requests=requests,
         fleet=fleet,
         engine=engine,
-        rng_state=rng_state,
     )
 
 
@@ -369,67 +393,63 @@ def prepare_serving(
 
     The head half of :func:`simulate` (identical build sequence, so
     identical RNG consumption): mix, capacity, arrival stream, request
-    arena, fleet, policy, engine.  Always takes the build-then-run
-    path — checkpointed runs step the general loop, never the
-    chunk-interleaved streaming mode.
+    arena, then :func:`_wire_serving`.  Always takes the build-then-run
+    path, never the chunk-interleaved streaming mode.
     """
-    mix = build_mix(
-        scenario.mix, scenario.config, scenario.weight_bandwidth
+    mix, capacity, qps, arrivals, n, rng = _serve_inputs(scenario)
+    times = arrivals.times(n, rng)
+    requests = build_requests(mix, times, rng)
+    execution = _wire_serving(
+        scenario, mix, capacity, qps, times, requests, hooks, obs=obs
     )
-    capacity = scenario.instances / mix.mean_service_seconds()
-    qps = scenario.qps if scenario.qps is not None else (
-        _DEFAULT_LOAD * capacity
-    )
-    arrivals = make_arrivals(
-        scenario.arrival,
-        qps,
-        burst_factor=scenario.burst_factor,
-        trace=scenario.trace,
-        diurnal_period_s=scenario.diurnal_period_s,
-        diurnal_amplitude=scenario.diurnal_amplitude,
-    )
-    n = scenario.requests
-    if scenario.arrival == "trace":
-        n = min(n, len(scenario.trace))
-    rng = np.random.default_rng(scenario.seed)
-    return _prepare(
-        scenario, hooks, mix, arrivals, n, rng, qps, capacity, obs=obs
-    )
+    execution.rng_state = capture_rng_state(rng)
+    return execution
 
 
-def finalize_serving(execution: ServingExecution) -> ServingReport:
-    """Aggregate a drained :class:`ServingExecution` into its report.
+def _serving_report(
+    scenario,
+    summary: RequestSummary,
+    fleet: Fleet,
+    run: EngineRun,
+    *,
+    offered: int,
+    window_end: float,
+    qps: float,
+    capacity: float,
+    makespan: float,
+    instances: int,
+    **control_fields,
+) -> ServingReport:
+    """The report fields every finalizer shares, from one drained run.
 
-    The tail half of :func:`simulate`; identical whether the engine
-    drained via ``run``, via checkpointed ``run_until`` slices, or
-    after a restore in a fresh process.
+    ``summary`` answers the latency reads in either stats mode
+    (streaming included), ``run`` carries the engine counters,
+    ``offered`` is the played request count and ``window_end`` the
+    last arrival.  ``makespan`` and ``instances`` are the plane's own
+    (the control plane's makespan runs to its power horizon);
+    ``control_fields`` are its energy, class, model and autoscale
+    fields.
     """
-    scenario = execution.scenario
-    fleet = execution.fleet
-    capacity = execution.capacity
-    qps = execution.qps
-    times = execution.times
-    requests = execution.requests
-    n = len(requests)
-    window_end = float(times[-1])
-
-    summary = summarize_requests(requests, stats=scenario.stats)
     completed = summary.completed
+    # Trace replays report the rate of the prefix actually played,
+    # everything else the configured rate.
+    if scenario.arrival == "trace":
+        offered_qps = (
+            offered / window_end if window_end > 0 else float(offered)
+        )
+    else:
+        offered_qps = float(qps)
+    total_batches = sum(i.batches for i in fleet)
     # An all-shed run (a shedding hook under heavy overload) completes
     # nothing: report explicit zeros instead of feeding empty arrays to
-    # mean/percentile (NaN + RuntimeWarning) or a -inf max_finish.
-    makespan = summary.max_finish if completed else 0.0
-    total_batches = sum(i.batches for i in fleet)
-
+    # mean/percentile (NaN + RuntimeWarning).
     return ServingReport(
         mix=scenario.mix,
         arrival=scenario.arrival,
         policy=scenario.policy,
-        instances=scenario.instances,
+        instances=instances,
         requests=completed,
-        offered_qps=realized_offered_qps(
-            scenario.arrival, times, n, qps
-        ),
+        offered_qps=offered_qps,
         capacity_qps=float(capacity),
         makespan_s=makespan,
         sustained_qps=completed / makespan if makespan > 0 else 0.0,
@@ -462,40 +482,40 @@ def finalize_serving(execution: ServingExecution) -> ServingReport:
             i.busy_seconds_window / window_end if window_end > 0 else 0.0
             for i in fleet
         ),
-        offered_requests=n,
-        shed_requests=n - completed,
-        engine_events=(
-            execution.engine.last_run.events
-            if execution.engine.last_run is not None
-            else 0
-        ),
-        engine_peak_heap=(
-            execution.engine.last_run.peak_heap
-            if execution.engine.last_run is not None
-            else 0
-        ),
-        engine_dispatch=(
-            execution.engine.last_run.dispatch
-            if execution.engine.last_run is not None
-            else ""
-        ),
-        engine_fallback=(
-            execution.engine.last_run.fallback
-            if execution.engine.last_run is not None
-            else ""
-        ),
+        offered_requests=offered,
+        shed_requests=offered - completed,
+        engine_events=run.events,
+        engine_peak_heap=run.peak_heap,
+        engine_dispatch=run.dispatch,
+        engine_fallback=run.fallback,
+        **control_fields,
     )
 
 
-def _simulate_streaming(
-    scenario: ServingScenario,
-    mix,
-    arrivals,
-    n: int,
-    rng: np.random.Generator,
-    qps: float,
-    capacity: float,
-) -> ServingReport:
+def finalize_serving(execution: ServingExecution) -> ServingReport:
+    """Aggregate a drained :class:`ServingExecution` into its report.
+
+    The tail half of :func:`simulate`; identical whether the engine
+    drained via ``run``, via checkpointed ``run_until`` slices, or
+    after a restore in a fresh process.
+    """
+    scenario = execution.scenario
+    summary = summarize_requests(execution.requests, stats=scenario.stats)
+    return _serving_report(
+        scenario,
+        summary,
+        execution.fleet,
+        execution.engine.last_run,
+        offered=len(execution.requests),
+        window_end=float(execution.times[-1]),
+        qps=execution.qps,
+        capacity=execution.capacity,
+        makespan=summary.max_finish if summary.completed else 0.0,
+        instances=scenario.instances,
+    )
+
+
+def _simulate_streaming(scenario: ServingScenario) -> ServingReport:
     """The flat-memory round-robin mode behind ``stats="sketch"``.
 
     Arrivals are generated chunk-at-a-time and fed through the same
@@ -507,6 +527,7 @@ def _simulate_streaming(
     summarization (still flat in *latency retention*, not in arrival
     storage).
     """
+    mix, capacity, qps, arrivals, n, rng = _serve_inputs(scenario)
     fleet = Fleet(scenario.instances)
     stream = run_streaming_round_robin(
         fleet,
@@ -517,51 +538,17 @@ def _simulate_streaming(
         max_batch=scenario.max_batch,
         max_wait_s=scenario.max_wait_ms * 1e-3,
     )
-    completed = stream.completed
-    makespan = stream.max_finish if completed else 0.0
-    window_end = stream.window_end
-    total_batches = sum(i.batches for i in fleet)
-    return ServingReport(
-        mix=scenario.mix,
-        arrival=scenario.arrival,
-        policy=scenario.policy,
+    return _serving_report(
+        scenario,
+        stream,
+        fleet,
+        EngineRun(
+            events=stream.events, tick_actions=0, dispatch="streaming"
+        ),
+        offered=n,
+        window_end=stream.window_end,
+        qps=qps,
+        capacity=capacity,
+        makespan=stream.max_finish if stream.completed else 0.0,
         instances=scenario.instances,
-        requests=completed,
-        offered_qps=realized_offered_qps(
-            scenario.arrival, np.array([window_end]), n, qps
-        ),
-        capacity_qps=float(capacity),
-        makespan_s=makespan,
-        sustained_qps=completed / makespan if makespan > 0 else 0.0,
-        latency_mean_s=stream.latency.mean if completed else 0.0,
-        latency_p50_s=(
-            stream.latency.quantile(0.50) if completed else 0.0
-        ),
-        latency_p95_s=(
-            stream.latency.quantile(0.95) if completed else 0.0
-        ),
-        latency_p99_s=(
-            stream.latency.quantile(0.99) if completed else 0.0
-        ),
-        latency_max_s=stream.latency.max if completed else 0.0,
-        mean_wait_s=stream.wait_mean if completed else 0.0,
-        mean_batch_size=(
-            completed / total_batches if total_batches else 0.0
-        ),
-        setups=sum(i.setups for i in fleet),
-        utilization=tuple(
-            i.busy_seconds / makespan if makespan > 0 else 0.0
-            for i in fleet
-        ),
-        served_per_instance=tuple(i.served for i in fleet),
-        per_model_counts=stream.model_counts,
-        busy_window_s=window_end,
-        utilization_busy=tuple(
-            i.busy_seconds_window / window_end if window_end > 0 else 0.0
-            for i in fleet
-        ),
-        offered_requests=n,
-        shed_requests=n - completed,
-        engine_events=stream.events,
-        engine_dispatch="streaming",
     )

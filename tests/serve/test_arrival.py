@@ -275,6 +275,16 @@ class TestTrace:
         with pytest.raises(ConfigError):
             TraceArrivals((0.0, 1.0)).times(3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_non_finite(self, bad):
+        """NaN slips past both ordering checks (every comparison is
+        False) and hung the event loop; inf ran to a NaN p99."""
+        for stamps in ((0.0, bad, 1.0), (0.0, 0.5, bad)):
+            with pytest.raises(ConfigError, match="finite"):
+                TraceArrivals(stamps)
+
 
 class TestFactory:
     def test_known_kinds(self):

@@ -63,6 +63,21 @@ def serve_scenarios() -> dict[str, ServingScenario]:
             max_wait_ms=1.0,
             seed=1,
         ),
+        # Sketch mode: round-robin takes the chunk-streaming runner,
+        # least-loaded the build-then-run path with t-digest summaries.
+        "serve-sketch-rr-stream": ServingScenario(
+            requests=3_000,
+            instances=3,
+            policy="round-robin",
+            stats="sketch",
+            seed=17,
+        ),
+        "serve-sketch-ll": ServingScenario(
+            requests=2_000,
+            policy="least-loaded",
+            stats="sketch",
+            seed=19,
+        ),
     }
 
 

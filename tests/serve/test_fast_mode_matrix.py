@@ -213,3 +213,53 @@ class TestUnsupportedConfigsMatchGeneral:
             forced = simulate_controlled(scenario)
         assert forced.engine_dispatch == "general"
         assert report == forced
+
+
+class TestOneDispatchPoint:
+    """``run_until`` is the engine's only dispatch point: ``run()`` is
+    exactly ``begin`` + ``run_until(inf)``, every kernel leaves the
+    state drained, and checkpointed serve runs without a cadence
+    dispatch like :func:`~repro.serve.simulate`."""
+
+    _BUILDERS = {
+        "rr": lambda: _engine(),
+        "ll": lambda: _engine(policy="least-loaded"),
+        "rr-ctl": lambda: _ctl_engine(),
+    }
+
+    @pytest.mark.parametrize("mode", ["rr", "ll", "rr-ctl"])
+    def test_run_is_begin_plus_run_until(self, mode):
+        build = self._BUILDERS[mode]
+        ran, stepped = _arena(qps=2_000.0), _arena(qps=2_000.0)
+        by_run = build()
+        run = by_run.run(ran)
+        by_step = build()
+        by_step.begin(stepped)
+        step = by_step.run_until(float("inf"))
+        assert run.dispatch == step.dispatch == mode
+        assert run == step
+        for column in ("start", "finish", "shed", "instance"):
+            np.testing.assert_array_equal(
+                getattr(ran, column), getattr(stepped, column)
+            )
+        for engine, result in ((by_run, run), (by_step, step)):
+            assert engine.finished
+            assert engine.state.events == result.events
+            assert engine.state.cursor == len(ran)
+            assert engine.last_run is result
+
+    @pytest.mark.parametrize("policy", ["round-robin", "least-loaded"])
+    def test_checkpointed_serve_without_cadence_dispatches(self, policy):
+        from repro.checkpoint import run_serve_checkpointed
+        from repro.serve import ServingScenario, simulate
+
+        scenario = ServingScenario(
+            requests=2_000, instances=3, policy=policy, seed=4
+        )
+        report = run_serve_checkpointed(scenario)
+        expected = "rr" if policy == "round-robin" else "ll"
+        assert report.engine_dispatch == expected
+        assert report.engine_fallback == ""
+        reference = simulate(scenario)
+        assert report == reference
+        assert report.engine_events == reference.engine_events

@@ -729,6 +729,30 @@ class TestNonFiniteInputs:
         assert proc.returncode == 1, proc.stdout[-500:]
         assert f"error: {flag} must be a finite number" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["serve", "control"])
+    def test_cli_rejects_nan_trace_file(self, command, tmp_path):
+        """A ``nan`` line in a trace used to hang both planes."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0.0\n0.001\nnan\n0.003\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command, "--arrival", "trace",
+             "--trace-file", str(trace)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode != 0, proc.stdout[-500:]
+        assert "error:" in proc.stderr
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_constructors_reject(self, value):
         from repro.control import ControlScenario
