@@ -255,9 +255,9 @@ def _drive(
 
 
 def _validate_cadence(every_s) -> None:
-    if every_s is not None and every_s <= 0:
-        raise ReproError(
-            f"--checkpoint-every must be positive ({every_s})"
+    if every_s is not None and not 0 < every_s < _INF:
+        raise ConfigError(
+            f"--checkpoint-every must be finite and positive ({every_s})"
         )
 
 

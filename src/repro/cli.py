@@ -594,10 +594,11 @@ def _write_json_payload(path: str, payload: dict) -> None:
         raise
 
 
-def _write_json(path: str, reports, obs=None) -> None:
-    payload = {"reports": [report_to_dict(r) for r in reports]}
-    # Execution telemetry rides beside the reports, not inside them:
-    # report dicts stay byte-stable for the parity goldens and caches.
+def _with_telemetry(payload: dict, reports, obs) -> dict:
+    """Append the execution telemetry of ``reports`` (one engine entry
+    per report — per member fleet in a multi-fleet run) and ``obs``'s
+    metrics.  It rides beside the physics, not inside it: report dicts
+    stay byte-stable for the parity goldens and caches."""
     engine = [engine_counters_dict(r) for r in reports]
     if any(entry is not None for entry in engine):
         payload["engine"] = engine
@@ -605,7 +606,12 @@ def _write_json(path: str, reports, obs=None) -> None:
         metrics = obs.metrics_payload()
         if metrics is not None:
             payload["metrics"] = metrics
-    _write_json_payload(path, payload)
+    return payload
+
+
+def _write_json(path: str, reports, obs=None) -> None:
+    payload = {"reports": [report_to_dict(r) for r in reports]}
+    _write_json_payload(path, _with_telemetry(payload, reports, obs))
 
 
 def _obs_from(args):
@@ -629,6 +635,10 @@ _FINITE_FLAGS = (
     ("--max-wait-ms", "max_wait_ms"),
     ("--diurnal-period", "diurnal_period_s"),
     ("--metrics-every", "metrics_every_s"),
+    ("--burst-factor", "burst_factor"),
+    ("--target-delay-ms", "target_delay_ms"),
+    ("--spillover-hop-ms", "spillover_hop_ms"),
+    ("--checkpoint-every", "checkpoint_every_s"),
 )
 
 
@@ -748,9 +758,9 @@ def _checkpoint_args(args) -> tuple[str | None, float | None]:
             "--checkpoint and --checkpoint-every must be given "
             "together"
         )
-    if every is not None and every <= 0:
+    if every is not None and not 0 < every < math.inf:
         raise ReproError(
-            f"--checkpoint-every must be positive (got {every})"
+            f"--checkpoint-every must be finite and positive (got {every})"
         )
     return path, every
 
@@ -922,11 +932,9 @@ def _multi_fleet(args, base, cache, out, obs=None) -> None:
     _emit_obs(args, obs, out)
     if args.json_path:
         payload = {"multi_fleet": multi_fleet_to_dict(report)}
-        if obs is not None:
-            metrics = obs.metrics_payload()
-            if metrics is not None:
-                payload["metrics"] = metrics
-        _write_json_payload(args.json_path, payload)
+        _write_json_payload(
+            args.json_path, _with_telemetry(payload, report.fleets, obs)
+        )
 
 
 def _control(args, out) -> None:

@@ -39,6 +39,8 @@ __all__ = [
     "make_governor",
 ]
 
+_INF = float("inf")
+
 
 class Governor:
     """Base control loop: observe the fleet, take at most one action."""
@@ -177,9 +179,10 @@ class QueueDelayGovernor(Governor):
         target_delay_s: float = 5e-3,
     ) -> None:
         super().__init__(tick_s, min_instances, max_instances, warmup_s)
-        if target_delay_s <= 0:
+        if not 0 < target_delay_s < _INF:
             raise ConfigError(
-                f"target_delay_s must be positive ({target_delay_s})"
+                f"target_delay_s must be finite and positive "
+                f"({target_delay_s})"
             )
         self.target_delay_s = target_delay_s
 

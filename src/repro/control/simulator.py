@@ -58,10 +58,8 @@ from .autoscale import GOVERNORS, make_governor
 from .hetero import InstanceSpec, configure_instance
 from .slo import (
     DEFAULT_SLO_CLASSES,
+    KERNEL_ADMISSION,
     ClassStats,
-    DeadlineShedding,
-    NoShedding,
-    QueueDepthShedding,
     SLOClass,
     make_shedder,
 )
@@ -79,10 +77,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-#: Same feasibility epsilon as the shedders in :mod:`repro.control.slo`
-#: — the batched admission hook must reproduce their floats bit-for-bit.
-_EPS = 1e-12
 
 #: Sizing governors start from the minimum fleet; pure-DVFS keeps all
 #: instances powered and only moves their frequency.
@@ -209,8 +203,9 @@ class ControlScenario:
 class ControlHooks(EngineHooks):
     """The control plane as an engine hook configuration.
 
-    Admission runs the shedding policy against the instance the
-    scheduler chose; the tick evaluates the autoscaling governor; the
+    Admission is the shedding policy's own ``admit`` against the
+    instance the scheduler chose — the one scalar implementation of
+    each rule; the tick evaluates the autoscaling governor; the
     completion hook closes the power interval of a retired instance
     once it has fully drained.
     """
@@ -223,76 +218,30 @@ class ControlHooks(EngineHooks):
         self._observe_arrival = getattr(
             governor, "observe_arrival", None
         )
-        # Which column-table admission rule applies.  Exact type
-        # checks: PriorityShedding subclasses QueueDepthShedding but
-        # preempts queued victims, so it (and any other subclass) must
-        # keep the generic scalar shedder.
-        shedder_type = type(shedder)
-        if shedder_type is NoShedding:
-            self._batch_kind = "none"
-        elif shedder_type is DeadlineShedding:
-            self._batch_kind = "deadline"
-        elif shedder_type is QueueDepthShedding:
-            self._batch_kind = "queue-depth"
-        else:
-            self._batch_kind = "generic"
-        # Per-arena column tables for the deadline kernel, cached by
-        # arena identity (one .tolist() per run, not per request).
-        self._batch_cols = None
 
     def on_arrival(self, request, instance, now, engine) -> bool:
-        """Admission through the shedding policy.  The three
-        vectorizable kinds read cached arena column tables (same
-        decisions and floats as the shedder's scalar ``admit``);
-        other shedders — and heterogeneous instances with their own
-        profile tables — run the scalar shedder unchanged."""
+        """Observe the arrival (forecasting governors), then admit
+        through the shedder, marking any preempted victim shed."""
         if self._observe_arrival is not None:
             self._observe_arrival(now)
-        kind = self._batch_kind
-        if kind == "none":
-            return True
-        if kind == "queue-depth":
-            return len(instance.queue) < self.shedder.threshold
-        if kind == "deadline" and instance.profiles is None:
-            arena = request.arena
-            index = request.i
-            cols = self._batch_cols
-            if cols is None or cols[0] is not arena:
-                cols = self._batch_cols = (
-                    arena,
-                    (arena.deadline + _EPS).tolist(),
-                    arena.per_image.tolist(),
-                    arena.model_idx.tolist(),
-                )
-            # Inlined Instance.estimated_completion/pending_seconds,
-            # same float order as DeadlineShedding.admit.
-            pending = instance.busy_until - now
-            if pending < 0.0:
-                pending = 0.0
-            queued = instance.queued_seconds
-            if queued > 0.0:
-                pending += queued * instance.latency_scale
-            est = (now + pending) + cols[2][
-                cols[3][index]
-            ] * instance.latency_scale
-            return est <= cols[1][index]
         admitted, victim = self.shedder.admit(request, instance, now)
         if victim is not None:
             victim.shed = True
         return admitted
 
     def fast_admission(self):
-        """Declare the governor-less vectorizable configurations for
+        """Declare the governor-less kernel-eligible configurations for
         the engine's ``"rr-ctl"`` kernel (see
         :meth:`repro.serve.engine.EngineHooks.fast_admission`): no
         governor means ``on_tick`` never runs and no arrival observer
         is bound, ``on_complete`` only acts on retired instances (and
-        the path requires an always-active fleet), and the three
-        declared shedding rules are exactly ``on_arrival``."""
+        the path requires an always-active fleet), and the shedder's
+        *exact* type maps to the rule its ``admit`` implements
+        (:data:`repro.control.slo.KERNEL_ADMISSION`)."""
         if self.governor is not None:
             return None
-        kind = self._batch_kind
-        if kind == "generic":
+        kind = KERNEL_ADMISSION.get(type(self.shedder))
+        if kind is None:
             return None
         return (kind, getattr(self.shedder, "threshold", 0))
 

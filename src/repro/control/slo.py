@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..parallel.cache import extension_field, restore_extended
-from ..serve.fleet import Instance, Request
+from ..serve.arena import Request
+from ..serve.fleet import Instance
 
 __all__ = [
     "SLOClass",
@@ -32,6 +33,7 @@ __all__ = [
     "QueueDepthShedding",
     "PriorityShedding",
     "SHEDDING_POLICIES",
+    "KERNEL_ADMISSION",
     "make_shedder",
 ]
 
@@ -287,16 +289,47 @@ class DeadlineShedding(SheddingPolicy):
     queued work plus the request's own service time, ignoring batching
     effects — so it sheds exactly the requests that would miss anyway
     and converts deadline misses into cheap early rejections.
+
+    On instances without their own profiles the estimate reads
+    per-arena column tables (``deadline + eps``, per-model per-image
+    seconds, model index), cached by arena identity so a run pays one
+    ``.tolist()`` per column rather than one boxed float per request;
+    the floats and their order are exactly
+    :meth:`~repro.serve.fleet.Instance.estimated_completion`'s.
     """
 
     name = "deadline"
+    #: ``(arena, deadline + eps, per_image, model_idx)`` of the last
+    #: arena seen; a class default, so subclasses need no ``__init__``.
+    _cols = None
 
     def admit(self, request, instance, now):
-        feasible = (
-            instance.estimated_completion(request, now)
-            <= request.deadline + _EPS
-        )
-        return feasible, None
+        if instance.profiles is not None:
+            feasible = (
+                instance.estimated_completion(request, now)
+                <= request.deadline + _EPS
+            )
+            return feasible, None
+        arena = request.arena
+        cols = self._cols
+        if cols is None or cols[0] is not arena:
+            cols = self._cols = (
+                arena,
+                (arena.deadline + _EPS).tolist(),
+                arena.per_image.tolist(),
+                arena.model_idx.tolist(),
+            )
+        index = request.i
+        pending = instance.busy_until - now
+        if pending < 0.0:
+            pending = 0.0
+        queued = instance.queued_seconds
+        if queued > 0.0:
+            pending += queued * instance.latency_scale
+        est = (now + pending) + cols[2][
+            cols[3][index]
+        ] * instance.latency_scale
+        return est <= cols[1][index], None
 
 
 class QueueDepthShedding(SheddingPolicy):
@@ -312,7 +345,7 @@ class QueueDepthShedding(SheddingPolicy):
         self.threshold = threshold
 
     def admit(self, request, instance, now):
-        return instance.queue_depth() < self.threshold, None
+        return len(instance.queue) < self.threshold, None
 
 
 class PriorityShedding(QueueDepthShedding):
@@ -343,6 +376,17 @@ SHEDDING_POLICIES = {
     DeadlineShedding.name: DeadlineShedding,
     QueueDepthShedding.name: QueueDepthShedding,
     PriorityShedding.name: PriorityShedding,
+}
+
+
+#: Exact shedder type -> the admission rule the engine's ``"rr-ctl"``
+#: kernel fuses (see :meth:`repro.serve.engine.EngineHooks.fast_admission`).
+#: Keyed on the exact type, never inherited: a subclass that overrides
+#: ``admit`` (``PriorityShedding``, or a user's) must keep its own rule.
+KERNEL_ADMISSION = {
+    NoShedding: "none",
+    DeadlineShedding: "deadline",
+    QueueDepthShedding: "queue-depth",
 }
 
 

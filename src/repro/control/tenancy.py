@@ -43,9 +43,9 @@ import numpy as np
 from ..errors import ConfigError
 from ..parallel.executor import ParallelExecutor
 from ..power.dvfs import DVFSModel
+from ..serve.arena import Request
 from ..serve.arrival import SharedModulator
 from ..serve.engine import build_requests
-from ..serve.fleet import Request
 from ..serve.simulator import ServingReport, _offered_qps
 from .simulator import (
     ControlScenario,
@@ -60,6 +60,8 @@ __all__ = [
     "MultiFleetReport",
     "simulate_multi_fleet",
 ]
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,9 @@ class MultiFleetScenario:
                 f"unknown spillover policy {self.spillover!r} "
                 "(known: none, deadline)"
             )
-        if self.spillover_hop_ms < 0:
+        if not 0 <= self.spillover_hop_ms < _INF:
             raise ConfigError(
-                "spillover_hop_ms must be >= 0 "
+                "spillover_hop_ms must be finite and >= 0 "
                 f"({self.spillover_hop_ms})"
             )
         for scenario in self.fleets:
@@ -224,7 +226,6 @@ def _forward_target(
 
 #: The columns an engine run writes, shipped back from worker runs.
 _OUTCOMES = ("shed", "start", "finish", "instance")
-_INF = float("inf")
 
 
 def _drain_member(

@@ -1,7 +1,8 @@
 """Chrome trace-event recording for engine runs.
 
-:class:`TraceRecorder` accumulates *complete* spans (``ph == "X"``) and
-*instant* events (``ph == "i"``) and writes them as
+:class:`TraceRecorder` accumulates *instant* events (``ph == "i"``) and
+writes them, with the *complete* spans (``ph == "X"``) that
+:func:`complete_events` builds from columns, as
 the Chrome trace-event JSON object format — a ``traceEvents`` array
 plus ``otherData`` — which Perfetto (https://ui.perfetto.dev) and
 ``chrome://tracing`` load directly.  Simulated seconds map to trace
@@ -43,11 +44,11 @@ def _us(ts_s: float) -> float:
 
 
 def complete_events(names, cat, ts_s, dur_s, pid, tids, args) -> list:
-    """:meth:`TraceRecorder.complete` events over columns: ``ts_s`` /
-    ``dur_s`` are float arrays (``x * 1e6`` elementwise is the scalar
-    product, so the timestamps round identically), ``names`` /
-    ``tids`` / ``args`` are sequences with one non-empty ``args`` dict
-    per span."""
+    """Complete spans (``ph == "X"``) over columns: ``ts_s`` /
+    ``dur_s`` are float arrays of simulated seconds (``x * 1e6``
+    elementwise rounds exactly as :func:`_us` does a scalar),
+    ``names`` / ``tids`` / ``args`` are sequences with one non-empty
+    ``args`` dict per span."""
     return [
         {
             "name": name,
@@ -89,30 +90,6 @@ class TraceRecorder:
 
     def set_thread_name(self, pid: int, tid: int, name: str) -> None:
         self._thread_names[(pid, tid)] = name
-
-    def complete(
-        self,
-        name: str,
-        cat: str,
-        ts_s: float,
-        dur_s: float,
-        pid: int,
-        tid: int,
-        args: dict | None = None,
-    ) -> None:
-        """Record one complete span (``ph == "X"``)."""
-        event = {
-            "name": name,
-            "cat": cat,
-            "ph": "X",
-            "ts": _us(ts_s),
-            "dur": _us(dur_s),
-            "pid": pid,
-            "tid": tid,
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
 
     def instant(
         self,

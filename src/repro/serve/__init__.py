@@ -31,9 +31,9 @@ from .arrival import (
     make_arrivals,
     thin_nhpp,
 )
-from .arena import RequestArena
+from .arena import Request, RequestArena
 from .engine import Engine, EngineHooks, EngineRun
-from .fleet import Batch, Fleet, Instance, Request
+from .fleet import Fleet, Instance
 from .sketch import StreamingLatencyStats, TDigest
 from .policies import (
     POLICIES,
@@ -74,7 +74,6 @@ __all__ = [
     "RequestArena",
     "TDigest",
     "StreamingLatencyStats",
-    "Batch",
     "Instance",
     "Fleet",
     "SchedulingPolicy",

@@ -335,8 +335,7 @@ class Request:
 
     Presents the object-era dataclass API — ``index``, ``model``,
     ``profile``, ``arrival``, ``start``, ``finish``, ``slo``,
-    ``priority``, ``deadline``, ``shed`` plus the ``latency`` /
-    ``queue_wait`` / ``met_deadline`` helpers — over ``(arena, i)``.
+    ``priority``, ``deadline``, ``shed`` — over ``(arena, i)``.
     Views come from their arena (``arena[i]``, iteration, or
     :meth:`RequestArena.view`); ``index`` is the row ``i``.
 
@@ -422,22 +421,6 @@ class Request:
     @instance.setter
     def instance(self, value: int) -> None:
         self.arena.instance[self.i] = value
-
-    # -- derived -----------------------------------------------------
-    @property
-    def latency(self) -> float:
-        """Arrival-to-completion latency."""
-        return self.finish - self.arrival
-
-    @property
-    def queue_wait(self) -> float:
-        """Arrival-to-launch wait."""
-        return self.start - self.arrival
-
-    @property
-    def met_deadline(self) -> bool:
-        """Completed at or before the deadline (shed never counts)."""
-        return not self.shed and 0 <= self.finish <= self.deadline
 
     def __repr__(self) -> str:
         return (

@@ -167,17 +167,19 @@ class BurstyArrivals:
             raise ConfigError(
                 f"rate_qps must be finite and positive ({self.rate_qps})"
             )
-        if self.burst_factor < 1:
+        if not 1 <= self.burst_factor < _INF:
             raise ConfigError(
-                f"burst_factor must be >= 1 ({self.burst_factor})"
+                f"burst_factor must be finite and >= 1 "
+                f"({self.burst_factor})"
             )
         if not 0 < self.burst_share < 1:
             raise ConfigError(
                 f"burst_share must be in (0, 1) ({self.burst_share})"
             )
-        if self.mean_dwell_s <= 0:
+        if not 0 < self.mean_dwell_s < _INF:
             raise ConfigError(
-                f"mean_dwell_s must be positive ({self.mean_dwell_s})"
+                f"mean_dwell_s must be finite and positive "
+                f"({self.mean_dwell_s})"
             )
 
     @property

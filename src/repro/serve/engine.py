@@ -98,7 +98,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from .arena import Request, RequestArena
-from .arena import _class_pools  # noqa: F401  (re-export for clients)
 from .fleet import Fleet, Instance
 from .policies import (
     LeastLoadedPolicy,

@@ -18,25 +18,7 @@ from ..errors import ConfigError
 from .arena import Request
 from .profile import ServiceProfile
 
-__all__ = ["Request", "Batch", "Instance", "Fleet"]
-
-
-@dataclass(frozen=True, slots=True)
-class Batch:
-    """A same-model run of requests launched together."""
-
-    requests: tuple[Request, ...]
-
-    @property
-    def model(self) -> str:
-        return self.requests[0].model
-
-    @property
-    def profile(self) -> ServiceProfile:
-        return self.requests[0].profile
-
-    def __len__(self) -> int:
-        return len(self.requests)
+__all__ = ["Instance", "Fleet"]
 
 
 @dataclass(slots=True)
@@ -229,36 +211,17 @@ class Instance:
             self.powered_seconds += now - self.powered_since
             self.powered_since = None
 
-    def next_batch(self, max_batch: int) -> Batch:
-        """The batch that would launch now: the longest same-model run
-        at the queue head, capped at ``max_batch`` (FIFO order is never
-        violated — a different model behind the head waits its turn)."""
-        if not self.queue:
-            raise ConfigError("no queued requests to batch")
-        head_model = self.queue[0].model
-        members = []
-        for request in self.queue:
-            if request.model != head_model or len(members) == max_batch:
-                break
-            members.append(request)
-        return Batch(requests=tuple(members))
-
-    def launch(self, batch: Batch, now: float) -> float:
-        """Start serving ``batch``; returns its completion time.
-
-        Images stream sequentially, so the i-th request of the batch
-        finishes after ``setup + (i+1) * per_image`` — completion times
-        inside a batch are staggered, not simultaneous.  Service times
-        come from the instance's own profile (heterogeneous fleets) when
-        one is set, stretched by its DVFS ``latency_scale``.
-        """
-        return self._serve(batch.requests, now)
-
     def launch_head(self, max_batch: int, now: float) -> float:
-        """Launch the due head batch without materializing a
-        :class:`Batch`: pops the longest same-model run at the queue
-        head (capped at ``max_batch``) and serves it.  The engine's hot
-        path — identical outcome to ``launch(next_batch(max_batch))``.
+        """Launch the due head batch; returns its completion time.
+
+        The batch is the longest same-model run at the queue head,
+        capped at ``max_batch`` (FIFO order is never violated — a
+        different model behind the head waits its turn).  Images
+        stream sequentially, so the i-th request of the batch finishes
+        after ``setup + (i+1) * per_image`` — completion times inside a
+        batch are staggered, not simultaneous.  Service times come from
+        the instance's own profile (heterogeneous fleets) when one is
+        set, stretched by its DVFS ``latency_scale``.
         """
         queue = self.queue
         if not queue:
@@ -271,27 +234,18 @@ class Instance:
             and queue[0].model == model
         ):
             members.append(queue.popleft())
-        return self._serve(members, now)
-
-    def _serve(self, requests, now: float) -> float:
-        """Serve an already-selected same-model run (shared by
-        :meth:`launch` and :meth:`launch_head`)."""
-        queue = self.queue
         queued_seconds = self.queued_seconds
-        for request in requests:
-            if queue and queue[0] is request:
-                queue.popleft()
+        for request in members:
             queued_seconds -= request.profile.per_image_seconds
         self.queued_seconds = queued_seconds if queue else 0.0
-        head = requests[0]
-        model = head.model
+        head = members[0]
         cold = self.loaded_model != model
         profile = self.profile_for(model) or head.profile
         setup = profile.setup_seconds if cold else 0.0
         per_image = profile.per_image_seconds * self.latency_scale
         base = now + setup
         count = 0
-        for request in requests:
+        for request in members:
             count += 1
             request.start = now
             request.finish = base + count * per_image

@@ -33,7 +33,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import ConfigError
-from .fleet import Instance, Request
+from .arena import Request
+from .fleet import Instance
 
 __all__ = [
     "SchedulingPolicy",

@@ -172,6 +172,18 @@ class TestGovernorUnits:
                 warmup_s=0.0,
             )
 
+    @pytest.mark.parametrize(
+        "delay", [0.0, -1e-3, float("nan"), float("inf")]
+    )
+    def test_queue_delay_target_must_be_finite_positive(self, delay):
+        """A NaN setpoint compares false both ways, so the governor
+        would silently never act."""
+        with pytest.raises(ConfigError, match="target_delay_s"):
+            make_governor(
+                "queue-delay", tick_s=0.01, min_instances=1,
+                max_instances=2, warmup_s=0.0, target_delay_s=delay,
+            )
+
     def test_scale_down_prefers_empty_instance_and_obeys_min(self):
         governor = UtilizationBandGovernor(
             tick_s=0.01, min_instances=1, max_instances=3,

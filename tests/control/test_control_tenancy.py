@@ -348,9 +348,12 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match=r"\[0, 1\)"):
             _overloaded_pair(amplitude=1.0)
 
-    def test_rejects_negative_hop(self):
-        with pytest.raises(ConfigError):
-            _overloaded_pair(spillover_hop_ms=-1.0)
+    @pytest.mark.parametrize(
+        "hop_ms", [-1.0, float("nan"), float("inf")]
+    )
+    def test_rejects_negative_or_non_finite_hop(self, hop_ms):
+        with pytest.raises(ConfigError, match="spillover_hop_ms"):
+            _overloaded_pair(spillover_hop_ms=hop_ms)
 
     def test_rejects_spillover_without_any_shedding(self):
         """Only shed requests can spill; spillover over all-admitting

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
@@ -11,6 +12,7 @@ from repro.obs import (
     render_trace_summary,
     summarize_trace,
 )
+from repro.obs.trace import complete_events
 from repro.serve import ServingScenario, simulate
 
 
@@ -20,12 +22,10 @@ def _recorded(recorder):
 
 class TestEventShapes:
     def test_complete_span(self):
-        recorder = TraceRecorder()
-        recorder.complete(
-            "m", cat="request", ts_s=0.25, dur_s=0.5, pid=1, tid=2,
-            args={"batch": 3},
+        (event,) = complete_events(
+            ["m"], "request", np.array([0.25]), np.array([0.5]),
+            pid=1, tids=[2], args=[{"batch": 3}],
         )
-        (event,) = _recorded(recorder)
         assert event == {
             "name": "m",
             "cat": "request",
@@ -104,7 +104,7 @@ class TestPayloadOrdering:
 class TestStateDict:
     def test_round_trip_preserves_events(self):
         recorder = TraceRecorder()
-        recorder.complete("m", cat="batch", ts_s=0.1, dur_s=0.2, pid=0, tid=0)
+        recorder.instant("spill", cat="spillover", ts_s=0.1, pid=0)
         recorder.instant("power-up", cat="governor", ts_s=0.2, pid=0, tid=1)
         restored = TraceRecorder()
         restored.load_state_dict(recorder.state_dict())
@@ -124,15 +124,21 @@ class TestWriteAndSummarize:
     def _sample(self, path):
         recorder = TraceRecorder()
         recorder.set_process_name(0, "fleet 0")
-        recorder.complete(
-            "m", cat="request", ts_s=0.0, dur_s=0.004, pid=0, tid=0
-        )
-        recorder.complete(
-            "m", cat="batch", ts_s=0.001, dur_s=0.002, pid=0, tid=0
-        )
         recorder.instant("shed", cat="admission", ts_s=0.002, pid=0, tid=1)
+        spans = [
+            *complete_events(
+                ["m"], "request", np.array([0.0]), np.array([0.004]),
+                pid=0, tids=[0], args=[{"batch": 0}],
+            ),
+            *complete_events(
+                ["m"], "batch", np.array([0.001]), np.array([0.002]),
+                pid=0, tids=[0], args=[{"batch": 0}],
+            ),
+        ]
         recorder.write(
-            path, other_data={"offered": 2, "completed": 1, "shed": 1}
+            path,
+            other_data={"offered": 2, "completed": 1, "shed": 1},
+            events=spans,
         )
 
     def test_written_file_is_compact_json_with_newline(self, tmp_path):

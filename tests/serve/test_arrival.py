@@ -62,6 +62,11 @@ class TestBursty:
             BurstyArrivals(100.0, burst_share=1.5)
         with pytest.raises(ConfigError):
             BurstyArrivals(100.0, mean_dwell_s=0.0)
+        # NaN compares false against any bound; inf makes the state
+        # rates NaN.
+        for factor in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                BurstyArrivals(100.0, burst_factor=factor)
 
 
 class TestDiurnal:

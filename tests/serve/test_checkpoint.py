@@ -36,7 +36,7 @@ from repro.checkpoint import (
 )
 from repro.control.simulator import ControlScenario, simulate_controlled
 from repro.control.slo import SLOClass
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.eval.control import report_to_dict
 from repro.parallel.cache import make_key
 from repro.serve.arrival import capture_rng_state, restore_rng
@@ -323,6 +323,18 @@ class TestCheckpointFormat:
             run_serve_checkpointed(
                 scenario, tmp_path / "x.ckpt", every_s=-1.0
             )
+
+    @pytest.mark.parametrize("every_s", [float("nan"), float("inf")])
+    def test_non_finite_cadence(self, tmp_path, every_s):
+        """A non-finite cadence fails up front; a NaN one would leave
+        the engine clock at NaN with no checkpoint written."""
+        with pytest.raises(ConfigError, match="finite"):
+            run_control_checkpointed(
+                ControlScenario(requests=400, seed=2),
+                tmp_path / "x.ckpt",
+                every_s=every_s,
+            )
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestResumeKeepsCheckpointing:

@@ -13,7 +13,6 @@ from repro.serve import (
 )
 
 EDGE = service_profile("edge-tiny")
-V1 = service_profile("mobilenet-v1-224")
 
 
 def _rows(count, gap=0.01, model="edge-tiny", profile=None):
@@ -44,23 +43,6 @@ class TestKernel:
         # One arrival event per request plus >= 1 completion per batch.
         assert run.events > len(requests)
         assert run.tick_actions == 0
-
-    def test_launch_head_matches_launch_next_batch(self):
-        """The engine's batch fast path is the public two-step API."""
-        fast, slow = Fleet(1)[0], Fleet(1)[0]
-        for instance in (fast, slow):
-            for request in arena_of(
-                *_rows(5, gap=0.0),
-                *_rows(3, gap=0.0, model="mobilenet-v1-224", profile=V1),
-            ):
-                instance.enqueue(request)
-        assert fast.launch_head(4, now=0.0) == slow.launch(
-            slow.next_batch(4), now=0.0
-        )
-        assert fast.queued_seconds == slow.queued_seconds
-        assert [r.model for r in fast.queue] == [
-            r.model for r in slow.queue
-        ]
 
     def test_validation(self):
         fleet = Fleet(1)

@@ -149,6 +149,30 @@ class TestControlPlaneMatrix:
         assert engine.hooks.fast_admission() is None
         assert engine._fast_mode(_arena()) is None
 
+    def test_overriding_deadline_subclass_keeps_its_own_rule(self):
+        """Kernel eligibility is keyed on the shedder's exact type: a
+        DeadlineShedding subclass that overrides ``admit`` must not
+        inherit the parent's fused rule, and the general loop it takes
+        must carry out the subclass's own decisions."""
+
+        class ShedOddRows(DeadlineShedding):
+            def admit(self, request, instance, now):
+                if request.i % 2:
+                    return False, None
+                return super().admit(request, instance, now)
+
+        engine = _ctl_engine(ShedOddRows())
+        assert engine.hooks.fast_admission() is None
+        arena = _arena()
+        run = engine.run(arena)
+        assert run.dispatch == "general"
+        assert "on_arrival" in run.fallback
+        odd = np.arange(len(arena)) % 2 == 1
+        # Odd rows shed by the override; even rows reach the parent's
+        # deadline rule, which admits them (deadlines are unbounded).
+        assert arena.shed.tolist() == odd.tolist()
+        assert (arena.finish[~odd] > 0).all()
+
     def test_non_round_robin_routing_disqualifies(self):
         engine = _ctl_engine(policy="least-loaded")
         assert engine._fast_mode(_arena()) is None

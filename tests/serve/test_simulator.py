@@ -208,12 +208,14 @@ class TestIncrementalBacklog:
             inst.enqueue(request)
         expected = 2 * edge.per_image_seconds + v1.per_image_seconds
         assert inst.pending_seconds(0.0) == pytest.approx(expected)
-        inst.launch(inst.next_batch(max_batch=8), now=0.0)  # both edge
+        inst.launch_head(max_batch=8, now=0.0)  # both edge
         assert inst.queued_seconds == pytest.approx(
             v1.per_image_seconds
         )
-        inst.launch(inst.next_batch(max_batch=8), now=inst.busy_until)
+        assert [r.model for r in inst.queue] == ["mobilenet-v1-224"]
+        inst.launch_head(max_batch=8, now=inst.busy_until)
         assert inst.queued_seconds == 0.0
+        assert not inst.queue
 
     def test_overloaded_simulation_stays_fast(self):
         """Scheduling must remain O(instances) per arrival even when

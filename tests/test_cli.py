@@ -481,6 +481,28 @@ class TestTelemetryCli:
         }
         assert pids == {0, 1}
 
+    def test_multi_fleet_json_reports_each_member_path(self, tmp_path):
+        """A multi-fleet ``--json`` says which execution path every
+        member fleet ran, in the single-run ``engine`` shape, beside
+        (not inside) the physics payload."""
+        import json
+
+        report = tmp_path / "mf.json"
+        code, _ = run_cli(
+            "control", "--multi-fleet-qps", "2000,800",
+            "--requests", "300", "--spillover", "deadline",
+            "--shedding", "deadline", "--json", str(report),
+        )
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert list(payload) == ["multi_fleet", "engine"]
+        engine = payload["engine"]
+        assert len(engine) == len(payload["multi_fleet"]["fleets"]) == 2
+        for entry in engine:
+            assert entry["dispatch"] == "general"
+            assert entry["fallback"]
+            assert entry["events"] > 0
+
     def test_trace_summary_subcommand(self, tmp_path):
         trace = tmp_path / "run.trace.json"
         code, _ = run_cli(
@@ -700,6 +722,25 @@ class TestNonFiniteInputs:
             (("serve", "--requests", "200", "--max-wait-ms", "nan"),
              "--max-wait-ms"),
             (("serve", "--requests", "200", "--qps", "inf"), "--qps"),
+            (("serve", "--requests", "200", "--arrival", "bursty",
+              "--burst-factor", "nan"), "--burst-factor"),
+            (("control", "--requests", "200", "--arrival", "bursty",
+              "--burst-factor", "nan"), "--burst-factor"),
+            (("serve", "--requests", "200", "--arrival", "bursty",
+              "--burst-factor", "inf"), "--burst-factor"),
+            (("control", "--requests", "200", "--autoscale",
+              "queue-delay", "--target-delay-ms", "nan"),
+             "--target-delay-ms"),
+            (("control", "--requests", "200", "--autoscale",
+              "queue-delay", "--target-delay-ms", "inf"),
+             "--target-delay-ms"),
+            (("control", "--requests", "200", "--multi-fleet-qps",
+              "1000,500", "--spillover", "deadline",
+              "--spillover-hop-ms", "nan"), "--spillover-hop-ms"),
+            (("control", "--requests", "200", "--checkpoint", "c.pkl",
+              "--checkpoint-every", "nan"), "--checkpoint-every"),
+            (("serve", "--requests", "200", "--checkpoint", "c.pkl",
+              "--checkpoint-every", "inf"), "--checkpoint-every"),
         ],
         ids=[
             "metrics-every-nan",
@@ -708,9 +749,17 @@ class TestNonFiniteInputs:
             "diurnal-period-nan",
             "max-wait-nan",
             "qps-inf",
+            "serve-burst-factor-nan",
+            "control-burst-factor-nan",
+            "burst-factor-inf",
+            "target-delay-nan",
+            "target-delay-inf",
+            "spillover-hop-nan",
+            "control-checkpoint-every-nan",
+            "serve-checkpoint-every-inf",
         ],
     )
-    def test_cli_rejects(self, argv, flag):
+    def test_cli_rejects(self, argv, flag, tmp_path):
         import os
         import subprocess
         import sys
@@ -725,9 +774,11 @@ class TestNonFiniteInputs:
             capture_output=True,
             text=True,
             timeout=20,
+            cwd=tmp_path,
         )
         assert proc.returncode == 1, proc.stdout[-500:]
         assert f"error: {flag} must be a finite number" in proc.stderr
+        assert not list(tmp_path.iterdir())  # no checkpoint written
 
     @pytest.mark.parametrize("command", ["serve", "control"])
     def test_cli_rejects_nan_trace_file(self, command, tmp_path):
