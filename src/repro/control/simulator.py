@@ -514,7 +514,6 @@ def prepare_controlled(
         max_wait_s=scenario.max_wait_ms * 1e-3,
         hooks=ControlHooks(shedder, governor),
         tick_s=tick_s if governor is not None else None,
-        priority_queues=True,
     )
     engine.begin(requests)
     return ControlExecution(

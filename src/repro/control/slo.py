@@ -361,7 +361,7 @@ class PriorityShedding(QueueDepthShedding):
     name = "priority"
 
     def admit(self, request, instance, now):
-        if instance.queue_depth() < self.threshold:
+        if len(instance.queue) < self.threshold:
             return True, None
         victim = instance.queue[-1]
         if victim.priority > request.priority:

@@ -31,11 +31,12 @@ everything else steps the general loop.  :meth:`Engine.run` is exactly
 
 1. **General path** — the ``(time, seq)`` event loop below, processing
    one arrival/completion/wake/tick at a time.  Runs whenever hooks,
-   ticks, priority queues, or a stateful fleet are in play; iterates
-   arena views, so hook clients still see ``Request`` objects.  Every
-   request stream is a :class:`~repro.serve.arena.RequestArena` —
-   multi-fleet receivers included, which merge their spill-ins as
-   rows — so only the configuration decides the path.
+   ticks, several priority levels in a hook-free stream, or a
+   stateful fleet are in play; iterates arena views, so hook clients
+   still see ``Request`` objects.  Every request stream is a
+   :class:`~repro.serve.arena.RequestArena` — multi-fleet receivers
+   included, which merge their spill-ins as rows — so the stream's
+   type never decides the path.
 2. **Round-robin fast path** — round-robin striping makes each
    instance's request stream a predetermined slice ``arena[j::K]``, so
    the per-instance timeline is computed with vectorized batch
@@ -46,13 +47,21 @@ everything else steps the general loop.  :meth:`Engine.run` is exactly
    vectorization, but the event loop is specialized to plain Python
    lists and a single event slot per instance (no heap, no objects).
 4. **Controlled round-robin fast path** (``"rr-ctl"``) — the control
-   plane's common configuration (shedding, priority queues, DVFS
+   plane's common configuration (shedding, several priorities, DVFS
    scales, energy accounting — but *no* governor ticks) over
    round-robin routing.  Striping again decouples the instances, so
    admission (deadline-feasibility or queue-depth shedding) fuses
    straight into a per-instance scalar fold; the hook set opts in
    through :meth:`EngineHooks.fast_admission` rather than the engine
    importing the control plane.
+
+Every instance queue is kept in ``(priority, arena row)`` order —
+FIFO within a priority, so a single-priority stream is plain FIFO.
+Rows are consumed in increasing order, so an arrival appends unless
+the queue's tail is strictly lower priority, and otherwise bisects in
+on priority alone (:meth:`Instance.enqueue`; ``"rr-ctl"`` inlines the
+same rule).  The ``"rr"``/``"ll"`` kernels keep FIFO queues, so they
+serve single-priority streams only.
 
 Every path writes the same outcome columns — ``start``, ``finish``,
 ``shed``, and the routed ``instance`` — so telemetry is derived from
@@ -268,7 +277,9 @@ class Engine:
         max_wait_s: Longest a queue head waits for its batch to fill.
         hooks: Decision points (admission, ticks, accounting).
         tick_s: ``on_tick`` interval; ``None`` schedules no ticks.
-        priority_queues: Keep instance queues priority-ordered.
+
+    Instance queues are always in ``(priority, arena row)`` order
+    (:meth:`Instance.enqueue`), so a single-priority stream is FIFO.
     """
 
     __slots__ = (
@@ -278,7 +289,6 @@ class Engine:
         "max_wait_s",
         "hooks",
         "tick_s",
-        "priority_queues",
         "_admit",
         "_on_complete",
         "_on_tick_overridden",
@@ -297,7 +307,6 @@ class Engine:
         max_wait_s: float,
         hooks: EngineHooks | None = None,
         tick_s: float | None = None,
-        priority_queues: bool = False,
     ) -> None:
         if max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1 ({max_batch})")
@@ -315,7 +324,6 @@ class Engine:
         self.max_wait_s = max_wait_s
         self.hooks = hooks if hooks is not None else EngineHooks()
         self.tick_s = tick_s
-        self.priority_queues = priority_queues
         cls = type(self.hooks)
         # Bind overridden hooks only: the serve plane runs with all
         # of them at their base no-ops and pays zero dispatch for
@@ -366,11 +374,12 @@ class Engine:
         (general loop).
 
         ``"rr"``/``"ll"`` require the hook-free serve-plane
-        configuration over a pristine fleet; ``"rr-ctl"`` relaxes
-        that for hook sets whose :meth:`EngineHooks.fast_admission`
-        declares a vectorizable shedding rule (the governor-less
-        control plane): priority queues, DVFS latency scales, and
-        busy-power accounting are folded into the kernel, but ticks,
+        configuration over a pristine fleet and a single priority
+        level (their queues are FIFO); ``"rr-ctl"`` relaxes that for
+        hook sets whose :meth:`EngineHooks.fast_admission` declares a
+        vectorizable shedding rule (the governor-less control plane):
+        priority-ordered queues, DVFS latency scales, and busy-power
+        accounting are folded into the kernel, but ticks,
         per-instance profiles, and any pre-existing instance state
         still fall back to the general loop, which handles everything.
 
@@ -387,8 +396,9 @@ class Engine:
                 return self._fall_back("on_arrival hook overridden")
             if self._on_complete is not None:
                 return self._fall_back("on_complete hook overridden")
-            if self.priority_queues:
-                return self._fall_back("priority queues enabled")
+            priority = arena.priority
+            if len(priority) and bool(np.any(priority != priority[0])):
+                return self._fall_back("several priority levels")
             if self._on_tick_overridden:
                 return self._fall_back("on_tick hook overridden")
         for inst in self.fleet.instances:
@@ -728,7 +738,6 @@ class Engine:
         K = len(instances)
         mb = self.max_batch
         mw = self.max_wait_s
-        prio_aware = self.priority_queues
         n = len(arena)
         a_l = arena.arrival.tolist()
         m_l = arena.model_idx.tolist()
@@ -743,6 +752,7 @@ class Engine:
         dle_l = (arena.arrival + mw - _EPS).tolist()
         per_req = per_arr[arena.model_idx].tolist()
         prio_l = arena.priority.tolist()
+        prio_key = prio_l.__getitem__
         deadline_shed = kind == "deadline"
         depth_shed = kind == "queue-depth"
         # SLO deadlines are absolute; the vectorized + _EPS is
@@ -804,20 +814,12 @@ class Engine:
                         shed_ids.append(rid)
                         continue
                     # -- priority-ordered enqueue -----------------
-                    # Instance.enqueue's tail scan on (priority,
-                    # index): stream indices strictly increase, so
-                    # the tuple compare reduces to priority <=.
-                    if prio_aware and q:
-                        p = prio_l[rid]
-                        if prio_l[q[-1]] <= p:
-                            q.append(rid)
-                        else:
-                            at = len(q)
-                            for qrid in reversed(q):
-                                if prio_l[qrid] <= p:
-                                    break
-                                at -= 1
-                            q.insert(at, rid)
+                    # Instance.enqueue's rule: rows strictly
+                    # increase, so bisecting on priority alone gives
+                    # the (priority, row) position.
+                    p = prio_l[rid]
+                    if q and prio_l[q[-1]] > p:
+                        q.insert(bisect_right(q, p, key=prio_key), rid)
                     else:
                         q.append(rid)
                     qs += per_req[rid]
@@ -1074,7 +1076,6 @@ class Engine:
         admit = self._admit
         on_complete = self._on_complete
         hooks = self.hooks
-        priority = self.priority_queues
         tick_s = self.tick_s
         static_fleet = state.static_fleet
         heap = state.heap
@@ -1125,7 +1126,7 @@ class Engine:
                 ):
                     request.shed = True
                     continue
-                instance.enqueue(request, priority_aware=priority)
+                instance.enqueue(request)
                 self._maybe_launch(instance, now)
                 continue
             if not heap:

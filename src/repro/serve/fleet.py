@@ -1,18 +1,20 @@
 """Requests, accelerator instances, and the fleet they form.
 
-Each instance models one EDEA accelerator behind its own FIFO batching
-queue: requests wait until a batch launches (full, or the head request
-has waited the configured maximum), then stream through the accelerator
-back to back — the design has no inter-image parallelism, so a batch's
-benefit is amortizing the model-switch weight load, not parallel
-compute.  The fleet is just the indexed collection a scheduling policy
-chooses from.
+Each instance models one EDEA accelerator behind its own batching
+queue, ordered by priority and FIFO within a priority: requests wait
+until a batch launches (full, or the head request has waited the
+configured maximum), then stream through the accelerator back to
+back — the design has no inter-image parallelism, so a batch's benefit
+is amortizing the model-switch weight load, not parallel compute.  The
+fleet is just the indexed collection a scheduling policy chooses from.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..errors import ConfigError
 from .arena import Request
@@ -20,17 +22,21 @@ from .profile import ServiceProfile
 
 __all__ = ["Instance", "Fleet"]
 
+_priority = attrgetter("priority")
+
 
 @dataclass(slots=True)
 class Instance:
-    """One accelerator instance with its FIFO batching queue.
+    """One accelerator instance with its priority-ordered batching
+    queue.
 
     Attributes:
         index: Position in the fleet.
         busy_until: Completion time of the in-flight batch (<= now when
             idle).
         loaded_model: Model whose weights are resident (None when cold).
-        queue: Waiting requests in arrival order.
+        queue: Waiting requests in ``(priority, arena row)`` order —
+            FIFO within a priority (see :meth:`enqueue`).
         busy_seconds: Accumulated service time (utilization numerator).
         served: Completed request count.
         batches: Launched batch count.
@@ -114,33 +120,24 @@ class Instance:
         for name in self._STATE_FIELDS:
             setattr(self, name, state[name])
 
-    def enqueue(
-        self, request: Request, priority_aware: bool = False
-    ) -> None:
-        """Append a request; with ``priority_aware`` the queue is kept
-        sorted by ``(priority, arena row)`` so urgent classes batch
-        first.
+    def enqueue(self, request: Request) -> None:
+        """Add a request, keeping the queue in ``(priority, arena
+        row)`` order: urgent classes batch first, FIFO within a
+        priority (so a single-priority stream is plain FIFO).
 
-        The insertion point is found scanning from the *tail*: arrivals
-        have monotonically increasing rows, so same-or-lower-priority
-        traffic (the common case) appends in O(1) and only a
-        strictly-higher-priority arrival walks past the lower-priority
-        backlog it overtakes — keeping the overload baselines, whose
-        single-class queues grow long, linear rather than quadratic.
+        Arrivals carry the largest row so far, so bisecting on
+        priority alone lands on the ``(priority, row)`` position.  A
+        same-or-lower-priority arrival (the common case) appends in
+        O(1); only an overtaking one pays a bisection and an insert.
         """
-        if priority_aware and self.queue:
-            key = (request.priority, request.i)
-            pos = len(self.queue)
-            for queued in reversed(self.queue):
-                if (queued.priority, queued.i) <= key:
-                    break
-                pos -= 1
-            if pos == len(self.queue):
-                self.queue.append(request)
-            else:
-                self.queue.insert(pos, request)
+        queue = self.queue
+        priority = request.priority
+        if queue and queue[-1].priority > priority:
+            queue.insert(
+                bisect_right(queue, priority, key=_priority), request
+            )
         else:
-            self.queue.append(request)
+            queue.append(request)
         self.queued_seconds += request.profile.per_image_seconds
 
     def remove(self, request: Request) -> None:
@@ -152,9 +149,6 @@ class Instance:
 
     def is_idle(self, now: float) -> bool:
         return self.busy_until <= now
-
-    def queue_depth(self) -> int:
-        return len(self.queue)
 
     def profile_for(self, model: str) -> ServiceProfile | None:
         """This instance's own profile of ``model`` (None = use the
@@ -215,7 +209,7 @@ class Instance:
         """Launch the due head batch; returns its completion time.
 
         The batch is the longest same-model run at the queue head,
-        capped at ``max_batch`` (FIFO order is never violated — a
+        capped at ``max_batch`` (queue order is never violated — a
         different model behind the head waits its turn).  Images
         stream sequentially, so the i-th request of the batch finishes
         after ``setup + (i+1) * per_image`` — completion times inside a

@@ -10,10 +10,9 @@ equivalence (see ``benchmarks/test_bench_engine.py``); this file pins
 the physics.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
+from general_loop import force_general
 
 from repro.control import (
     ControlScenario,
@@ -22,13 +21,6 @@ from repro.control import (
 )
 from repro.control.simulator import simulate_controlled_detailed
 from repro.parallel.cache import make_key
-from repro.serve.engine import Engine
-
-
-def _force_general():
-    return mock.patch.object(
-        Engine, "_fast_mode", lambda self, arena: None
-    )
 
 
 def _detailed(scenario):
@@ -66,7 +58,7 @@ class TestFastPathEquivalence:
     def test_fast_equals_general(self, name):
         scenario = SCENARIOS[name]
         fast_report, fast_arena = _detailed(scenario)
-        with _force_general():
+        with force_general():
             gen_report, gen_arena = _detailed(scenario)
 
         assert fast_report.engine_dispatch == "rr-ctl"

@@ -162,13 +162,13 @@ class TestShedders:
         low_a, low_b, urgent = arena_of(
             _row(priority=2), _row(priority=2), _row(priority=0)
         )
-        instance.enqueue(low_a, priority_aware=True)
-        instance.enqueue(low_b, priority_aware=True)
+        instance.enqueue(low_a)
+        instance.enqueue(low_b)
         admitted, victim = shedder.admit(urgent, instance, 0.0)
         assert admitted
         assert victim is low_b  # newest lowest-priority pays
         assert victim.shed is False  # simulator marks it
-        assert instance.queue_depth() == 1
+        assert len(instance.queue) == 1
 
     def test_priority_sheds_equal_class_arrival(self):
         instance = Instance(index=0)
@@ -176,7 +176,7 @@ class TestShedders:
         queued, arriving = arena_of(
             _row(priority=1), _row(priority=1)
         )
-        instance.enqueue(queued, priority_aware=True)
+        instance.enqueue(queued)
         admitted, victim = shedder.admit(arriving, instance, 0.0)
         assert not admitted and victim is None
 

@@ -10,6 +10,7 @@ reports *and* identical persistent-cache content keys for a repeated
 import dataclasses
 
 import pytest
+from general_loop import force_general
 
 from repro.control import (
     ControlScenario,
@@ -267,8 +268,6 @@ class TestMemberDispatch:
         arena, so ungoverned round-robin members — receiver included —
         take the fused "rr-ctl" kernel, with the report the general
         loop produces."""
-        from test_control_fastpath import _force_general
-
         pair = _overloaded_pair()
         scenario = dataclasses.replace(
             pair,
@@ -282,7 +281,7 @@ class TestMemberDispatch:
         assert [f.engine_dispatch for f in report.fleets] == [
             "rr-ctl", "rr-ctl"
         ]
-        with _force_general():
+        with force_general():
             general = simulate_multi_fleet(scenario)
         assert [f.engine_dispatch for f in general.fleets] == [
             "general", "general"

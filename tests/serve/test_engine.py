@@ -2,6 +2,7 @@
 
 import pytest
 from arena_rows import arena_of
+from general_loop import force_general
 
 from repro.errors import ConfigError
 from repro.serve import (
@@ -202,11 +203,9 @@ class TestHooks:
 class TestFastPathParity:
     """A/B: the columnar fast paths equal the general loop exactly.
 
-    ``priority_queues=True`` with all-default-priority requests is a
-    behavioural no-op (FIFO within one priority level) but disqualifies
-    every fast path, so the same workload runs through the general
-    heap loop — finishes, starts, events, and instance counters must
-    be bit-identical.
+    The same workload runs through the dispatched kernel and the
+    forced general heap loop — finishes, starts, events, and instance
+    counters must be bit-identical.
     """
 
     @pytest.mark.parametrize("policy", ["round-robin", "least-loaded"])
@@ -222,23 +221,18 @@ class TestFastPathParity:
             4_000, np.random.default_rng(5)
         )
 
-        def run(force_general):
+        def run():
             rng = np.random.default_rng(9)
             arena = build_requests(mix, times, rng)
-            engine = _engine(
-                Fleet(3),
-                policy=policy,
-                max_wait_s=0.01,
-                priority_queues=force_general,
-            )
-            assert (
-                engine._fast_mode(arena) is None
-            ) == force_general
+            engine = _engine(Fleet(3), policy=policy, max_wait_s=0.01)
             run_info = engine.run(arena)
             return arena, run_info, engine.fleet
 
-        fast_arena, fast_run, fast_fleet = run(False)
-        gen_arena, gen_run, gen_fleet = run(True)
+        fast_arena, fast_run, fast_fleet = run()
+        with force_general():
+            gen_arena, gen_run, gen_fleet = run()
+        assert fast_run.dispatch != "general"
+        assert gen_run.dispatch == "general"
         assert np.array_equal(fast_arena.finish, gen_arena.finish)
         assert np.array_equal(fast_arena.start, gen_arena.start)
         assert np.array_equal(fast_arena.instance, gen_arena.instance)

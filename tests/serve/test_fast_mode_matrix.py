@@ -11,10 +11,9 @@ run.  Telemetry is derived from the drained columns, so it never moves
 a run off its fast path.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
+from general_loop import force_general
 
 from repro.control import ControlScenario, simulate_controlled
 from repro.control.simulator import ControlHooks
@@ -54,7 +53,6 @@ def _ctl_engine(shedder=None, governor=None, **kwargs):
         shedder if shedder is not None else DeadlineShedding(),
         governor=governor,
     )
-    kwargs.setdefault("priority_queues", True)
     return _engine(hooks=hooks, **kwargs)
 
 
@@ -71,7 +69,6 @@ class TestServePlaneMatrix:
         "kwargs, reason_fragment",
         [
             ({"tick_s": 0.5}, "tick"),
-            ({"priority_queues": True}, "priority queues"),
             ({"max_wait_s": 1e-10}, "sub-nanosecond"),
         ],
     )
@@ -79,6 +76,16 @@ class TestServePlaneMatrix:
         engine = _engine(**kwargs)
         assert engine._fast_mode(_arena()) is None
         assert reason_fragment in engine._fast_reason
+
+    @pytest.mark.parametrize("policy", ["round-robin", "least-loaded"])
+    def test_several_priority_levels_disqualify(self, policy):
+        """The "rr"/"ll" kernels keep FIFO queues, so a hook-free
+        stream with several priority levels takes the general loop."""
+        arena = _arena()
+        arena.priority[::3] = 1
+        engine = _engine(policy=policy)
+        assert engine._fast_mode(arena) is None
+        assert engine._fast_reason == "several priority levels"
 
     def test_overridden_hook_disqualifies(self):
         class Admit(EngineHooks):
@@ -231,9 +238,7 @@ class TestUnsupportedConfigsMatchGeneral:
         report = simulate_controlled(scenario)
         assert report.engine_dispatch == "general"
         assert report.engine_fallback
-        with mock.patch.object(
-            Engine, "_fast_mode", lambda self, arena: None
-        ):
+        with force_general():
             forced = simulate_controlled(scenario)
         assert forced.engine_dispatch == "general"
         assert report == forced
