@@ -15,6 +15,7 @@ Policies are deliberately small single-decision objects, mirroring
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -71,7 +72,8 @@ class SLOClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("SLO class needs a non-empty name")
-        if self.deadline_ms <= 0:
+        # inf is legal ("no deadline"); NaN fails the comparison.
+        if not self.deadline_ms > 0:
             raise ConfigError(
                 f"deadline_ms must be positive ({self.deadline_ms})"
             )
@@ -79,8 +81,10 @@ class SLOClass:
             raise ConfigError(
                 f"target must be in (0, 1] ({self.target})"
             )
-        if self.share <= 0:
-            raise ConfigError(f"share must be positive ({self.share})")
+        if not 0 < self.share < math.inf:
+            raise ConfigError(
+                f"share must be finite and positive ({self.share})"
+            )
         if self.model is not None and not self.model:
             raise ConfigError(
                 "SLO class model binding must be a non-empty name "

@@ -18,6 +18,7 @@ e.g. the classic result that peak *energy efficiency* sits below the peak
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -114,11 +115,14 @@ class DVFSModel:
             frequency_hz: Clock; defaults to the voltage's ``f_max``.
 
         Raises:
-            ConfigError: If the requested frequency exceeds ``f_max``.
+            ConfigError: If the voltage is not finite, or the requested
+                frequency is not positive or exceeds ``f_max``.
         """
+        if not math.isfinite(voltage_v):
+            raise ConfigError(f"voltage must be finite (got {voltage_v} V)")
         f_max = self.max_frequency_hz(voltage_v)
         f = f_max if frequency_hz is None else float(frequency_hz)
-        if f <= 0:
+        if not f > 0:  # NaN fails too
             raise ConfigError(f"frequency must be positive (got {f})")
         if f > f_max * (1 + 1e-9):
             raise ConfigError(

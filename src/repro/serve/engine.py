@@ -18,8 +18,8 @@ Routing is a policy, not a hook: policies receive the *active* slice of
 the fleet as a plain indexed sequence and return a position in it, so
 the same policy objects serve both planes without adapter shims.
 
-Four execution paths share one physics
---------------------------------------
+Three execution paths share one physics
+---------------------------------------
 
 Requests live in a columnar :class:`~repro.serve.arena.RequestArena`
 (see that module) and the engine picks the fastest path that preserves
@@ -43,25 +43,22 @@ everything else steps the general loop.  :meth:`Engine.run` is exactly
    partitioning plus a lean Python fold over *batches* (not events),
    with an exact scalar repair pass for batches that launch before
    they fill.  ~10-30x the PR-4 events/sec.
-3. **Least-loaded fast path** — routing feedback prevents
-   vectorization, but the event loop is specialized to plain Python
-   lists and a single event slot per instance (no heap, no objects).
-4. **Controlled round-robin fast path** (``"rr-ctl"``) — the control
-   plane's common configuration (shedding, several priorities, DVFS
-   scales, energy accounting — but *no* governor ticks) over
-   round-robin routing.  Striping again decouples the instances, so
-   admission (deadline-feasibility or queue-depth shedding) fuses
-   straight into a per-instance scalar fold; the hook set opts in
-   through :meth:`EngineHooks.fast_admission` rather than the engine
-   importing the control plane.
+3. **Event fold** — one scalar event loop over plain Python lists
+   and a single event slot per instance (no heap, no objects), with
+   two routing rules: ``"ll"`` (hook-free least-loaded serving, whose
+   routing feedback prevents vectorization) and ``"rr-ctl"`` (the
+   governor-less control plane over round-robin: shedding, several
+   priorities, DVFS scales, energy).  Admission fuses into the fold;
+   the hook set opts in through :meth:`EngineHooks.fast_admission`
+   rather than the engine importing the control plane.
 
 Every instance queue is kept in ``(priority, arena row)`` order —
 FIFO within a priority, so a single-priority stream is plain FIFO.
 Rows are consumed in increasing order, so an arrival appends unless
 the queue's tail is strictly lower priority, and otherwise bisects in
-on priority alone (:meth:`Instance.enqueue`; ``"rr-ctl"`` inlines the
-same rule).  The ``"rr"``/``"ll"`` kernels keep FIFO queues, so they
-serve single-priority streams only.
+on priority alone (:meth:`Instance.enqueue`; the event fold inlines
+the same rule).  The ``"rr"`` kernel keeps FIFO queues, so it serves
+single-priority streams only.
 
 Every path writes the same outcome columns — ``start``, ``finish``,
 ``shed``, and the routed ``instance`` — so telemetry is derived from
@@ -76,7 +73,7 @@ timestamp coincides bit-exactly with a batching-timeout instant
 (``a_head + max_wait_s``) — guaranteed for continuous arrival
 processes, and degenerate cases (``max_wait_s == 0`` with tied trace
 timestamps, sub-nanosecond waits) fall back to the general path.  The
-event-driven ``"ll"``/``"rr-ctl"`` folds have no such restriction.
+event fold has no such restriction.
 
 Event ordering is bit-for-bit the legacy ``(time, seq)`` heap order:
 at equal timestamps arrivals precede every scheduled event (their
@@ -371,12 +368,13 @@ class Engine:
     def _fast_mode(self, arena: RequestArena) -> str | None:
         """Which columnar fast path (if any) reproduces this run
         bit-for-bit: ``"rr"``, ``"ll"``, ``"rr-ctl"``, or ``None``
-        (general loop).
+        (general loop).  ``"ll"`` and ``"rr-ctl"`` are the two routing
+        rules of one kernel, :meth:`_run_event_fold`.
 
         ``"rr"``/``"ll"`` require the hook-free serve-plane
         configuration over a pristine fleet and a single priority
-        level (their queues are FIFO); ``"rr-ctl"`` relaxes that for
-        hook sets whose :meth:`EngineHooks.fast_admission` declares a
+        level; ``"rr-ctl"`` relaxes that for round-robin hook sets
+        whose :meth:`EngineHooks.fast_admission` declares a
         vectorizable shedding rule (the governor-less control plane):
         priority-ordered queues, DVFS latency scales, and busy-power
         accounting are folded into the kernel, but ticks,
@@ -531,214 +529,29 @@ class Engine:
         self.policy._next += n
         return EngineRun(events=events, tick_actions=0, dispatch="rr")
 
-    def _run_least_loaded(self, arena: RequestArena) -> EngineRun:
-        """Event-driven exact kernel for least-loaded routing.
+    def _run_event_fold(self, arena: RequestArena) -> EngineRun:
+        """The exact ``"ll"``/``"rr-ctl"`` kernel: one scalar event fold.
 
-        The routing feedback loop (each placement depends on every
-        earlier completion) rules out vectorization, so this path wins
-        by specializing: per-instance state in flat Python lists, an
-        inlined ``pending_seconds`` scan, and a single event slot per
+        Per-instance state lives in flat lists with one event slot per
         instance instead of a heap (a launch overwrites the slot, so
-        the stale-wake pops of the general loop — provably no-ops —
-        never exist).
+        the general loop's stale-wake pops — provably no-ops — never
+        exist).  An arrival is routed by round-robin striping or an
+        inlined least-loaded scan, passes the declared
+        :meth:`EngineHooks.fast_admission` rule (which reads only the
+        chosen instance), and takes :meth:`Instance.enqueue`'s
+        position.  Examine and launch follow the general loop in
+        :meth:`Instance.launch_head`'s float order.  Hook-free
+        least-loaded runs have scale 1.0, zero busy power, one
+        priority and no admission, so those operations reduce
+        bit-for-bit to the plain serve-plane ones.
         """
+        kind, threshold = self._ctl_spec or ("none", 0)
         instances = self.fleet.instances
         K = len(instances)
         mb = self.max_batch
         mw = self.max_wait_s
         n = len(arena)
-        a_l = arena.arrival.tolist()
-        m_l = arena.model_idx.tolist()
-        per_tab = arena.per_image.tolist()
-        setup_tab = arena.setup.tolist()
-        start_l = [-1.0] * n
-        fin_l = [-1.0] * n
-        inst_l = [-1] * n
-        bu = [0.0] * K
-        qs = [0.0] * K
-        loaded = [-1] * K
-        queues = [deque() for _ in range(K)]
-        busy = [0.0] * K
-        busyw = [0.0] * K
-        served = [0] * K
-        nbatches = [0] * K
-        setups = [0] * K
-        ev = [_INF] * K
-        wend_l = [inst.window_end for inst in instances]
-        events = 0
-        # Wake deadlines precomputed elementwise: ``arrival + mw`` and
-        # ``(arrival + mw) - _EPS`` vectorized are bit-identical to the
-        # general loop's scalar adds, and save two float allocations
-        # per queue examination.
-        dl_l = (arena.arrival + mw).tolist()
-        dle_l = (arena.arrival + mw - _EPS).tolist()
-        # Each request's queue-load contribution, pre-gathered so the
-        # arrival hot path does one list index instead of two.
-        per_req = arena.per_image[arena.model_idx].tolist()
-
-        i = 0
-        ev_index = ev.index
-        # ``tmin`` caches ``min(ev)`` and is refreshed only when an
-        # ``ev`` slot changes (a launch or wake reschedule): arrivals
-        # that land on a busy instance leave the event slots untouched.
-        # ``min``/``list.index`` run at C speed, and the index (first
-        # minimum, matching the old strict-< scan) is only needed for
-        # non-arrival events.
-        tmin = _INF
-        nexta = a_l[0] if n else _INF
-        while True:
-            if nexta <= tmin:
-                # Arrivals exhausted and no event pending: done.  (When
-                # requests remain, ``nexta`` is finite, and a finite
-                # ``nexta <= tmin`` is a real arrival.)
-                if i >= n:
-                    break
-                now = nexta
-                rid = i
-                i += 1
-                nexta = a_l[i] if i < n else _INF
-                events += 1
-                # Inlined LeastLoadedPolicy._least_loaded +
-                # Instance.pending_seconds (latency_scale == 1.0).
-                d0 = bu[0] - now
-                load = d0 if d0 > 0.0 else 0.0
-                q0 = qs[0]
-                if q0 > 0.0:
-                    load += q0
-                j = 0
-                best_load = load
-                for jj in range(1, K):
-                    dj = bu[jj] - now
-                    load = dj if dj > 0.0 else 0.0
-                    qj = qs[jj]
-                    if qj > 0.0:
-                        load += qj
-                    if load < best_load:
-                        best_load = load
-                        j = jj
-                inst_l[rid] = j
-                queues[j].append(rid)
-                qs[j] += per_req[rid]
-                if bu[j] > now:
-                    continue
-            else:
-                now = tmin
-                j = ev_index(tmin)
-                events += 1
-                if bu[j] > now:
-                    continue
-            # Inlined ``examine``: launch if the head batch is due
-            # (wake deadline passed, or a full same-model batch), else
-            # schedule the head's wake.
-            q = queues[j]
-            if not q:
-                ev[j] = _INF
-                tmin = min(ev)
-                continue
-            head = q[0]
-            if now < dle_l[head]:
-                if len(q) >= mb:
-                    model = m_l[head]
-                    count = 0
-                    for rid2 in q:
-                        if m_l[rid2] != model:
-                            break
-                        count += 1
-                        if count == mb:
-                            break
-                    if count != mb:
-                        ev[j] = dl_l[head]
-                        tmin = min(ev)
-                        continue
-                else:
-                    ev[j] = dl_l[head]
-                    tmin = min(ev)
-                    continue
-            # Inlined ``launch``: drain the head's same-model batch and
-            # advance the instance timeline (all float ops in the same
-            # order as Instance.launch, so completions stay bit-equal).
-            model = m_l[head]
-            cold = loaded[j] != model
-            if cold:
-                setup = setup_tab[model]
-                setups[j] += 1
-            else:
-                setup = 0.0
-            per = per_tab[model]
-            base = now + setup
-            count = 0
-            qsj = qs[j]
-            popleft = q.popleft
-            while True:
-                rid2 = popleft()
-                count += 1
-                start_l[rid2] = now
-                fin_l[rid2] = base + count * per
-                qsj -= per
-                if count == mb or not q or m_l[q[0]] != model:
-                    break
-            qs[j] = qsj if q else 0.0
-            service = setup + count * per
-            fin = now + service
-            bu[j] = fin
-            busy[j] += service
-            w = wend_l[j]
-            if w is not None:
-                s0 = now if now < w else w
-                e0 = fin if fin < w else w
-                d0 = e0 - s0
-                if d0 > 0.0:
-                    busyw[j] += d0
-            served[j] += count
-            nbatches[j] += 1
-            loaded[j] = model
-            ev[j] = fin
-            tmin = min(ev)
-
-        arena.start[:] = start_l
-        arena.finish[:] = fin_l
-        arena.instance[:] = inst_l
-        for j, inst in enumerate(instances):
-            inst.busy_until = bu[j]
-            inst.loaded_model = (
-                arena.model_names[loaded[j]]
-                if loaded[j] >= 0
-                else None
-            )
-            inst.busy_seconds += busy[j]
-            inst.busy_seconds_window += busyw[j]
-            inst.served += served[j]
-            inst.batches += nbatches[j]
-            inst.setups += setups[j]
-            inst.queued_seconds = 0.0
-        return EngineRun(events=events, tick_actions=0, dispatch="ll")
-
-    def _run_round_robin_controlled(
-        self, arena: RequestArena
-    ) -> EngineRun:
-        """Controlled round-robin kernel: admission fused into a
-        per-instance scalar event fold.
-
-        Round-robin striping fixes instance ``j``'s candidate stream
-        to ``arena[j::K]`` *even under shedding* (the policy cursor
-        advances before admission), and the declared shedding rules
-        read only the chosen instance's state — so each instance's
-        timeline folds independently, with no heap and no cross-
-        instance event interleave.  The fold body is the ``"ll"``
-        kernel's (single event slot, inlined examine/launch) plus the
-        control plane's physics in the same float order as the
-        general loop: priority-ordered enqueue, deadline-feasibility
-        or queue-depth admission, DVFS-scaled service times, and
-        busy-energy accrual.  Shed rows are masked in the arena and
-        never enter a queue, exactly as when ``on_arrival`` declined
-        them.
-        """
-        kind, threshold = self._ctl_spec
-        instances = self.fleet.instances
-        K = len(instances)
-        mb = self.max_batch
-        mw = self.max_wait_s
-        n = len(arena)
+        striped = type(self.policy) is RoundRobinPolicy
         a_l = arena.arrival.tolist()
         m_l = arena.model_idx.tolist()
         per_arr = arena.per_image
@@ -746,10 +559,12 @@ class Engine:
         setup_tab = arena.setup.tolist()
         start_l = [-1.0] * n
         fin_l = [-1.0] * n
-        # Wake deadlines and each request's unscaled queue-load
-        # contribution, pre-gathered exactly like the "ll" kernel.
+        inst_l = None if striped else [-1] * n
+        # Wake deadlines: ``arrival + mw`` and ``(arrival + mw) - _EPS``
+        # vectorized are bit-identical to the general loop's scalar adds.
         dl_l = (arena.arrival + mw).tolist()
         dle_l = (arena.arrival + mw - _EPS).tolist()
+        # Each request's unscaled queue-load contribution.
         per_req = per_arr[arena.model_idx].tolist()
         prio_l = arena.priority.tolist()
         prio_key = prio_l.__getitem__
@@ -760,161 +575,195 @@ class Engine:
         dl_eps_l = (
             (arena.deadline + _EPS).tolist() if deadline_shed else None
         )
+        scale_l = [inst.latency_scale for inst in instances]
+        # Scaled per-image table per instance: the same IEEE products
+        # as launch_head's `per_image_seconds * latency_scale`.
+        per_s = [
+            (per_arr * scale).tolist() if scale != 1.0 else per_tab
+            for scale in scale_l
+        ]
+        bpw_l = [inst.busy_power_w for inst in instances]
+        wend_l = [inst.window_end for inst in instances]
+        bu = [0.0] * K
+        qs = [0.0] * K
+        loaded = [-1] * K
+        queues = [deque() for _ in range(K)]
+        busy = [0.0] * K
+        busyw = [0.0] * K
+        energy = [0.0] * K
+        served = [0] * K
+        nbatches = [0] * K
+        setups = [0] * K
+        ev = [_INF] * K
         shed_ids: list[int] = []
         events = n
-        for j, inst in enumerate(instances):
-            scale = inst.latency_scale
-            # Scaled per-image table per instance: x * scale
-            # elementwise is the same IEEE product the general loop's
-            # per-launch `per_image_seconds * latency_scale` computes.
-            per_s = (
-                (per_arr * scale).tolist() if scale != 1.0 else per_tab
-            )
-            bpw = inst.busy_power_w
-            wend = inst.window_end
-            bu = 0.0
-            qs = 0.0
-            loaded = -1
-            q: deque = deque()
-            busy = 0.0
-            busyw = 0.0
-            energy = 0.0
-            served = 0
-            nbatches = 0
-            nsetups = 0
-            ev = _INF
-            pos = j
-            nexta = a_l[pos] if pos < n else _INF
-            while True:
-                if nexta <= ev:
-                    # Arrival first at ties, like the (time, seq)
-                    # heap (arrival sequence numbers were seeded
-                    # first).  Both infinite: instance drained.
-                    if pos >= n:
-                        break
-                    now = nexta
-                    rid = pos
-                    pos += K
-                    nexta = a_l[pos] if pos < n else _INF
-                    # -- fused admission --------------------------
-                    if deadline_shed:
-                        # Inlined DeadlineShedding.admit over
-                        # estimated_completion / pending_seconds.
-                        pending = bu - now
-                        if pending < 0.0:
-                            pending = 0.0
-                        if qs > 0.0:
-                            pending += qs * scale
-                        if (now + pending) + per_s[
-                            m_l[rid]
-                        ] > dl_eps_l[rid]:
-                            shed_ids.append(rid)
-                            continue
-                    elif depth_shed and len(q) >= threshold:
+
+        i = 0
+        ev_index = ev.index
+        # ``tmin`` is always ``min(ev)``, maintained where the examine
+        # below writes a slot; ``ev.index(tmin)`` (first minimum) picks
+        # the instance of a non-arrival event.
+        tmin = _INF
+        nexta = a_l[0] if n else _INF
+        while True:
+            if nexta <= tmin:
+                # Arrival first at ties, like the (time, seq) heap.
+                # Arrivals exhausted and no event pending: done.
+                if i >= n:
+                    break
+                now = nexta
+                rid = i
+                i += 1
+                nexta = a_l[i] if i < n else _INF
+                if striped:
+                    j = rid % K
+                else:
+                    # Inlined LeastLoadedPolicy._least_loaded +
+                    # Instance.pending_seconds (latency_scale == 1.0).
+                    j = 0
+                    best_load = _INF
+                    for jj in range(K):
+                        dj = bu[jj] - now
+                        load = dj if dj > 0.0 else 0.0
+                        qj = qs[jj]
+                        if qj > 0.0:
+                            load += qj
+                        if load < best_load:
+                            best_load = load
+                            j = jj
+                    inst_l[rid] = j
+                if deadline_shed:
+                    # Inlined DeadlineShedding.admit (estimated
+                    # completion = now + pending_seconds + own service).
+                    pending = bu[j] - now
+                    if pending < 0.0:
+                        pending = 0.0
+                    qj = qs[j]
+                    if qj > 0.0:
+                        pending += qj * scale_l[j]
+                    cost = per_s[j][m_l[rid]]
+                    if (now + pending) + cost > dl_eps_l[rid]:
                         shed_ids.append(rid)
                         continue
-                    # -- priority-ordered enqueue -----------------
-                    # Instance.enqueue's rule: rows strictly
-                    # increase, so bisecting on priority alone gives
-                    # the (priority, row) position.
-                    p = prio_l[rid]
-                    if q and prio_l[q[-1]] > p:
-                        q.insert(bisect_right(q, p, key=prio_key), rid)
-                    else:
-                        q.append(rid)
-                    qs += per_req[rid]
-                    if bu > now:
-                        continue
-                else:
-                    now = ev
-                    events += 1
-                # Inlined examine: launch if the head batch is due,
-                # else schedule the head's wake in the event slot.
-                if not q:
-                    ev = _INF
+                elif depth_shed and len(queues[j]) >= threshold:
+                    shed_ids.append(rid)
                     continue
-                head = q[0]
-                if now < dle_l[head]:
-                    if len(q) >= mb:
-                        model = m_l[head]
-                        count = 0
-                        for rid2 in q:
-                            if m_l[rid2] != model:
-                                break
-                            count += 1
-                            if count == mb:
-                                break
-                        if count != mb:
-                            ev = dl_l[head]
-                            continue
-                    else:
-                        ev = dl_l[head]
-                        continue
-                # Inlined launch (Instance._serve float order):
-                # scaled per-image for timing, unscaled for the
-                # queued-seconds ledger, unscaled setup.
-                model = m_l[head]
-                if loaded != model:
-                    setup = setup_tab[model]
-                    nsetups += 1
+                q = queues[j]
+                # Instance.enqueue's rule: rows strictly increase, so
+                # bisecting on priority alone gives the (priority, row)
+                # position.
+                p = prio_l[rid]
+                if q and prio_l[q[-1]] > p:
+                    q.insert(bisect_right(q, p, key=prio_key), rid)
                 else:
-                    setup = 0.0
-                per = per_s[model]
-                peru = per_tab[model]
-                base = now + setup
-                count = 0
-                popleft = q.popleft
-                while True:
-                    rid2 = popleft()
-                    count += 1
-                    start_l[rid2] = now
-                    fin_l[rid2] = base + count * per
-                    qs -= peru
-                    if count == mb or not q or m_l[q[0]] != model:
-                        break
-                if not q:
-                    qs = 0.0
-                service = setup + count * per
-                fin = now + service
-                bu = fin
-                busy += service
-                if wend is not None:
-                    s0 = now if now < wend else wend
-                    e0 = fin if fin < wend else wend
-                    d0 = e0 - s0
-                    if d0 > 0.0:
-                        busyw += d0
-                energy += bpw * service
-                served += count
-                nbatches += 1
-                loaded = model
-                ev = fin
-            arena.instance[j::K] = j
-            inst.busy_until = bu
-            inst.loaded_model = (
-                arena.model_names[loaded] if loaded >= 0 else None
-            )
-            inst.busy_seconds += busy
-            inst.busy_seconds_window += busyw
-            inst.energy_joules += energy
-            inst.served += served
-            inst.batches += nbatches
-            inst.setups += nsetups
-            inst.queued_seconds = 0.0
+                    q.append(rid)
+                qs[j] += per_req[rid]
+                if bu[j] > now:
+                    continue
+                at_min = ev[j] == tmin
+            else:
+                now = tmin
+                j = ev_index(tmin)
+                events += 1
+                q = queues[j]
+                at_min = True
+            # Inlined ``examine`` (the general loop's rule): launch if
+            # the head batch is due — wake deadline passed, or a full
+            # same-model batch — else the slot holds the head's wake.
+            x = _INF
+            if q:
+                head = q[0]
+                due = now >= dle_l[head]
+                if not due and len(q) >= mb:
+                    model = m_l[head]
+                    count = 0
+                    for rid2 in q:
+                        if m_l[rid2] != model:
+                            break
+                        count += 1
+                        if count == mb:
+                            break
+                    due = count == mb
+                if not due:
+                    x = dl_l[head]
+                else:
+                    # Inlined ``launch_head``: scaled per-image for
+                    # timing, unscaled for the queued-seconds ledger.
+                    model = m_l[head]
+                    if loaded[j] != model:
+                        setup = setup_tab[model]
+                        setups[j] += 1
+                    else:
+                        setup = 0.0
+                    per = per_s[j][model]
+                    peru = per_tab[model]
+                    base = now + setup
+                    count = 0
+                    qsj = qs[j]
+                    popleft = q.popleft
+                    while True:
+                        rid2 = popleft()
+                        count += 1
+                        start_l[rid2] = now
+                        fin_l[rid2] = base + count * per
+                        qsj -= peru
+                        if count == mb or not q or m_l[q[0]] != model:
+                            break
+                    qs[j] = qsj if q else 0.0
+                    service = setup + count * per
+                    x = now + service
+                    bu[j] = x
+                    busy[j] += service
+                    # Window clip; a batch starting at or past the
+                    # window end contributes nothing.
+                    w = wend_l[j]
+                    if w is not None and now < w:
+                        busyw[j] += (x if x < w else w) - now
+                    energy[j] += bpw_l[j] * service
+                    served[j] += count
+                    nbatches[j] += 1
+                    loaded[j] = model
+            # Every other slot is >= tmin; only a slot that held the
+            # minimum and moved up needs a rescan (a plain loop:
+            # builtins.min costs about twice as much on a short list).
+            ev[j] = x
+            if x <= tmin:
+                tmin = x
+            elif at_min:
+                tmin = x
+                for t in ev:
+                    if t < tmin:
+                        tmin = t
+
         arena.start[:] = start_l
         arena.finish[:] = fin_l
+        # Striping fixes the routed instance of every row, shed or not.
+        arena.instance[:] = np.arange(n) % K if striped else inst_l
         if shed_ids:
             arena.shed[shed_ids] = True
-        self.policy._next += n
+        for j, inst in enumerate(instances):
+            inst.busy_until = bu[j]
+            inst.loaded_model = (
+                arena.model_names[loaded[j]] if loaded[j] >= 0 else None
+            )
+            inst.busy_seconds += busy[j]
+            inst.busy_seconds_window += busyw[j]
+            inst.energy_joules += energy[j]
+            inst.served += served[j]
+            inst.batches += nbatches[j]
+            inst.setups += setups[j]
+            inst.queued_seconds = 0.0
+        if striped:
+            self.policy._next += n
         return EngineRun(
-            events=events, tick_actions=0, dispatch="rr-ctl"
+            events, 0, dispatch="rr-ctl" if striped else "ll"
         )
 
     #: Fast-path name (see :meth:`_fast_mode`) -> its kernel.
     _kernels = {
         "rr": _run_round_robin,
-        "ll": _run_least_loaded,
-        "rr-ctl": _run_round_robin_controlled,
+        "ll": _run_event_fold,
+        "rr-ctl": _run_event_fold,
     }
 
     # ------------------------------------------------------------------
@@ -1030,9 +879,10 @@ class Engine:
         This is the engine's one dispatch point.  A *pristine* begun
         state (no arrivals consumed, no events processed) draining to
         infinity runs whichever columnar kernel :meth:`_fast_mode`
-        picks — ``"rr"``, ``"ll"``, or ``"rr-ctl"`` — exact by the
-        parity pins, and the state is backfilled so the run reads as
-        drained (:attr:`finished`, cumulative counters).  Bounded
+        picks — :meth:`_run_round_robin` for ``"rr"``,
+        :meth:`_run_event_fold` for ``"ll"`` and ``"rr-ctl"`` — exact
+        by the parity pins, and the state is backfilled so the run
+        reads as drained (:attr:`finished`, cumulative counters).  Bounded
         horizons and resumed runs always step the general loop.
         """
         state = self.state

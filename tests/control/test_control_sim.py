@@ -8,7 +8,9 @@ from repro.control import (
     ControlScenario,
     InstanceSpec,
     SLOClass,
+    parse_fleet_spec,
     simulate_controlled,
+    static_frontier_sweep,
 )
 from repro.errors import ConfigError
 from repro.parallel.cache import make_key
@@ -250,3 +252,49 @@ class TestScenarioValidation:
                 if "requests" not in kwargs
                 else ControlScenario(**kwargs)
             )
+
+    @pytest.mark.parametrize(
+        "run, bad",
+        [
+            (
+                lambda: simulate_controlled(
+                    ControlScenario(
+                        requests=10,
+                        autoscale="dvfs",
+                        dvfs_ladder=(0.8, float("nan")),
+                    )
+                ),
+                "nan",
+            ),
+            (
+                lambda: static_frontier_sweep(
+                    ControlScenario(requests=10), (0.8, float("nan")), (2,)
+                ),
+                "nan",
+            ),
+            (
+                lambda: simulate_controlled(
+                    ControlScenario(
+                        requests=10, fleet=parse_fleet_spec("nanx2")
+                    )
+                ),
+                "nan",
+            ),
+            (
+                lambda: simulate_controlled(
+                    ControlScenario(
+                        requests=10, fleet=parse_fleet_spec("0.8x2,infx1")
+                    )
+                ),
+                "inf",
+            ),
+        ],
+        ids=["dvfs-ladder", "sweep-voltages", "fleet-nan", "fleet-inf"],
+    )
+    def test_non_finite_voltage_rejected(self, run, bad):
+        """NaN/inf voltages used to simulate with NaN service times
+        (then crash rendering) or fail with a misleading rate error."""
+        with pytest.raises(
+            ConfigError, match=rf"voltage must be finite \(got {bad} V\)"
+        ):
+            run()

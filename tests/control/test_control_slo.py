@@ -46,11 +46,19 @@ class TestSLOClass:
             dict(name="x", deadline_ms=5.0, target=0.0),
             dict(name="x", deadline_ms=5.0, target=1.5),
             dict(name="x", deadline_ms=5.0, share=0.0),
+            dict(name="x", deadline_ms=float("nan")),
+            dict(name="x", deadline_ms=5.0, share=float("nan")),
+            dict(name="x", deadline_ms=5.0, share=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             SLOClass(**kwargs)
+
+    def test_infinite_deadline_means_no_deadline(self):
+        assert SLOClass("x", deadline_ms=float("inf")).deadline_s == float(
+            "inf"
+        )
 
     def test_parse_full_and_partial_specs(self):
         classes = parse_slo_classes("rt:5:0.99:0:0.4,bulk:80")

@@ -78,3 +78,14 @@ class TestValidation:
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ConfigError):
             DVFSModel().operating_point(0.8, frequency_hz=0)
+
+    @pytest.mark.parametrize("voltage", [float("nan"), float("inf")])
+    def test_non_finite_voltage_rejected(self, voltage):
+        with pytest.raises(
+            ConfigError, match=rf"voltage must be finite \(got {voltage} V\)"
+        ):
+            DVFSModel().operating_point(voltage)
+
+    def test_nan_frequency_rejected(self):
+        with pytest.raises(ConfigError, match="frequency must be positive"):
+            DVFSModel().operating_point(0.8, frequency_hz=float("nan"))

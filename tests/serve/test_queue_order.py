@@ -9,6 +9,10 @@ strictly lower priority, otherwise bisect on priority):
 * a generated differential: on multi-priority controlled scenarios the
   ``"rr-ctl"`` kernel's inlined copy of the rule schedules exactly what
   the general loop's :meth:`Instance.enqueue` does.
+
+A second generated differential pins the other routing rule of the
+same event fold: hook-free least-loaded serving (``"ll"``) against the
+general loop.
 """
 
 import numpy as np
@@ -19,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 from repro.control import ControlScenario, SLOClass
 from repro.control.simulator import simulate_controlled_detailed
 from repro.control.slo import PriorityShedding
-from repro.serve import build_mix
+from repro.serve import ServingScenario, build_mix
 from repro.serve.fleet import Instance
+from repro.serve.simulator import finalize_serving, prepare_serving
 
 PROFILES = build_mix("mixed").profiles[:2]
 
@@ -143,4 +148,54 @@ def test_rr_ctl_queue_order_matches_general_loop(scenario):
     a, b = requests[0].arena, general_requests[0].arena
     for column in ("start", "finish", "shed", "instance"):
         assert np.array_equal(getattr(a, column), getattr(b, column))
+    assert fast == general
+
+
+@st.composite
+def _least_loaded_scenario(draw):
+    arrival = draw(st.sampled_from(["poisson", "bursty", "trace"]))
+    tied = arrival == "trace"
+    return ServingScenario(
+        requests=len(_TIED_TRACE) if tied else 400,
+        arrival=arrival,
+        trace=_TIED_TRACE if tied else None,
+        qps=None if tied else draw(st.sampled_from([None, 9_000.0])),
+        instances=draw(st.integers(1, 4)),
+        policy="least-loaded",
+        max_batch=draw(st.sampled_from([1, 2, 8])),
+        max_wait_ms=0.0 if tied else draw(st.sampled_from([0.0, 2.0])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _serve_detailed(scenario):
+    execution = prepare_serving(scenario)
+    execution.engine.run(execution.requests)
+    return finalize_serving(execution), execution
+
+
+@settings(max_examples=150, deadline=None)
+@given(_least_loaded_scenario())
+def test_ll_schedule_matches_general_loop(scenario):
+    fast, fast_run = _serve_detailed(scenario)
+    with force_general():
+        general, general_run = _serve_detailed(scenario)
+    assert fast_run.engine.last_run.dispatch == "ll"
+    assert general_run.engine.last_run.dispatch == "general"
+    a, b = fast_run.requests, general_run.requests
+    for column in ("start", "finish", "instance"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
+    for fi, gi in zip(fast_run.fleet, general_run.fleet):
+        for counter in (
+            "busy_until",
+            "busy_seconds",
+            "busy_seconds_window",
+            "energy_joules",
+            "queued_seconds",
+            "served",
+            "batches",
+            "setups",
+            "loaded_model",
+        ):
+            assert getattr(fi, counter) == getattr(gi, counter), counter
     assert fast == general

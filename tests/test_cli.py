@@ -709,6 +709,25 @@ class TestNonFiniteInputs:
     reports.  The CLI cases run in a subprocess with a timeout, so a
     regression to hanging fails instead of stalling the suite."""
 
+    @staticmethod
+    def _run_repro(argv, cwd=None):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+            cwd=cwd,
+        )
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -760,46 +779,55 @@ class TestNonFiniteInputs:
         ],
     )
     def test_cli_rejects(self, argv, flag, tmp_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=20,
-            cwd=tmp_path,
-        )
+        proc = self._run_repro(argv, cwd=tmp_path)
         assert proc.returncode == 1, proc.stdout[-500:]
         assert f"error: {flag} must be a finite number" in proc.stderr
         assert not list(tmp_path.iterdir())  # no checkpoint written
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--slo-classes", "a:nan:0.9:0", "--shedding", "deadline"),
+             "deadline_ms must be positive (nan)"),
+            (("--slo-classes", "a:5:0.9:0:nan,b:50:0.9:1:1"),
+             "share must be finite and positive (nan)"),
+            (("--slo-classes", "a:5:0.9:0:inf,b:50:0.9:1:1"),
+             "share must be finite and positive (inf)"),
+            (("--dvfs-ladder", "0.8,nan", "--autoscale", "dvfs"),
+             "voltage must be finite (got nan V)"),
+            (("--sweep-voltages", "0.8,nan"),
+             "voltage must be finite (got nan V)"),
+            (("--fleet", "nanx2"), "voltage must be finite (got nan V)"),
+            (("--fleet", "0.8x2,infx1"),
+             "voltage must be finite (got inf V)"),
+        ],
+        ids=[
+            "slo-deadline-nan",
+            "slo-share-nan",
+            "slo-share-inf",
+            "dvfs-ladder-nan",
+            "sweep-voltages-nan",
+            "fleet-nan",
+            "fleet-inf",
+        ],
+    )
+    def test_cli_rejects_non_finite_config(self, argv, message, tmp_path):
+        """NaN SLO deadlines shed every request, non-finite shares
+        silently starved their class, and non-finite voltages crashed
+        rendering or failed with a misleading rate error."""
+        proc = self._run_repro(
+            ("control", "--requests", "300", *argv), cwd=tmp_path
+        )
+        assert proc.returncode == 1, proc.stdout[-500:]
+        assert f"error: {message}" in proc.stderr
+
     @pytest.mark.parametrize("command", ["serve", "control"])
     def test_cli_rejects_nan_trace_file(self, command, tmp_path):
         """A ``nan`` line in a trace used to hang both planes."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         trace = tmp_path / "trace.txt"
         trace.write_text("0.0\n0.001\nnan\n0.003\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", command, "--arrival", "trace",
-             "--trace-file", str(trace)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=20,
+        proc = self._run_repro(
+            (command, "--arrival", "trace", "--trace-file", str(trace))
         )
         assert proc.returncode != 0, proc.stdout[-500:]
         assert "error:" in proc.stderr
