@@ -14,15 +14,22 @@ A session that asks pytest-benchmark to save its results
 ``--benchmark-autosave``) also appends one record per benchmark —
 wall-clock, events/sec where the benchmark reports one, and the full
 ``extra_info`` — to ``BENCH_engine.json`` next to this file, building
-a machine-readable perf trajectory across runs.  Plain test runs
+a machine-readable perf trajectory across runs.  Each session record
+carries a ``host`` block (git SHA, Python/numpy versions, machine and
+CPU count) so records from different commits and hosts stay
+distinguishable.  Plain test runs
 (tier-1 included) record nothing and leave the file untouched.
 """
 
 import json
+import os
+import platform
 import resource
+import subprocess
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.eval.workloads import prepare_workload
@@ -32,6 +39,32 @@ from repro.eval.workloads import prepare_workload
 BENCH_LOG = Path(__file__).with_name("BENCH_engine.json")
 
 _session_records = []
+
+
+def host_identity(root: Path = BENCH_LOG.parent.parent) -> dict:
+    """Commit, toolchain and machine that produced a session record.
+
+    The SHA is read only when ``root`` has its own ``.git``: a checkout
+    without one must not report the commit of an enclosing repository.
+    """
+    sha = None
+    if (root / ".git").exists():
+        try:
+            proc = subprocess.run(
+                ["git", "rev-parse", "HEAD"], cwd=root,
+                capture_output=True, text=True, timeout=10,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            proc = None
+        if proc is not None and proc.returncode == 0:
+            sha = proc.stdout.strip() or None
+    return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+    }
 
 
 @pytest.fixture(scope="session")
@@ -129,6 +162,7 @@ def pytest_sessionfinish(session, exitstatus):
             "timestamp": time.strftime(
                 "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
             ),
+            "host": host_identity(),
             "benchmarks": _session_records,
         }
     )

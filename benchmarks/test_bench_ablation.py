@@ -1,4 +1,4 @@
-"""Ablations of the design decisions DESIGN.md calls out.
+"""Ablations of the EDEA design decisions.
 
 These go beyond the paper's printed figures: each ablation isolates one
 architectural choice (dataflow, Non-Conv folding, direct transfer, PE

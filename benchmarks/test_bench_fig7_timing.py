@@ -22,5 +22,5 @@ def test_bench_eq1_eq2_whole_network(benchmark):
         )
 
     cycles = benchmark(total_cycles)
-    # sum of the paper-implied per-layer latencies (see EXPERIMENTS.md)
+    # sum of the paper-implied per-layer latencies (checked by `repro report`)
     assert cycles == 92_784

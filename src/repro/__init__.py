@@ -22,87 +22,51 @@ Quickstart::
 
     workload = prepare_workload(width_multiplier=0.25)   # fast demo size
     print(run_experiment("fig13").text)                  # paper Fig. 13
+
+Every name below resolves on first access (see :mod:`repro._lazy`), so
+``import repro`` is cheap and a serving run never loads the training,
+quantization or DSE code.
 """
 
-from .arch import ArchConfig, DSCAccelerator, EDEA_CONFIG, LayerRunStats
-from .dse import LoopOrder, TilingConfig, best_point, explore
-from .errors import (
-    BufferError_,
-    ConfigError,
-    EvaluationError,
-    FixedPointError,
-    QuantizationError,
-    ReproError,
-    ShapeError,
-    SimulationError,
-)
-from .eval import (
-    ExperimentWorkload,
-    list_experiments,
-    prepare_workload,
-    run_experiment,
-)
-from .nn import (
-    MOBILENET_V1_CIFAR10_SPECS,
-    DSCLayerSpec,
-    build_mobilenet_v1,
-    mobilenet_v1_specs,
-)
-from .parallel import (
-    DesignPointResult,
-    ParallelExecutor,
-    ResultCache,
-    design_point_sweep,
-)
-from .power import AreaModel, PowerModel, ScalingModel
-from .quant import QuantizedMobileNet, quantize_mobilenet
-from .sim import AcceleratorRunner, layer_latency
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "ConfigError",
-    "ShapeError",
-    "QuantizationError",
-    "FixedPointError",
-    "SimulationError",
-    "BufferError_",
-    "EvaluationError",
-    # model/geometry
-    "DSCLayerSpec",
-    "MOBILENET_V1_CIFAR10_SPECS",
-    "mobilenet_v1_specs",
-    "build_mobilenet_v1",
-    # quantization
-    "QuantizedMobileNet",
-    "quantize_mobilenet",
-    # DSE
-    "LoopOrder",
-    "TilingConfig",
-    "explore",
-    "best_point",
-    # architecture & simulation
-    "ArchConfig",
-    "EDEA_CONFIG",
-    "DSCAccelerator",
-    "LayerRunStats",
-    "AcceleratorRunner",
-    "layer_latency",
-    # parallel execution & caching
-    "ParallelExecutor",
-    "ResultCache",
-    "DesignPointResult",
-    "design_point_sweep",
-    # power
-    "PowerModel",
-    "AreaModel",
-    "ScalingModel",
-    # evaluation
-    "prepare_workload",
-    "ExperimentWorkload",
-    "run_experiment",
-    "list_experiments",
-]
+_EXPORTS = {
+    ".errors": (
+        "ReproError",
+        "ConfigError",
+        "ShapeError",
+        "QuantizationError",
+        "FixedPointError",
+        "SimulationError",
+        "BufferError_",
+        "EvaluationError",
+    ),
+    ".nn": (
+        "DSCLayerSpec",
+        "MOBILENET_V1_CIFAR10_SPECS",
+        "mobilenet_v1_specs",
+        "build_mobilenet_v1",
+    ),
+    ".quant": ("QuantizedMobileNet", "quantize_mobilenet"),
+    ".dse": ("LoopOrder", "TilingConfig", "explore", "best_point"),
+    ".arch": ("ArchConfig", "EDEA_CONFIG", "DSCAccelerator", "LayerRunStats"),
+    ".sim": ("AcceleratorRunner", "layer_latency"),
+    ".parallel": (
+        "ParallelExecutor",
+        "ResultCache",
+        "DesignPointResult",
+        "design_point_sweep",
+    ),
+    ".power": ("PowerModel", "AreaModel", "ScalingModel"),
+    ".eval": (
+        "prepare_workload",
+        "ExperimentWorkload",
+        "run_experiment",
+        "list_experiments",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.insert(0, "__version__")

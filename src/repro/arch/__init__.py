@@ -1,40 +1,27 @@
 """Hardware architecture model: engines, buffers, Non-Conv units,
 external memory, and the top-level dual-engine accelerator (paper
-Section III)."""
+Section III).
 
-from .accelerator import DSCAccelerator, LayerRunStats
-from .buffers import Buffer, BufferSet
-from .dwc_engine import DWCEngine, DWCTileResult
-from .memory import ExternalMemory
-from .nonconv import NonConvUnitBank
-from .params import EDEA_CONFIG, ArchConfig
-from .pe import MACUnit, adder_tree_sum, mac_multiply
-from .pwc_engine import PWCEngine, PWCTileResult
-from .unified import (
-    BaselineLatency,
-    SerialDualEngineModel,
-    UnifiedEngineModel,
-    dual_vs_baselines,
-)
+Names resolve on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "ArchConfig",
-    "EDEA_CONFIG",
-    "Buffer",
-    "BufferSet",
-    "ExternalMemory",
-    "MACUnit",
-    "mac_multiply",
-    "adder_tree_sum",
-    "DWCEngine",
-    "DWCTileResult",
-    "PWCEngine",
-    "PWCTileResult",
-    "NonConvUnitBank",
-    "DSCAccelerator",
-    "LayerRunStats",
-    "UnifiedEngineModel",
-    "SerialDualEngineModel",
-    "BaselineLatency",
-    "dual_vs_baselines",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".params": ("ArchConfig", "EDEA_CONFIG"),
+    ".buffers": ("Buffer", "BufferSet"),
+    ".memory": ("ExternalMemory",),
+    ".pe": ("MACUnit", "mac_multiply", "adder_tree_sum"),
+    ".dwc_engine": ("DWCEngine", "DWCTileResult"),
+    ".pwc_engine": ("PWCEngine", "PWCTileResult"),
+    ".nonconv": ("NonConvUnitBank",),
+    ".accelerator": ("DSCAccelerator", "LayerRunStats"),
+    ".unified": (
+        "UnifiedEngineModel",
+        "SerialDualEngineModel",
+        "BaselineLatency",
+        "dual_vs_baselines",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

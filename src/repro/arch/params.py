@@ -5,7 +5,7 @@ by the Section II DSE): loop order La, output tile Tn=Tm=2, channel tile
 Td=8, kernel tile Tk=16, 3x3 depthwise kernels, 1 GHz clock, 9-cycle
 pipeline initiation, and a DWC ifmap buffer that holds input for an 8x8
 output tile per channel group (the tile bound that reproduces the paper's
-per-layer latency/throughput exactly — see EXPERIMENTS.md).
+per-layer latency/throughput exactly — ``repro report`` checks it).
 """
 
 from __future__ import annotations

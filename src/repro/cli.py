@@ -105,7 +105,6 @@ from .control import (
     static_frontier_sweep,
 )
 from .errors import ReproError
-from .eval import list_experiments, prepare_workload, run_experiment
 from .eval.control import (
     multi_fleet_to_dict,
     render_control_report,
@@ -114,14 +113,12 @@ from .eval.control import (
     report_to_dict,
 )
 from .eval.obs import engine_counters_dict, render_metrics_timeline
-from .eval.paper_data import PAPER_HEADLINE
 from .eval.report import render_table
 from .eval.serving import (
     render_serving_report,
     render_serving_sweep,
     render_throughput_latency,
 )
-from .eval.sweep import width_resolution_sweep
 from .obs import Observability, render_trace_summary, summarize_trace
 from .parallel import ParallelExecutor, ResultCache
 from .serve import (
@@ -481,6 +478,8 @@ def _cache_from(args) -> ResultCache | None:
 
 def _workload_if_needed(experiment_ids, args):
     if any(eid in MEASURED_EXPERIMENTS for eid in experiment_ids):
+        from .eval.workloads import prepare_workload
+
         return prepare_workload(
             width_multiplier=args.width,
             fast=getattr(args, "fast", False),
@@ -490,6 +489,8 @@ def _workload_if_needed(experiment_ids, args):
 
 
 def _run(experiment_ids, args, out) -> None:
+    from .eval.figures import run_experiment
+
     workload = _workload_if_needed(experiment_ids, args)
     analytic = [e for e in experiment_ids if e not in MEASURED_EXPERIMENTS]
     results = {}
@@ -520,6 +521,8 @@ def _parse_grid(text: str, kind: type):
 
 
 def _sweep(args, out) -> None:
+    from .eval.sweep import width_resolution_sweep
+
     points = width_resolution_sweep(
         widths=_parse_grid(args.widths, float),
         resolutions=_parse_grid(args.resolutions, int),
@@ -1015,11 +1018,14 @@ def _control(args, out) -> None:
 
 
 def _info(out) -> None:
+    from .eval.paper_data import PAPER_HEADLINE
+
     print("EDEA reproduction - headline numbers (paper values)", file=out)
     for key, value in sorted(PAPER_HEADLINE.items()):
         print(f"  {key:32s} {value}", file=out)
     print(
-        "\nSee EXPERIMENTS.md for the full paper-vs-measured comparison.",
+        "\nRun `repro report` to check every reproduced claim against"
+        " the paper.",
         file=out,
     )
 
@@ -1034,6 +1040,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2
     try:
         if args.command == "list":
+            from .eval.figures import list_experiments
+
             for eid in list_experiments():
                 print(eid, file=out)
         elif args.command == "info":
@@ -1041,6 +1049,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         elif args.command == "run":
             _run(args.experiments, args, out)
         elif args.command == "all":
+            from .eval.figures import list_experiments
+
             _run(list_experiments(), args, out)
         elif args.command == "sweep":
             _sweep(args, out)
@@ -1061,7 +1071,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 file=out,
             )
         elif args.command == "report":
-            from .eval import render_report, reproduction_report
+            from .eval.summary import render_report, reproduction_report
+            from .eval.workloads import prepare_workload
 
             workload = (
                 prepare_workload(

@@ -7,8 +7,8 @@ This module implements both:
 * a **general tiled-loop model** for either order with ceiling division,
   which reduces to the Table II forms in their domain (checked by tests).
 
-Counting conventions (documented because the paper does not fully specify
-them; see DESIGN.md "Known modelling deviations"):
+Counting conventions (documented here because the paper does not fully
+specify them):
 
 * *ifmap reads*: every element of every DWC input tile, including halo
   overlap between neighbouring tiles (``Tr x Tc`` per ``Tn x Tm`` outputs);

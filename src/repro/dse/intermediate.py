@@ -15,7 +15,8 @@ Two counting modes are provided:
 
 The paper reports per-layer reductions of 15.4%–46.9% and 34.7% in total;
 our ``"unique"`` mode yields 25%–50% per layer and ≈40% total — same
-sawtooth shape (stride-2 layers benefit least), see EXPERIMENTS.md.
+sawtooth shape (stride-2 layers benefit least); ``repro report`` checks
+the total against the paper.
 """
 
 from __future__ import annotations

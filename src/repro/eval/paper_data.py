@@ -1,7 +1,8 @@
 """Published numbers from the EDEA paper, kept in one place.
 
 Every figure/table benchmark prints its measured values next to these
-reference values, and EXPERIMENTS.md records the comparison.  Sources are
+reference values, and ``repro report`` (:mod:`repro.eval.summary`) checks
+every reproduced claim against them.  Sources are
 the paper's text and figures (SOCC 2024 camera-ready as posted on arXiv).
 """
 

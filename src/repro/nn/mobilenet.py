@@ -15,20 +15,14 @@ harness all consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError
-from .layers import (
-    BatchNorm2d,
-    Conv2d,
-    DepthwiseConv2d,
-    GlobalAvgPool,
-    Linear,
-    PointwiseConv2d,
-    ReLU,
-)
-from .model import Sequential
+
+if TYPE_CHECKING:
+    from .model import Sequential
 
 __all__ = [
     "DSCLayerSpec",
@@ -182,6 +176,19 @@ def build_mobilenet_v1(
     Returns:
         A :class:`Sequential` model.
     """
+    # The float layers are imported here, not at module level, so the
+    # layer geometry above stays cheap for the serving stack.
+    from .layers import (
+        BatchNorm2d,
+        Conv2d,
+        DepthwiseConv2d,
+        GlobalAvgPool,
+        Linear,
+        PointwiseConv2d,
+        ReLU,
+    )
+    from .model import Sequential
+
     rng = np.random.default_rng(seed)
     specs = mobilenet_v1_specs(input_size, width_multiplier)
     stem_out = specs[0].in_channels

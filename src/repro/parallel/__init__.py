@@ -12,26 +12,22 @@ Three pieces, layered:
 
 ``repro.dse.explorer``, ``repro.eval.sweep``, and the CLI all route
 their fan-out through this package.
+
+Names resolve on first access (see :mod:`repro._lazy`), so callers
+that only need the cache or the executor never load the sweep tasks.
 """
 
-from .cache import CACHE_SCHEMA_VERSION, ResultCache, canonical, make_key
-from .executor import ParallelExecutor, resolve_jobs
-from .tasks import (
-    DesignPointResult,
-    design_point_sweep,
-    is_feasible,
-    simulate_design_point,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "ResultCache",
-    "canonical",
-    "make_key",
-    "ParallelExecutor",
-    "resolve_jobs",
-    "DesignPointResult",
-    "design_point_sweep",
-    "is_feasible",
-    "simulate_design_point",
-]
+_EXPORTS = {
+    ".cache": ("CACHE_SCHEMA_VERSION", "ResultCache", "canonical", "make_key"),
+    ".executor": ("ParallelExecutor", "resolve_jobs"),
+    ".tasks": (
+        "DesignPointResult",
+        "design_point_sweep",
+        "is_feasible",
+        "simulate_design_point",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -11,20 +11,22 @@ parallel execution are interchangeable.
 :class:`~repro.parallel.cache.ResultCache` underneath the fan-out:
 previously computed points are served from the cache, duplicate points
 within one batch are computed once, and only genuine misses reach the
-worker pool.
+worker pool.  The process-pool machinery itself is imported only when a
+pool is first opened, so serial callers never load it.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from multiprocessing import get_context
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import ConfigError
 from .cache import ResultCache, make_key
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["ParallelExecutor", "resolve_jobs"]
 
@@ -73,6 +75,14 @@ class ParallelExecutor:
         self.start_method = start_method
         self._pool: ProcessPoolExecutor | None = None
 
+    def _open_pool(self, workers: int) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        return ProcessPoolExecutor(
+            max_workers=workers, mp_context=get_context(self.start_method)
+        )
+
     @contextmanager
     def session(self):
         """Keep one worker pool open across multiple :meth:`map` calls.
@@ -94,10 +104,7 @@ class ParallelExecutor:
         if self.jobs <= 1 or self._pool is not None:
             yield self
             return
-        context = get_context(self.start_method)
-        pool = ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=context
-        )
+        pool = self._open_pool(self.jobs)
         self._pool = pool
         try:
             yield self
@@ -124,11 +131,7 @@ class ParallelExecutor:
                 self._pool.submit(fn, *args) for args in argtuples
             ]
             return [future.result() for future in futures]
-        workers = min(self.jobs, len(argtuples))
-        context = get_context(self.start_method)
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
+        with self._open_pool(min(self.jobs, len(argtuples))) as pool:
             futures = [pool.submit(fn, *args) for args in argtuples]
             return [future.result() for future in futures]
 

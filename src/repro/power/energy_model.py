@@ -1,7 +1,7 @@
 """Activity-gated component power model (paper Figs. 9 and 11).
 
 Absolute power cannot be derived without the paper's netlist and PrimeTime
-flow, so this model is *calibrated*, not derived — see DESIGN.md.  Its
+flow, so this model is *calibrated*, not derived.  Its
 structure follows the mechanism the paper identifies: layer power falls as
 the activation zero percentage rises (zero operands gate the multipliers),
 and the component split at the reference point matches the Fig. 9 power

@@ -15,7 +15,8 @@ power-law model for *our own* scaling estimates and ablations:
 
 Defaults ``alpha_e = 2, beta_e = 0, alpha_a = 2`` approximate the paper's
 published factors within ~5% for two of the four rows and within ~25% for
-the others; EXPERIMENTS.md tabulates the deviation per row.
+the others; ``repro report`` checks the normalized energy-efficiency
+claims built on them against the paper.
 """
 
 from __future__ import annotations

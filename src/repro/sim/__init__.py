@@ -1,43 +1,25 @@
 """Cycle-level simulation: pipeline timing (Eqs. 1-2), network runner
-with bit-exact verification, run statistics, and pipeline tracing."""
+with bit-exact verification, run statistics, and pipeline tracing.
 
-from .batch import BatchResult, run_batch
-from .fastpath import analytic_layer_stats
-from .faults import (
-    FaultImpact,
-    FaultSpec,
-    inject_weight_fault,
-    measure_impact,
-)
-from .pipeline import LatencyBreakdown, eq1_tile_latency_cycles, layer_latency
-from .runner import AcceleratorRunner
-from .schedule import (
-    OpKind,
-    ScheduleOp,
-    generate_layer_schedule,
-    schedule_summary,
-)
-from .stats import NetworkRunStats
-from .tracer import STAGES, PipelineEvent, trace_tile_pipeline
+Names resolve on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "analytic_layer_stats",
-    "LatencyBreakdown",
-    "eq1_tile_latency_cycles",
-    "layer_latency",
-    "AcceleratorRunner",
-    "OpKind",
-    "ScheduleOp",
-    "generate_layer_schedule",
-    "schedule_summary",
-    "NetworkRunStats",
-    "STAGES",
-    "PipelineEvent",
-    "trace_tile_pipeline",
-    "FaultSpec",
-    "FaultImpact",
-    "inject_weight_fault",
-    "measure_impact",
-    "BatchResult",
-    "run_batch",
-]
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".fastpath": ("analytic_layer_stats",),
+    ".pipeline": ("LatencyBreakdown", "eq1_tile_latency_cycles", "layer_latency"),
+    ".runner": ("AcceleratorRunner",),
+    ".schedule": (
+        "OpKind",
+        "ScheduleOp",
+        "generate_layer_schedule",
+        "schedule_summary",
+    ),
+    ".stats": ("NetworkRunStats",),
+    ".tracer": ("STAGES", "PipelineEvent", "trace_tile_pipeline"),
+    ".faults": ("FaultSpec", "FaultImpact", "inject_weight_fault", "measure_impact"),
+    ".batch": ("BatchResult", "run_batch"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

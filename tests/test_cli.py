@@ -27,6 +27,9 @@ class TestInfo:
         assert code == 0
         assert "13.43" in text
         assert "peak_ee_tops_w" in text
+        # The pointer names a real command, not a missing document.
+        assert "repro report" in text
+        assert "EXPERIMENTS.md" not in text
 
 
 class TestRun:

@@ -10,7 +10,10 @@ CHANGES.md, docs/*.md) and verifies:
 * every repo path named in inline code, such as
   ``tests/serve/test_engine_parity.py`` or ``benchmarks/_pr4_kernel.py``,
   exists on disk — this is what keeps the "where to verify claims"
-  pointers in docs/ARCHITECTURE.md honest across refactors.
+  pointers in docs/ARCHITECTURE.md honest across refactors;
+* every root-level document named in source, benchmark or doc text,
+  such as ``PAPER.md`` in a docstring, exists at the repo root — the
+  rule above needs a directory component, so it cannot see these.
 
 Exits non-zero with one line per broken pointer.  No dependencies
 beyond the standard library, so CI can run it before installing the
@@ -38,6 +41,12 @@ _CODE_PATH = re.compile(
     r"\.(?:py|md|json|yml|yaml|toml|txt|csv))`"
 )
 
+#: Files scanned for root-level ``NAME.md`` pointers.
+ROOT_DOC_GLOBS = ["src/**/*.py", "benchmarks/*.py", "README.md", "docs/*.md"]
+
+#: A bare upper-case ``NAME.md`` (no directory in front of it).
+_ROOT_DOC = re.compile(r"(?<![\w./\-])([A-Z][A-Z0-9_\-]*\.md)\b")
+
 #: Inline-code paths that intentionally do not exist in the repo
 #: (illustrative output paths, generated artifacts).
 IGNORE_CODE_PATHS = {
@@ -45,9 +54,9 @@ IGNORE_CODE_PATHS = {
 }
 
 
-def _iter_docs() -> list[Path]:
+def _iter_docs(globs: list[str]) -> list[Path]:
     docs: list[Path] = []
-    for pattern in DOC_GLOBS:
+    for pattern in globs:
         docs.extend(sorted(REPO.glob(pattern)))
     return docs
 
@@ -90,14 +99,31 @@ def _check_file(doc: Path) -> list[str]:
     return errors
 
 
+def _check_root_docs(path: Path) -> list[str]:
+    errors: list[str] = []
+    text = path.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for match in _ROOT_DOC.finditer(line):
+            if not (REPO / match.group(1)).exists():
+                errors.append(
+                    f"{path.relative_to(REPO)}:{lineno}: "
+                    f"missing root document {match.group(1)!r}"
+                )
+    return errors
+
+
 def main() -> int:
-    docs = _iter_docs()
+    docs = _iter_docs(DOC_GLOBS)
     if not docs:
         print("check_docs: no documentation files found", file=sys.stderr)
         return 1
     errors: list[str] = []
     for doc in docs:
         errors.extend(_check_file(doc))
+    sources = _iter_docs(ROOT_DOC_GLOBS)
+    for path in sources:
+        errors.extend(_check_root_docs(path))
+    docs = sorted(set(docs) | set(sources))
     for error in errors:
         print(error, file=sys.stderr)
     print(
