@@ -1,27 +1,33 @@
-"""Checkpoint/restore for long-running simulations.
+"""Checkpoint/resume for long-running simulations.
 
-A checkpoint is one atomic pickle holding everything a fresh process
-needs to continue a run and produce a report *byte-identical* to the
-uninterrupted one:
+A checkpoint is one atomic pickle of the live execution — the
+:class:`~repro.serve.simulator.ServingExecution` or
+:class:`~repro.control.simulator.ControlExecution` mid-run: the engine
+(event heap, arena cursor, counters), the fleet with its queues and
+in-flight batches, the policy, the hooks (shedder, governor), the
+request arena as mutated so far, and the RNG position captured right
+after stream construction.  The active
+:class:`~repro.obs.Observability` session rides along when there is
+one, and so does the checkpoint cadence, so a resumed run keeps saving
+on schedule.  A fresh process that unpickles it continues stepping the
+very same objects and produces a report *byte-identical* to the
+uninterrupted one: nothing is rebuilt from the scenario or overlaid
+(the scenario is stored only for the caller's rendering and cache
+keys).
 
-* the frozen scenario (so the fleet, policy, governor, and shedder are
-  rebuilt deterministically — they carry configuration, not identity);
-* the request stream and arrival times as materialized *and mutated so
-  far* (start/finish/shed columns change mid-run and cannot be
-  regenerated);
-* the engine :meth:`~repro.serve.engine.Engine.snapshot` — event heap,
-  arena cursor, per-instance queues and in-flight batches, policy and
-  hook ``state_dict`` s, and the exact ``np.random.Generator``
-  bit-generator states captured after stream construction;
-* the checkpoint cadence, so a resumed run keeps saving on schedule.
+Pickle walks the object graph, so a new stateful field is
+checkpointed without being listed anywhere.  Two classes shape their
+own pickles: :class:`~repro.serve.fleet.Instance` stores its queue as
+``(arena, rows)`` instead of one view object per request, and
+:class:`~repro.control.slo.DeadlineShedding` leaves its per-arena
+column cache out.
 
 Checkpointed execution steps the engine's general loop in bounded
 :meth:`~repro.serve.engine.Engine.run_until` slices — which is
-bit-for-bit the one-shot run — and both the uninterrupted and the
-resumed path build through the same per-plane wiring and converge on
-the same ``finalize_*`` report builders.  Without a cadence a run
-drains in one ``run_until(inf)``, so it dispatches to a columnar fast
-path exactly as the one-shot simulators do.
+bit-for-bit the one-shot run — and converges on the same
+``finalize_*`` report builders as the one-shot simulators.  Without a
+cadence a run drains in one ``run_until(inf)``, so it dispatches to a
+columnar fast path exactly as the one-shot simulators do.
 Serve scenarios with ``stats="sketch"`` are the one caveat: plain
 :func:`repro.serve.simulate` may take the chunk-interleaved streaming
 mode whose RNG consumption differs by design, so the equality
@@ -45,7 +51,6 @@ from . import __version__
 from .control.simulator import (
     ControlScenario,
     _control_inputs,
-    build_control_fleet,
     finalize_controlled,
     prepare_controlled,
 )
@@ -54,9 +59,6 @@ from .power.dvfs import DVFSModel
 from .serve.arrival import capture_rng_state
 from .serve.simulator import (
     ServingScenario,
-    _offered_qps,
-    _serve_inputs,
-    _wire_serving,
     finalize_serving,
     prepare_serving,
 )
@@ -70,13 +72,15 @@ __all__ = [
     "resume_checkpointed",
 ]
 
-#: Bump when the payload layout or the state-dict contracts change
+#: Bump when the payload layout or the pickled classes change
 #: incompatibly; loads from another schema are rejected outright.
 #: Schema 2: arenas carry the ``instance`` column and ``payload["obs"]``
 #: holds ``{"spec", "state"}`` (telemetry is derived after drain).
 #: Schema 3: arenas drop the ``index`` column (a view's index is its
 #: row).
-CHECKPOINT_SCHEMA = 3
+#: Schema 4: the payload pickles the live execution (and telemetry
+#: session) instead of per-class state dicts.
+CHECKPOINT_SCHEMA = 4
 
 _INF = float("inf")
 
@@ -154,27 +158,15 @@ def load_checkpoint(path) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Execution builders (fresh and resumed)
+# Checkpointed drivers
 # ----------------------------------------------------------------------
 
 
 def _begin_serve(scenario: ServingScenario, obs=None):
     """Build and arm a fresh checkpointable serve execution."""
     execution = prepare_serving(scenario, obs=obs)
-    engine = execution.engine
-    engine.begin(execution.requests)
-    engine.state.rng_states = {"main": execution.rng_state}
-    return execution, engine, finalize_serving
-
-
-def _rebuild_serve(scenario: ServingScenario, times, requests, obs=None):
-    """The serve execution around an already-materialized (and
-    possibly mid-run-mutated) stream, which must never be regenerated
-    on resume: :func:`~repro.serve.simulator._wire_serving` over it."""
-    mix, capacity, qps, *_ = _serve_inputs(scenario)
-    return _wire_serving(
-        scenario, mix, capacity, qps, times, requests, obs=obs
-    )
+    execution.engine.begin(execution.requests)
+    return execution, execution.engine, finalize_serving
 
 
 def _begin_control(scenario: ControlScenario, obs=None):
@@ -187,27 +179,11 @@ def _begin_control(scenario: ControlScenario, obs=None):
         scenario, fleet, mix, capacity, qps, times, requests,
         dvfs_model=dvfs_model, obs=obs,
     )
-    execution.engine.state.rng_states = {
-        "main": capture_rng_state(rng)
-    }
+    execution.rng_state = capture_rng_state(rng)
     return execution, execution.engine, finalize_controlled
 
 
-def _rebuild_control(scenario: ControlScenario, times, requests, obs=None):
-    """The control execution around an already-materialized stream
-    (fleet/governor/policy/shedder rebuilt deterministically; the
-    engine snapshot overlays their mid-run state afterwards)."""
-    dvfs_model = DVFSModel()
-    fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
-    return prepare_controlled(
-        scenario, fleet, mix, capacity, _offered_qps(scenario, capacity),
-        times, requests, dvfs_model=dvfs_model, obs=obs,
-    )
-
-
-# ----------------------------------------------------------------------
-# Checkpointed drivers
-# ----------------------------------------------------------------------
+_FINALIZERS = {"serve": finalize_serving, "control": finalize_controlled}
 
 
 def _payload(kind, scenario, execution, every_s, next_t, obs=None) -> dict:
@@ -218,27 +194,24 @@ def _payload(kind, scenario, execution, every_s, next_t, obs=None) -> dict:
         "scenario": scenario,
         "every_s": every_s,
         "next_checkpoint_s": next_t,
-        "snapshot": execution.engine.snapshot(),
-        "requests": execution.requests,
-        "times": execution.times,
+        "execution": execution,
     }
-    # Telemetry configuration rides along so a resume can verify it
-    # re-ran with matching flags, with the control-side facts recorded
-    # so far (spans and metrics are re-derived from the stream after
-    # drain).  Written only when active.
+    # An active telemetry session rides along (pickled with the
+    # execution, so its registered fleets and streams, recorder and
+    # governor logs stay the objects the run writes to); a resume
+    # checks it re-ran with matching flags.
     if obs is not None and obs.active:
-        payload["obs"] = {"spec": obs.spec(), "state": obs.state_dict()}
+        payload["obs"] = obs
     return payload
 
 
-def _drive(
-    kind, scenario, execution, engine, every_s, path, next_t, obs=None
-):
+def _drive(kind, scenario, execution, every_s, path, next_t, obs=None):
     """Step the engine in checkpoint-cadence slices to drain.
 
     The slicing is bit-for-bit the one-shot ``run_until(inf)``; with
     no checkpoint path configured it degenerates to exactly that.
     """
+    engine = execution.engine
     if every_s is None or path is None:
         engine.run_until(_INF)
         return
@@ -277,9 +250,9 @@ def run_serve_checkpointed(
     (the general loop and the columnar fast paths agree bit-for-bit).
     """
     _validate_cadence(every_s)
-    execution, engine, finalize = _begin_serve(scenario, obs)
+    execution, _, finalize = _begin_serve(scenario, obs)
     _drive(
-        "serve", scenario, execution, engine, every_s,
+        "serve", scenario, execution, every_s,
         checkpoint_path, every_s if every_s is not None else _INF,
         obs,
     )
@@ -296,9 +269,9 @@ def run_control_checkpointed(
     """One control-plane run with periodic checkpoints (identical
     report to :func:`repro.control.simulate_controlled`)."""
     _validate_cadence(every_s)
-    execution, engine, finalize = _begin_control(scenario, obs)
+    execution, _, finalize = _begin_control(scenario, obs)
     _drive(
-        "control", scenario, execution, engine, every_s,
+        "control", scenario, execution, every_s,
         checkpoint_path, every_s if every_s is not None else _INF,
         obs,
     )
@@ -308,17 +281,14 @@ def run_control_checkpointed(
 def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
     """Continue a checkpointed run in a fresh process.
 
-    Rebuilds the scenario's fleet/policy/hooks deterministically,
-    overlays the snapshot (queues rebound by stream position, RNG
-    states reattached, governor/forecaster state restored), and drains
-    on the same cadence — producing a report byte-identical to the
-    uninterrupted run.  Keeps checkpointing to ``checkpoint_path``
-    (default: ``path`` itself).
+    Unpickles the live execution and drains it on the saved cadence —
+    producing a report byte-identical to the uninterrupted run.  Keeps
+    checkpointing to ``checkpoint_path`` (default: ``path`` itself).
 
     If the checkpoint was taken with telemetry active, ``obs`` must be
     an :class:`~repro.obs.Observability` configured with the same
-    flags (and vice versa) — the recorded control-side state needs an
-    identically configured session to land on, so a mismatch raises
+    flags (and vice versa); it then takes over the checkpointed
+    session (recorded instants, governor logs).  A mismatch raises
     :class:`~repro.errors.ReproError` up front rather than producing a
     silently different trace.
 
@@ -329,40 +299,23 @@ def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
     from .obs import Observability
 
     payload = load_checkpoint(path)
-    obs_payload = payload.get("obs")
+    saved = payload.get("obs")
     Observability.check_resume(
-        obs_payload["spec"] if obs_payload is not None else None,
+        saved.spec() if saved is not None else None,
         obs if obs is not None and obs.active else None,
     )
+    if saved is not None:
+        obs.take_over(saved)
     kind = payload["kind"]
-    scenario = payload["scenario"]
-    times = payload["times"]
-    requests = payload["requests"]
-    if kind == "serve":
-        execution = _rebuild_serve(scenario, times, requests, obs)
-        execution.engine.begin(requests)
-        finalize = finalize_serving
-    elif kind == "control":
-        execution = _rebuild_control(scenario, times, requests, obs)
-        finalize = finalize_controlled
-    else:
+    if kind not in _FINALIZERS:
         raise ReproError(
             f"checkpoint {path} has unknown kind {kind!r}"
         )
-    try:
-        execution.engine.restore(payload["snapshot"], requests)
-        if obs_payload is not None:
-            obs.load_state_dict(obs_payload["state"])
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise ReproError(
-            f"checkpoint {path} does not match this build's state "
-            f"layout: {exc}"
-        ) from exc
+    execution = payload["execution"]
     _drive(
-        kind, scenario, execution, execution.engine,
-        payload["every_s"],
+        kind, payload["scenario"], execution, payload["every_s"],
         checkpoint_path if checkpoint_path is not None else path,
         payload["next_checkpoint_s"],
         obs,
     )
-    return kind, scenario, finalize(execution)
+    return kind, payload["scenario"], _FINALIZERS[kind](execution)

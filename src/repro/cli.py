@@ -785,7 +785,14 @@ def _resume(args, out) -> None:
     checkpoint, so traffic/fleet flags on the command line are
     ignored.  Telemetry flags must match the checkpointing run's —
     the recorded spans live in the checkpoint and land back on an
-    identically configured observer."""
+    identically configured observer.  The cadence lives in the
+    checkpoint too, so ``--checkpoint-every`` is rejected rather than
+    silently ignored (``--checkpoint`` redirects where it saves)."""
+    if args.checkpoint_every_s is not None:
+        raise ReproError(
+            "--checkpoint-every cannot be combined with --resume: the "
+            "resumed run keeps the checkpoint's own cadence"
+        )
     obs = _obs_from(args)
     kind, _scenario, report = resume_checkpointed(
         args.resume_path, checkpoint_path=args.checkpoint_path, obs=obs

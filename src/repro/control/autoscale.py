@@ -77,18 +77,6 @@ class Governor:
         """Snapshot per-instance busy time before the first tick."""
         self._busy_snapshot = [i.busy_seconds for i in fleet]
 
-    def state_dict(self) -> dict:
-        """Picklable mid-run state for checkpointing: the busy-time
-        snapshot behind :meth:`_window_utilization`.  Subclasses with
-        more state extend the dict (and :meth:`load_state_dict`)."""
-        return {"busy_snapshot": list(self._busy_snapshot)}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`.  Call after
-        :meth:`reset` when rebuilding a run: restore overlays the
-        mid-run values reset initialized."""
-        self._busy_snapshot = list(state["busy_snapshot"])
-
     def _window_utilization(self, fleet: Fleet) -> float:
         """Mean busy fraction of the active instances over the last
         tick (clamped to 1: busy time accrues at launch, so a window
@@ -253,17 +241,6 @@ class DVFSGovernor(Governor):
     def reset(self, fleet: Fleet) -> None:
         super().reset(fleet)
         self._repoint(fleet, self.level)
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["level"] = self.level
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        # Only the ladder position: the per-instance operating points
-        # it implies are restored with the instances themselves.
-        self.level = state["level"]
 
     def tick(self, fleet: Fleet, now: float) -> int:
         utilization = self._window_utilization(fleet)

@@ -79,15 +79,6 @@ class HoltForecaster:
             return 0.0
         return max(0.0, self.level + horizon_steps * self.trend)
 
-    def state_dict(self) -> dict:
-        """Picklable filter state (the smoothing constants are
-        configuration, rebuilt with the governor)."""
-        return {"level": self.level, "trend": self.trend}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.level = state["level"]
-        self.trend = state["trend"]
-
 
 class PredictiveGovernor(Governor):
     """Size the fleet for the *forecast* offered rate, one warm-up ahead.
@@ -128,17 +119,6 @@ class PredictiveGovernor(Governor):
         self.target_util = target_util
         self.forecaster = HoltForecaster(alpha=alpha, beta=beta)
         self._arrivals = 0
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["forecaster"] = self.forecaster.state_dict()
-        state["arrivals"] = self._arrivals
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.forecaster.load_state_dict(state["forecaster"])
-        self._arrivals = state["arrivals"]
 
     def observe_arrival(self, now: float) -> None:
         """Count one offered request (called by the arrival hook for

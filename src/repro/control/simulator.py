@@ -258,21 +258,6 @@ class ControlHooks(EngineHooks):
         ):
             instance.close_power_interval(now)
 
-    def state_dict(self) -> dict:
-        return {
-            "shedder": self.shedder.state_dict(),
-            "governor": (
-                self.governor.state_dict()
-                if self.governor is not None
-                else None
-            ),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.shedder.load_state_dict(state["shedder"])
-        if self.governor is not None:
-            self.governor.load_state_dict(state["governor"])
-
 
 def _bucket_latency_stats(latencies) -> tuple[int, float]:
     """``(completed, p99_s)`` of a summary bucket's latency entry —
@@ -462,6 +447,10 @@ class ControlExecution:
     times: np.ndarray
     requests: RequestArena
     engine: Engine
+    #: Bit-generator state right after stream construction, recorded
+    #: by the checkpointed driver (``None`` when the caller built the
+    #: stream elsewhere, e.g. a multi-fleet member).
+    rng_state: dict | None = None
 
 
 def prepare_controlled(
@@ -533,7 +522,7 @@ def finalize_controlled(execution: ControlExecution) -> ServingReport:
 
     The tail half of :func:`execute_controlled`; identical whether the
     engine drained in one ``run_until(inf)`` call, in checkpointed
-    slices, or after a restore in a fresh process — which is what makes
+    slices, or after a resume in a fresh process — which is what makes
     resumed reports byte-identical to uninterrupted ones.
     """
     scenario = execution.scenario
@@ -644,16 +633,17 @@ def _control_inputs(scenario: ControlScenario, dvfs_model: DVFSModel):
     runs (identical RNG consumption).
 
     Returns ``(fleet, mix, capacity, qps, times, requests, rng)``;
-    ``rng`` is positioned just past stream construction.
+    ``times`` is the arena's arrival column (the same floats as the
+    drawn times, kept once) and ``rng`` is positioned just past
+    stream construction.
     """
     fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
     qps = _offered_qps(scenario, capacity)
     arrivals, n, rng = _arrival_process(scenario, qps)
-    times = arrivals.times(n, rng)
     requests = build_requests(
-        mix, times, rng, slo_classes=scenario.slo_classes
+        mix, arrivals.times(n, rng), rng, slo_classes=scenario.slo_classes
     )
-    return fleet, mix, capacity, qps, times, requests, rng
+    return fleet, mix, capacity, qps, requests.arrival, requests, rng
 
 
 def simulate_controlled_detailed(

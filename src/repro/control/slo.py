@@ -267,15 +267,6 @@ class SheddingPolicy:
         """
         raise NotImplementedError
 
-    def state_dict(self) -> dict:
-        """Picklable mid-run state for checkpointing.  Every shipped
-        shedder is stateless (thresholds are configuration, rebuilt
-        from the scenario), so the base implementation suffices."""
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-
 
 class NoShedding(SheddingPolicy):
     """Admit everything (the unbounded-queue baseline)."""
@@ -306,6 +297,13 @@ class DeadlineShedding(SheddingPolicy):
     #: ``(arena, deadline + eps, per_image, model_idx)`` of the last
     #: arena seen; a class default, so subclasses need no ``__init__``.
     _cols = None
+
+    def __getstate__(self) -> dict:
+        # The column tables are a cache of the arena, which the
+        # checkpoint already carries; rebuilt on the first arrival.
+        state = self.__dict__.copy()
+        state.pop("_cols", None)
+        return state
 
     def admit(self, request, instance, now):
         if instance.profiles is not None:

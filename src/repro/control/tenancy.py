@@ -244,8 +244,8 @@ def _drain_member(
 def _member_point(payload: dict):
     """Worker half of a sharded phase: run one member fleet.
 
-    ``payload`` is checkpoint-shaped — the member's frozen scenario
-    plus its materialized request stream (a receiver's is already
+    ``payload`` holds the member's frozen scenario plus its
+    materialized request stream (a receiver's is already
     merged with its spill-ins).  The worker rebuilds the fleet
     deterministically, drains the engine, and ships back the report
     together with the outcome columns, which the parent copies into
@@ -286,7 +286,7 @@ def simulate_multi_fleet(
             keyword-only and never part of the result or the cache
             content key.  Donors shard across processes first,
             receivers after the exchange; each worker gets a
-            checkpoint-shaped payload (scenario + materialized stream)
+            payload of scenario + materialized stream
             and returns its report plus the outcome columns.
         obs: Optional :class:`~repro.obs.Observability` session; an
             active one records every member fleet into one shared

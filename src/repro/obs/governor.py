@@ -19,8 +19,8 @@ that into a :class:`ControlLog`:
 
 Power and DVFS instants also go straight to the trace recorder.  The
 observer is purely observational: every governor decision, and all of
-the governor's state, is the wrapped governor's (the log itself rides
-the checkpoint's ``obs`` payload).
+the governor's state, is the wrapped governor's (a checkpoint pickles
+the log with the execution).
 """
 
 from __future__ import annotations
@@ -51,20 +51,6 @@ class ControlLog:
         self.dvfs: list[tuple] = []
         self.samples: list[tuple] = []
         self.next_sample_t = window_s
-
-    def state_dict(self) -> dict:
-        return {
-            "power": list(self.power),
-            "dvfs": list(self.dvfs),
-            "samples": list(self.samples),
-            "next_sample_t": self.next_sample_t,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.power = list(state["power"])
-        self.dvfs = list(state["dvfs"])
-        self.samples = list(state["samples"])
-        self.next_sample_t = state["next_sample_t"]
 
 
 class GovernorObserver:

@@ -88,7 +88,7 @@ class Observability:
         run starts); returns the governor the run should use — wrapped
         in a :class:`GovernorObserver` when there is one.
 
-        Idempotent per ``pid`` — a resume's re-wiring re-registers.
+        Idempotent per ``pid``.
         """
         log = None
         if governor is not None:
@@ -167,29 +167,13 @@ class Observability:
                 "checkpoint's telemetry flags"
             )
 
-    def state_dict(self) -> dict:
-        """Mid-run telemetry state: the recorded control-side instants
-        and each governed engine's log (everything else is derived
-        from the checkpointed stream after drain)."""
-        return {
-            "recorder": (
-                self.recorder.state_dict()
-                if self.recorder is not None
-                else None
-            ),
-            "logs": {
-                pid: observed.log.state_dict()
-                for pid, observed in self._observed.items()
-                if observed.log is not None
-            },
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Overlay :meth:`state_dict` on a re-wired session."""
-        if self.recorder is not None and state["recorder"] is not None:
-            self.recorder.load_state_dict(state["recorder"])
-        for pid, log_state in state["logs"].items():
-            self._observed[pid].log.load_state_dict(log_state)
+    def take_over(self, saved: "Observability") -> None:
+        """Continue ``saved``'s session: the session a checkpoint
+        pickled alongside its execution, whose governor wrappers log
+        into ``saved``'s recorder and logs.  Call after
+        :meth:`check_resume` validated that both share one spec."""
+        self.recorder = saved.recorder
+        self._observed = saved._observed
 
     # ------------------------------------------------------------------
     # Output (call after the observed engines drained)

@@ -15,9 +15,9 @@ actions, spillover forwards); request/batch spans and shed instants are
 derived from the drained arena columns at write time and passed to
 :meth:`TraceRecorder.write` (see :mod:`repro.obs.derive`).  Recording is
 deterministic: events carry no wall-clock component, the writer orders
-them by timestamp with list order breaking ties, and the recorded list
-round-trips through ``state_dict`` / ``load_state_dict`` — a
-killed-and-resumed run reproduces the trace byte for byte.
+them by timestamp with list order breaking ties, and the recorder
+rides a checkpoint inside its pickled session — a killed-and-resumed
+run reproduces the trace byte for byte.
 """
 
 from __future__ import annotations
@@ -76,9 +76,6 @@ class TraceRecorder:
 
     def __init__(self) -> None:
         self._events: list[dict] = []
-        # Display names are wiring-time configuration, rebuilt
-        # deterministically on resume — deliberately *not* part of
-        # state_dict.
         self._process_names: dict[int, str] = {}
         self._thread_names: dict[tuple[int, int], str] = {}
 
@@ -118,16 +115,6 @@ class TraceRecorder:
         if args:
             event["args"] = args
         self._events.append(event)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {"events": list(self._events)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._events = list(state["events"])
 
     # ------------------------------------------------------------------
     # Output

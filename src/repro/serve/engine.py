@@ -188,19 +188,6 @@ class EngineHooks:
     ) -> None:
         """Accounting after ``instance``'s queue was re-examined."""
 
-    def state_dict(self) -> dict:
-        """Serializable hook state for checkpointing.
-
-        The base hooks are stateless; subclasses that accumulate
-        per-run state (shedding counters, governor windows, forecaster
-        levels) return it here as plain picklable values, mirrored by
-        :meth:`load_state_dict`.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-
 
 @dataclass(slots=True)
 class EngineRun:
@@ -241,15 +228,8 @@ class EngineState:
     cursor (arrivals consumed so far), the cumulative event counters,
     and the static-fleet flag computed at :meth:`Engine.begin`.
     Per-instance queues and in-flight batches live on the
-    :class:`~repro.serve.fleet.Instance` objects themselves and are
-    captured alongside this state by :meth:`Engine.snapshot`.
-
-    ``rng_states`` is a carry slot for the exact
-    ``np.random.Generator`` bit-generator states of the run's arrival
-    and sampling streams: the engine never draws randomness itself
-    (streams are consumed while building the request arena), so the
-    simulators deposit the post-build states here and
-    :meth:`Engine.snapshot` persists them for exact resumption.
+    :class:`~repro.serve.fleet.Instance` objects themselves; a
+    checkpoint pickles the engine with both (:mod:`repro.checkpoint`).
     """
 
     heap: list
@@ -260,7 +240,6 @@ class EngineState:
     tick_actions: int
     peak_heap: int
     static_fleet: bool
-    rng_states: dict
 
 
 class Engine:
@@ -850,7 +829,6 @@ class Engine:
             tick_actions=0,
             peak_heap=0,
             static_fleet=static_fleet,
-            rng_states={},
         )
         return self.state
 
@@ -1041,77 +1019,6 @@ class Engine:
         """
         self.begin(requests)
         return self.run_until(_INF)
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Capture the begun run's complete execution state.
-
-        Returns a plain picklable dict: the :class:`EngineState`
-        fields, every instance's ``state_dict`` plus its queue as
-        arena rows, the policy state, and the hook state.  A view's
-        ``index`` is its row, so :meth:`restore` rebinds the queued
-        views against the caller-provided arena.
-        """
-        state = self.state
-        instances = []
-        for inst in self.fleet.instances:
-            entry = inst.state_dict()
-            entry["queue"] = [request.i for request in inst.queue]
-            instances.append(entry)
-        return {
-            "state": {
-                "heap": list(state.heap),
-                "seq": state.seq,
-                "clock": state.clock,
-                "cursor": state.cursor,
-                "events": state.events,
-                "tick_actions": state.tick_actions,
-                "peak_heap": state.peak_heap,
-                "static_fleet": state.static_fleet,
-                "rng_states": state.rng_states,
-            },
-            "instances": instances,
-            "policy": self.policy.state_dict(),
-            "hooks": self.hooks.state_dict(),
-        }
-
-    def restore(
-        self, snapshot: dict, requests: RequestArena
-    ) -> EngineState:
-        """Rebind a :meth:`snapshot` onto this engine and ``requests``.
-
-        The fleet/policy/hooks objects must have been rebuilt exactly
-        as for the original run (they carry no snapshot identity, only
-        state); ``requests`` must be the same stream the snapshot was
-        taken over, including any mid-run column mutations — restore
-        rebinds queue views by arena row but never rewrites
-        request columns.
-        """
-        fields = snapshot["state"]
-        self._requests = requests
-        self.state = EngineState(
-            heap=list(fields["heap"]),
-            seq=fields["seq"],
-            clock=fields["clock"],
-            cursor=fields["cursor"],
-            events=fields["events"],
-            tick_actions=fields["tick_actions"],
-            peak_heap=fields.get("peak_heap", 0),
-            static_fleet=fields["static_fleet"],
-            rng_states=dict(fields["rng_states"]),
-        )
-        for inst, entry in zip(
-            self.fleet.instances, snapshot["instances"]
-        ):
-            inst.load_state_dict(entry)
-            inst.queue.clear()
-            inst.queue.extend(requests.view(i) for i in entry["queue"])
-        self.policy.load_state_dict(snapshot["policy"])
-        self.hooks.load_state_dict(snapshot["hooks"])
-        return self.state
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ fleet is just the indexed collection a scheduling policy chooses from.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -85,40 +86,23 @@ class Instance:
     busy_seconds_window: float = 0.0
     profiles: dict[str, ServiceProfile] | None = None
 
-    #: Scalar fields that round-trip through ``state_dict`` — the
-    #: queue (engine-owned, serialized as stream positions by
-    #: ``Engine.snapshot``) and the deterministically rebuilt ``index``
-    #: and ``profiles`` are deliberately excluded.
-    _STATE_FIELDS = (
-        "busy_until",
-        "loaded_model",
-        "busy_seconds",
-        "served",
-        "batches",
-        "setups",
-        "queued_seconds",
-        "active",
-        "latency_scale",
-        "busy_power_w",
-        "idle_power_w",
-        "energy_joules",
-        "powered_since",
-        "powered_seconds",
-        "window_end",
-        "busy_seconds_window",
-    )
+    def __getstate__(self) -> dict:
+        """Pickle the queue as ``(arena, rows)``: one reference to the
+        arena every view shares plus a flat row array, instead of one
+        object per request."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        queue = self.queue
+        state["queue"] = (
+            queue[0].arena if queue else None,
+            [request.i for request in queue],
+        )
+        return state
 
-    def state_dict(self) -> dict:
-        """Picklable mid-run state (see :data:`_STATE_FIELDS`)."""
-        return {
-            name: getattr(self, name) for name in self._STATE_FIELDS
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the fields captured by :meth:`state_dict`; extra
-        keys (e.g. the engine's serialized queue) are ignored."""
-        for name in self._STATE_FIELDS:
-            setattr(self, name, state[name])
+    def __setstate__(self, state: dict) -> None:
+        arena, rows = state.pop("queue")
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.queue = deque(map(arena.view, rows) if rows else ())
 
     def enqueue(self, request: Request) -> None:
         """Add a request, keeping the queue in ``(priority, arena

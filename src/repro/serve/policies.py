@@ -93,14 +93,6 @@ class SchedulingPolicy:
     def reset(self) -> None:
         """Clear any per-run state (called once per simulation)."""
 
-    def state_dict(self) -> dict:
-        """Picklable mid-run state for checkpointing (base policies
-        are stateless and return an empty dict)."""
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-
 
 class RoundRobinPolicy(SchedulingPolicy):
     """Stripe arrivals across instances in order."""
@@ -112,12 +104,6 @@ class RoundRobinPolicy(SchedulingPolicy):
 
     def reset(self) -> None:
         self._next = 0
-
-    def state_dict(self) -> dict:
-        return {"next": self._next}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._next = state["next"]
 
     def choose(self, request, fleet, now):
         index = self._next % len(fleet)

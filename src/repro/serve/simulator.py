@@ -296,9 +296,8 @@ class ServingExecution:
     engine: Engine
     #: Bit-generator state captured right after stream construction —
     #: all randomness is consumed pre-run, so this is the position a
-    #: checkpoint must round-trip exactly.  ``None`` when the stream
-    #: was loaded from a checkpoint instead of generated.
-    rng_state: dict | None = None
+    #: checkpoint must round-trip exactly.
+    rng_state: dict
 
 
 def _offered_qps(scenario, capacity: float) -> float:
@@ -338,23 +337,25 @@ def _serve_inputs(scenario: ServingScenario):
     return (mix, capacity, qps, *_arrival_process(scenario, qps))
 
 
-def _wire_serving(
+def prepare_serving(
     scenario: ServingScenario,
-    mix,
-    capacity: float,
-    qps: float,
-    times: np.ndarray,
-    requests,
     hooks: EngineHooks | None = None,
     *,
     obs=None,
 ) -> ServingExecution:
-    """Wire a serve run around an already-materialized stream: fleet,
-    busy window, policy, telemetry registration, and the engine.
+    """Build the non-streaming execution for ``scenario``.
 
-    All RNG-free, so :func:`prepare_serving` and checkpoint resume
-    (which must never regenerate a mid-run-mutated stream) share it.
+    The head half of :func:`simulate` (identical build sequence, so
+    identical RNG consumption): mix, capacity, arrival stream, request
+    arena, then the fleet, busy window, policy, telemetry registration
+    and the engine.  Always takes the build-then-run path, never the
+    chunk-interleaved streaming mode.
     """
+    mix, capacity, qps, arrivals, n, rng = _serve_inputs(scenario)
+    requests = build_requests(mix, arrivals.times(n, rng), rng)
+    # The arena's arrival column holds the same floats as the drawn
+    # times: one array per stream (and per checkpoint).
+    times = requests.arrival
     fleet = Fleet(scenario.instances)
     window_end = float(times[-1])
     for instance in fleet:
@@ -380,30 +381,8 @@ def _wire_serving(
         requests=requests,
         fleet=fleet,
         engine=engine,
+        rng_state=capture_rng_state(rng),
     )
-
-
-def prepare_serving(
-    scenario: ServingScenario,
-    hooks: EngineHooks | None = None,
-    *,
-    obs=None,
-) -> ServingExecution:
-    """Build the non-streaming execution for ``scenario``.
-
-    The head half of :func:`simulate` (identical build sequence, so
-    identical RNG consumption): mix, capacity, arrival stream, request
-    arena, then :func:`_wire_serving`.  Always takes the build-then-run
-    path, never the chunk-interleaved streaming mode.
-    """
-    mix, capacity, qps, arrivals, n, rng = _serve_inputs(scenario)
-    times = arrivals.times(n, rng)
-    requests = build_requests(mix, times, rng)
-    execution = _wire_serving(
-        scenario, mix, capacity, qps, times, requests, hooks, obs=obs
-    )
-    execution.rng_state = capture_rng_state(rng)
-    return execution
 
 
 def _serving_report(
@@ -497,7 +476,7 @@ def finalize_serving(execution: ServingExecution) -> ServingReport:
 
     The tail half of :func:`simulate`; identical whether the engine
     drained via ``run``, via checkpointed ``run_until`` slices, or
-    after a restore in a fresh process.
+    after a resume in a fresh process.
     """
     scenario = execution.scenario
     summary = summarize_requests(execution.requests, stats=scenario.stats)

@@ -101,25 +101,6 @@ class TestPayloadOrdering:
         assert payload["displayTimeUnit"] == "ms"
 
 
-class TestStateDict:
-    def test_round_trip_preserves_events(self):
-        recorder = TraceRecorder()
-        recorder.instant("spill", cat="spillover", ts_s=0.1, pid=0)
-        recorder.instant("power-up", cat="governor", ts_s=0.2, pid=0, tid=1)
-        restored = TraceRecorder()
-        restored.load_state_dict(recorder.state_dict())
-        assert _recorded(restored) == _recorded(recorder)
-
-    def test_display_names_are_not_state(self):
-        """Names are wiring-time config, rebuilt by register_fleet on
-        resume — a restored recorder starts nameless."""
-        recorder = TraceRecorder()
-        recorder.set_process_name(0, "fleet 0")
-        restored = TraceRecorder()
-        restored.load_state_dict(recorder.state_dict())
-        assert _recorded(restored) == []
-
-
 class TestWriteAndSummarize:
     def _sample(self, path):
         recorder = TraceRecorder()

@@ -1,5 +1,5 @@
-"""Checkpoint determinism: snapshot mid-run, restore in a fresh
-process, and the report — and the cache content key — must come out
+"""Checkpoint determinism: pickle the execution mid-run, resume in a
+fresh process, and the report — and the cache content key — must come out
 byte-identical to the uninterrupted run.
 
 The property grid cuts runs at pseudo-random mid-run times across
@@ -13,6 +13,7 @@ of the contract, not just report equality.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -34,6 +35,7 @@ from repro.checkpoint import (
     run_serve_checkpointed,
     save_checkpoint,
 )
+from repro.control.hetero import parse_fleet_spec
 from repro.control.simulator import ControlScenario, simulate_controlled
 from repro.control.slo import SLOClass
 from repro.errors import ConfigError, ReproError
@@ -181,16 +183,30 @@ class TestCheckpointProperty:
             assert outcome["key"] == expected_key
 
     @pytest.mark.parametrize(
-        "autoscale,shedding",
+        "autoscale,shedding,overrides",
         [
-            pytest.param("none", "none", id="hook-free"),
-            pytest.param("utilization", "deadline", id="sizing"),
-            pytest.param("dvfs", "queue-depth", id="dvfs"),
-            pytest.param("predictive", "deadline", id="predictive"),
+            pytest.param("none", "none", {}, id="hook-free"),
+            pytest.param("utilization", "deadline", {}, id="sizing"),
+            pytest.param("dvfs", "queue-depth", {}, id="dvfs"),
+            pytest.param("predictive", "deadline", {}, id="predictive"),
+            # Overloaded short queues: preemption removes queued
+            # victims on both sides of any cut.
+            pytest.param(
+                "none", "priority", {"qps": 8000, "queue_threshold": 4},
+                id="priority-preemptive",
+            ),
+            pytest.param(
+                "none", "deadline",
+                {
+                    "policy": "energy-aware",
+                    "fleet": parse_fleet_spec("0.8x2,0.6x1"),
+                },
+                id="energy-aware-dvfs-fleet",
+            ),
         ],
     )
     def test_control_resume_matches_uninterrupted(
-        self, autoscale, shedding, tmp_path
+        self, autoscale, shedding, overrides, tmp_path
     ):
         scenario = ControlScenario(
             mix="mixed",
@@ -210,7 +226,10 @@ class TestCheckpointProperty:
                 ),
             ),
         )
+        scenario = dataclasses.replace(scenario, **overrides)
         reference = simulate_controlled(scenario)
+        if shedding == "priority":
+            assert reference.shed_requests > 0
         assert run_control_checkpointed(scenario) == reference
         expected_key = make_key("control_point", args=(scenario,))
         rnd = random.Random(hash((autoscale, shedding)) & 0xFFFF)
@@ -225,7 +244,7 @@ class TestCheckpointProperty:
 
 
 class TestRngRoundTrip:
-    """Bit-generator states are part of the snapshot contract."""
+    """Bit-generator states are part of the checkpoint contract."""
 
     def test_capture_restore_resumes_the_stream(self):
         rng = np.random.default_rng(123)
@@ -249,13 +268,9 @@ class TestRngRoundTrip:
         # Exact nested-dict equality: the PCG64 position after stream
         # construction, not merely something that produces the same
         # report.
-        assert (
-            payload["snapshot"]["state"]["rng_states"]["main"]
-            == execution.rng_state
-        )
-        restored = restore_rng(
-            payload["snapshot"]["state"]["rng_states"]["main"]
-        )
+        saved = payload["execution"].rng_state
+        assert saved == execution.rng_state
+        restored = restore_rng(saved)
         assert capture_rng_state(restored) == execution.rng_state
 
 
@@ -287,6 +302,15 @@ class TestCheckpointFormat:
                 handle,
             )
         with pytest.raises(ReproError, match="schema"):
+            load_checkpoint(path)
+
+    def test_previous_schema_is_rejected(self, tmp_path):
+        """A state-dict era (schema 3) checkpoint fails cleanly rather
+        than resuming against the pickled-execution layout."""
+        path = tmp_path / "schema3.ckpt"
+        with open(path, "wb") as handle:
+            pickle.dump({"schema": 3, "version": __version__}, handle)
+        with pytest.raises(ReproError, match="schema 3"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):

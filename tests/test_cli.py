@@ -586,6 +586,33 @@ class TestCheckpointCli:
         )
         assert code == 1
 
+    def test_resume_rejects_checkpoint_every(self, tmp_path, capsys):
+        """The cadence comes from the checkpoint: a resume that passes
+        --checkpoint-every fails by name instead of ignoring it, and
+        --checkpoint alone still redirects the resumed saves."""
+        ckpt = tmp_path / "mid.ckpt"
+        code, _ = run_cli(
+            "control", *self._SCENARIO,
+            "--checkpoint", str(ckpt), "--checkpoint-every", "0.2",
+        )
+        assert code == 0
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        for extra in ((), ("--checkpoint", str(tmp_path / "b.ckpt"))):
+            code, _ = run_cli(
+                "control", "--resume", str(ckpt), *extra,
+                "--checkpoint-every", "0.5",
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "error: --checkpoint-every" in err
+        assert ckpt.read_bytes() == before
+        code, _ = run_cli(
+            "control", "--resume", str(ckpt),
+            "--checkpoint", str(tmp_path / "b.ckpt"),
+        )
+        assert code == 0
+
     def test_resume_missing_checkpoint_fails_cleanly(self, tmp_path):
         code, _ = run_cli(
             "control", "--resume", str(tmp_path / "nope.ckpt")
