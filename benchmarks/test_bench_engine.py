@@ -307,7 +307,7 @@ def test_bench_snapshot_restore_cost(benchmark):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_bench_tracing_disabled_is_free(benchmark):
+def test_bench_tracing_disabled_is_free(benchmark, tmp_path):
     """Telemetry off must cost nothing: the 50k round-robin scenario
     with an inactive observability session stays on the columnar fast
     path and within 2% of the plain run's wall clock.
@@ -316,7 +316,7 @@ def test_bench_tracing_disabled_is_free(benchmark):
     thermal or scheduler drift across the measurement window biases
     both sides equally rather than the second one.
     """
-    from repro.obs import Observability
+    from repro.obs import Observability, summarize_trace
 
     scenario = ServingScenario(
         requests=50_000, seed=42, policy="round-robin",
@@ -367,9 +367,9 @@ def test_bench_tracing_disabled_is_free(benchmark):
     benchmark.extra_info["tracing_off_s"] = round(off_s, 4)
     benchmark.extra_info["overhead_ratio"] = round(ratio, 4)
 
-    # Trajectory point: tracing-enabled events/sec on the same work
-    # (the general loop with span recording), for release-to-release
-    # comparison — informational, not a bar.
+    # Trajectory points, informational, not bars: a traced run of the
+    # same work (it keeps the columnar kernel; spans are derived from
+    # the arena after drain), then writing its trace file.
     def traced():
         obs = Observability(trace=True)
         return simulate(scenario, obs=obs)
@@ -380,6 +380,14 @@ def test_bench_tracing_disabled_is_free(benchmark):
     benchmark.extra_info["traced_s"] = round(traced_s, 4)
     benchmark.extra_info["traced_events_per_sec"] = round(
         traced_report.engine_events / traced_s
+    )
+    obs = Observability(trace=True)
+    simulate(scenario, obs=obs)
+    path = tmp_path / "run.trace.json"
+    write_s = _best_seconds(lambda: obs.write_trace(path), repeats=3)
+    benchmark.extra_info["trace_write_s"] = round(write_s, 4)
+    benchmark.extra_info["trace_events_per_sec"] = round(
+        summarize_trace(path)["events"] / write_s
     )
     benchmark.pedantic(
         lambda: simulate(scenario, obs=Observability()), rounds=3

@@ -42,12 +42,11 @@ traceback or, worse, silently resuming with drifted semantics.
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
 from pathlib import Path
 
 from . import __version__
+from ._atomic import write_atomic
 from .control.simulator import (
     ControlScenario,
     _control_inputs,
@@ -86,35 +85,20 @@ _INF = float("inf")
 
 
 def save_checkpoint(path, payload: dict) -> None:
-    """Atomically write ``payload`` to ``path``.
-
-    Same idiom as the result cache: pickle into a temporary file in the
-    target directory, then ``os.replace`` — a reader (or a resume after
-    SIGKILL) sees either the previous complete checkpoint or the new
-    one, never a torn file.
-    """
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".ckpt"
-        )
-    except OSError as exc:
-        raise ReproError(
-            f"checkpoint path {path} is not writable: {exc}"
-        ) from exc
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(
-                payload, handle, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    """Atomically write ``payload`` to ``path`` (a pickle written
+    through :func:`~repro._atomic.write_atomic`): a reader, or a resume
+    after SIGKILL, sees either the previous complete checkpoint or the
+    new one, never a torn file."""
+    write_atomic(
+        path,
+        lambda handle: pickle.dump(
+            payload, handle, protocol=pickle.HIGHEST_PROTOCOL
+        ),
+        f"checkpoint path {path} is not writable",
+        binary=True,
+        suffix=".ckpt",
+        make_parents=True,
+    )
 
 
 def load_checkpoint(path) -> dict:

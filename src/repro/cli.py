@@ -78,12 +78,10 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-import tempfile
-from pathlib import Path
 
 from . import __version__
+from ._atomic import write_atomic
 from .checkpoint import (
     resume_checkpointed,
     run_control_checkpointed,
@@ -565,36 +563,11 @@ def _read_trace(path: str) -> tuple[float, ...]:
 
 
 def _write_json_payload(path: str, payload: dict) -> None:
-    # Atomic, same idiom as the result cache: serialize into a temp
-    # file in the target directory, then os.replace.  A reader (or a
-    # crashed run) sees the old complete file or the new one, never a
-    # truncated half-write.
-    target = Path(path)
-    try:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=target.parent or Path("."),
-            prefix=".tmp-",
-            suffix=".json",
-        )
-    except OSError as exc:
-        raise ReproError(f"cannot write JSON to {path}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp_name, target)
-    except OSError as exc:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise ReproError(f"cannot write JSON to {path}: {exc}") from exc
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    def dump(handle) -> None:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+    write_atomic(path, dump, f"cannot write JSON to {path}", suffix=".json")
 
 
 def _with_telemetry(payload: dict, reports, obs) -> dict:

@@ -38,8 +38,8 @@ import numpy as np
 
 from ..serve.arena import RequestArena
 from ..serve.engine import _EPS
+from . import trace
 from .metrics import MetricsTimeline
-from .trace import complete_events, instant_events
 
 __all__ = ["Columns", "Schedule", "columns", "trace_events", "timeline"]
 
@@ -51,18 +51,21 @@ _FIELDS = (
     "shed",
     "instance",
     "deadline",
-    "model",
-    "slo",
     "per_image",
     "setup",
+    "model_idx",
+    "class_idx",
+    "model_names",
+    "slo_names",
 )
 
 
 class Columns:
     """One engine stream's outcome columns, in stream order.
 
-    ``model``/``slo`` are object arrays of names (``""`` outside the
-    control plane); ``per_image``/``setup`` are each row's own service
+    ``model_idx`` indexes the ``model_names`` table and ``class_idx``
+    the ``slo_names`` table (``-1``: no SLO class, outside the control
+    plane); ``per_image``/``setup`` are each row's own service
     profile."""
 
     __slots__ = _FIELDS
@@ -82,11 +85,10 @@ def columns(arena: RequestArena) -> Columns:
     cols.instance = arena.instance
     cols.deadline = arena.deadline
     midx = arena.model_idx
-    cols.model = np.array(arena.model_names, dtype=object)[midx]
-    # class_idx -1 (no SLO class) picks the trailing "".
-    cols.slo = np.array((*arena.slo_names, ""), dtype=object)[
-        arena.class_idx
-    ]
+    cols.model_idx = midx
+    cols.class_idx = arena.class_idx
+    cols.model_names = arena.model_names
+    cols.slo_names = arena.slo_names
     cols.per_image = arena.per_image[midx]
     cols.setup = arena.setup[midx]
     return cols
@@ -120,7 +122,9 @@ class Schedule:
         self.inst = inst[first]
         self.start = start[first]
         head = rows[first]
-        self.model = cols.model[head]
+        self.model = np.array(cols.model_names, dtype=object)[
+            cols.model_idx[head]
+        ]
         per = cols.per_image[head]
         setup = cols.setup[head]
         instances = fleet.instances
@@ -186,23 +190,19 @@ class Schedule:
         self.bounds = bounds
 
 
-def trace_events(pid: int, cols: Columns, sched: Schedule, ids) -> list:
-    """Shed instants, then each batch span followed by its members'
-    request spans (stream order), batches in ``ids`` (launch) order."""
-    shed = cols.shed
-    events = instant_events(
-        "shed",
-        "admission",
-        cols.arrival[shed],
-        pid,
-        cols.instance[shed].tolist(),
-        [
-            {"model": model, "class": slo}
-            for model, slo in zip(
-                cols.model[shed].tolist(), cols.slo[shed].tolist()
-            )
-        ],
-    )
+def trace_events(pid: int, cols: Columns, sched: Schedule, ids):
+    """The stream's trace events as ``(ts_us, texts)`` in list order:
+    shed instants, then each batch span followed by its members'
+    request spans (stream order), batches in ``ids`` (launch) order.
+
+    Each kind is one :mod:`~repro.obs.trace` template filled from the
+    columns; names come from per-table encodings indexed by
+    ``model_idx``/``class_idx``.
+    """
+    model = trace.encoded(cols.model_names)
+    # class_idx -1 (no SLO class) picks the trailing "".
+    slo = trace.encoded((*cols.slo_names, ""))
+    shed = np.flatnonzero(cols.shed)
     order = np.argsort(ids, kind="stable")
     size = sched.size[order]
     # Member rows batch by batch in launch order.
@@ -211,52 +211,74 @@ def trace_events(pid: int, cols: Columns, sched: Schedule, ids) -> list:
         np.repeat(sched.first[order] - offsets, size)
         + np.arange(int(size.sum()))
     ]
-    batch_ids = ids[order].tolist()
+    n_shed, n_batch, n_req = len(shed), len(order), len(members)
+    total = n_shed + n_batch + n_req
+    ts = np.empty(total)
+    texts = np.empty(total, dtype=object)
+
+    shed_ts = trace.Number(cols.arrival[shed] * 1e6, 3)
+    ts[:n_shed] = shed_ts.values
+    texts[:n_shed] = trace.fill(
+        trace.SHED,
+        shed_ts,
+        np.full(n_shed, pid),
+        cols.instance[shed],
+        model[cols.model_idx[shed]],
+        slo[cols.class_idx[shed]],
+    )
+
+    # Batch b sits after the sheds, the b batches before it and their
+    # members; each member after its own batch.
+    at = n_shed + offsets + np.arange(n_batch)
     start = sched.start[order]
-    batches = complete_events(
-        [f"batch:{name}" for name in cols.model[members[offsets]]],
-        "batch",
-        start,
-        (start + sched.service[order]) - start,
-        pid,
-        sched.inst[order].tolist(),
-        [
-            {"batch": batch, "size": k}
-            for batch, k in zip(batch_ids, size.tolist())
+    batch_ts = trace.Number(start * 1e6, 3)
+    ts[at] = batch_ts.values
+    texts[at] = trace.fill(
+        trace.BATCH,
+        trace.encoded([f"batch:{name}" for name in cols.model_names])[
+            cols.model_idx[members[offsets]]
         ],
+        batch_ts,
+        trace.Number(((start + sched.service[order]) - start) * 1e6, 3),
+        np.full(n_batch, pid),
+        sched.inst[order],
+        ids[order],
+        size,
+    )
+
+    at = n_shed + np.arange(n_req) + np.repeat(
+        np.arange(1, n_batch + 1), size
     )
     arrival = cols.arrival[members]
     finish = cols.finish[members]
     deadline = cols.deadline[members]
-    requests = complete_events(
-        cols.model[members].tolist(),
-        "request",
-        arrival,
-        finish - arrival,
-        pid,
-        cols.instance[members].tolist(),
-        [
-            {
-                "batch": batch,
-                "class": slo,
-                "wait_ms": round(wait, 6),
-                "slack_ms": round(slack, 6),
-            }
-            if has_deadline
-            else {"batch": batch, "class": slo, "wait_ms": round(wait, 6)}
-            for batch, slo, wait, slack, has_deadline in zip(
-                np.repeat(ids[order], size).tolist(),
-                cols.slo[members].tolist(),
-                ((cols.start[members] - arrival) * 1e3).tolist(),
-                ((deadline - finish) * 1e3).tolist(),
-                np.isfinite(deadline).tolist(),
-            )
-        ],
+    request_ts = trace.Number(arrival * 1e6, 3)
+    ts[at] = request_ts.values
+    fields = (
+        model[cols.model_idx[members]],
+        request_ts,
+        trace.Number((finish - arrival) * 1e6, 3),
+        np.full(n_req, pid),
+        cols.instance[members],
+        np.repeat(ids[order], size),
+        slo[cols.class_idx[members]],
+        trace.Number((cols.start[members] - arrival) * 1e3, 6),
     )
-    for b, (lo, k) in enumerate(zip(offsets.tolist(), size.tolist())):
-        events.append(batches[b])
-        events.extend(requests[lo:lo + k])
-    return events
+    # Rows with a finite deadline also carry their slack.
+    slack = np.isfinite(deadline)
+    for template, rows in (
+        (trace.REQUEST_SLACK, np.flatnonzero(slack)),
+        (trace.REQUEST, np.flatnonzero(~slack)),
+    ):
+        if not len(rows):
+            continue
+        columns = [field[rows] for field in fields]
+        if template is trace.REQUEST_SLACK:
+            columns.append(
+                trace.Number((deadline[rows] - finish[rows]) * 1e3, 6)
+            )
+        texts[at[rows]] = trace.fill(template, *columns)
+    return ts, texts
 
 
 def timeline(

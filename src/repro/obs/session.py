@@ -207,8 +207,10 @@ class Observability:
         }
 
     def trace_events(self) -> list:
-        """Every derived span and shed instant, batches numbered across
-        fleets in launch order (start time, fleet, instance)."""
+        """Every derived span and shed instant as one encoded
+        ``(ts_us, texts)`` block per fleet (:func:`derive.trace_events`),
+        batches numbered across fleets in launch order (start time,
+        fleet, instance)."""
         derived = self._derived()
         if not derived:
             return []
@@ -221,17 +223,17 @@ class Observability:
         ids[np.lexsort((insts, pids, starts))] = np.arange(
             1, len(starts) + 1
         )
-        events = []
+        blocks = []
         offset = 0
         for pid, _, cols, sched in derived:
             count = len(sched.start)
-            events.extend(
+            blocks.append(
                 derive.trace_events(
                     pid, cols, sched, ids[offset:offset + count]
                 )
             )
             offset += count
-        return events
+        return blocks
 
     def _check_traced(self) -> None:
         if self.recorder is None:
@@ -241,7 +243,8 @@ class Observability:
 
     def trace_payload(self) -> dict:
         """The complete Chrome trace-event object :meth:`write_trace`
-        writes (recorded instants + derived spans + counters)."""
+        writes (recorded instants + derived spans + counters), parsed
+        from the same encoded text."""
         self._check_traced()
         return self.recorder.to_payload(
             self.counts(), self.trace_events()

@@ -24,12 +24,12 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 
+from .._atomic import write_atomic
 from ..errors import ConfigError
 
 __all__ = [
@@ -231,26 +231,17 @@ class ResultCache:
         self._memory[key] = value
         if self.cache_dir is None:
             return
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".pkl"
-            )
-        except OSError as exc:
-            raise ConfigError(
-                f"cache directory {self.cache_dir} is not writable: {exc}"
-            ) from exc
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(
+            self._path(key),
+            lambda handle: pickle.dump(
+                value, handle, protocol=pickle.HIGHEST_PROTOCOL
+            ),
+            f"cache directory {self.cache_dir} is not writable",
+            error=ConfigError,
+            binary=True,
+            suffix=".pkl",
+            make_parents=True,
+        )
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, computing it on a miss."""

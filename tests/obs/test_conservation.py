@@ -8,6 +8,7 @@ across repeated runs and across a mid-run checkpoint cut.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -323,6 +324,31 @@ class TestCheckTraceTool:
         )
         assert proc.returncode == 1
         assert "offered" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda text: json.dumps(json.loads(text)) + "\n",
+            lambda text: text.rstrip("\n"),
+            lambda text: text.replace(".0,", ".00,", 1),
+        ],
+        ids=["spaced-separators", "no-newline", "number-spelling"],
+    )
+    def test_validator_rejects_non_canonical_text(self, tmp_path, rewrite):
+        """Same events, other bytes: only the canonical compact text
+        passes."""
+        obs = Observability(trace=True)
+        simulate_controlled(_control_scenario("poisson"), obs=obs)
+        path = tmp_path / "t.json"
+        obs.write_trace(path)
+        path.write_text(rewrite(path.read_text()))
+        proc = subprocess.run(
+            [sys.executable, str(_CHECK_TRACE), str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "canonical" in proc.stderr
 
 
 def _mutate_first(events, cat, change):

@@ -20,9 +20,15 @@ reproduce them *unregenerated*.  The tests also pin that observing a
 run keeps its execution path: traced and metered runs report the same
 ``engine`` dispatch as their untraced twins.
 
+A second golden, ``obs_trace_bytes.json``, pins the sha256 of the
+*written trace file* for every case above plus a few CLI shapes, so it
+sees what the multiset cannot: the byte layout and the tie order at
+equal ``ts``.
+
 Regenerate (only when telemetry semantics intentionally change)::
 
     PYTHONPATH=src python tests/obs/test_obs_parity.py --regenerate
+    PYTHONPATH=src python tests/obs/test_obs_parity.py --regenerate-bytes
 """
 
 import dataclasses
@@ -44,6 +50,7 @@ from repro.obs import Observability
 from repro.serve import ServingScenario, simulate
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "obs_parity.json"
+BYTES_GOLDEN_PATH = GOLDEN_PATH.with_name("obs_trace_bytes.json")
 
 #: Metrics window (simulated seconds) for every golden run.
 WINDOW_S = 0.02
@@ -251,9 +258,11 @@ def observe(plane: str, scenario) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace.json"
         obs.write_trace(path)
-        payload = json.loads(path.read_text())
+        raw = path.read_bytes()
+    payload = json.loads(raw)
     events = canonical_events(payload)
     return {
+        "file_sha256": hashlib.sha256(raw).hexdigest(),
         "metrics": json.loads(json.dumps(obs.metrics_payload())),
         "trace_events": len(events),
         "trace_sha256": hashlib.sha256(
@@ -272,6 +281,12 @@ def _golden() -> dict:
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return _golden()
+
+
+@pytest.fixture(scope="module")
+def bytes_golden() -> dict:
+    with open(BYTES_GOLDEN_PATH) as handle:
+        return json.load(handle)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +315,12 @@ class TestDerivedTelemetryParity:
         assert got["trace_sha256"] == want["trace_sha256"]
         assert got["other_data"] == want["other_data"]
 
+    def test_trace_file_bytes_equal_golden(
+        self, name, bytes_golden, observed
+    ):
+        got = _observed(observed, name)
+        assert got["file_sha256"] == bytes_golden["cases"][name]
+
     def test_observing_keeps_the_execution_path(self, name, observed):
         plane, scenario = cases()[name]
         # Derivation needs the arena, which chunk streaming never
@@ -312,11 +333,62 @@ class TestDerivedTelemetryParity:
         assert _observed(observed, name)["dispatch"] == want
 
 
+#: CLI runs (arguments after ``repro``) whose trace file is pinned too:
+#: the benchmark's ``ctl-rr-observed`` shape at 5k requests, and a
+#: least-loaded serve run.
+CLI_SHAPES = {
+    "ctl-rr-observed-5k": (
+        "control", "--requests", "5000", "--qps", "12000",
+        "--shedding", "deadline", "--policy", "round-robin",
+        "--seed", "3", "--metrics-every", "0.05",
+    ),
+    "serve-ll-5k": (
+        "serve", "--requests", "5000", "--instances", "3", "--seed", "1",
+    ),
+}
+
+
+def cli_trace_sha256(argv, tmp) -> str:
+    """sha256 of the trace file one in-process CLI run writes."""
+    import io
+
+    from repro.cli import main
+
+    path = Path(tmp) / "cli.trace.json"
+    code = main([*argv, "--trace", str(path)], out=io.StringIO())
+    assert code == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CLI_SHAPES))
+def test_cli_trace_file_bytes_equal_golden(name, bytes_golden, tmp_path):
+    got = cli_trace_sha256(CLI_SHAPES[name], tmp_path)
+    assert got == bytes_golden["cli"][name]
+
+
+def _regenerate_bytes() -> None:
+    payload = {
+        "cases": {
+            name: observe(plane, scenario)["file_sha256"]
+            for name, (plane, scenario) in cases().items()
+        },
+        "cli": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CLI_SHAPES.items():
+            payload["cli"][name] = cli_trace_sha256(argv, tmp)
+    with open(BYTES_GOLDEN_PATH, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {BYTES_GOLDEN_PATH}")
+
+
 def _regenerate() -> None:
     payload = {}
     for name, (plane, scenario) in cases().items():
         entry = observe(plane, scenario)
         del entry["dispatch"]
+        del entry["file_sha256"]
         payload[name] = entry
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     with open(GOLDEN_PATH, "w") as handle:
@@ -328,6 +400,12 @@ def _regenerate() -> None:
 if __name__ == "__main__":
     import sys
 
-    if "--regenerate" not in sys.argv:
-        sys.exit("run with --regenerate to rewrite the golden file")
-    _regenerate()
+    if "--regenerate-bytes" in sys.argv:
+        _regenerate_bytes()
+    elif "--regenerate" in sys.argv:
+        _regenerate()
+    else:
+        sys.exit(
+            "run with --regenerate or --regenerate-bytes to rewrite "
+            "a golden file"
+        )

@@ -434,6 +434,33 @@ class TestAtomicJsonWrites:
                 str(tmp_path / "no" / "dir.json"), {"x": 1}
             )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--json",),
+            ("--trace",),
+            ("--checkpoint-every", "0.1", "--checkpoint"),
+        ],
+        ids=["json", "trace", "checkpoint"],
+    )
+    def test_directory_output_path_fails_cleanly(
+        self, flags, tmp_path, capsys
+    ):
+        """An output path naming a directory exits 1 with an
+        ``error:`` line instead of an ``IsADirectoryError`` traceback,
+        and leaves no temp file behind."""
+        target = tmp_path / "out"
+        target.mkdir()
+        code, _ = run_cli(
+            "control", "--requests", "2000", "--policy", "round-robin",
+            *flags, str(target),
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.rglob(".trace-*")) == []
+        assert list(tmp_path.rglob(".tmp-*")) == []
+        assert list(target.iterdir()) == []
+
 
 class TestTelemetryCli:
     def test_serve_trace_and_metrics(self, tmp_path):

@@ -20,7 +20,12 @@ Stdlib-only (runs in CI without installing the package). Checks:
   derived from the same columns as the spans): batch spans on one
   ``(pid, tid)`` lane never overlap, every request span's ``batch`` id
   names a batch span on the same lane, each batch's ``size`` equals
-  its member count, and no member arrived after its batch launched.
+  its member count, and no member arrived after its batch launched;
+* canonical form: the file text equals
+  ``json.dumps(json.loads(text), separators=(",", ":")) + "\n"`` —
+  the writer encodes events from text templates, and this is the
+  contract those templates must keep (key order, number spelling,
+  string escapes, no stray whitespace).
 
 Exits 0 and prints a one-line summary when the trace passes; exits 1
 with the first violation otherwise.
@@ -50,11 +55,12 @@ def check_trace(path: str) -> str:
         ValueError: On the first violation found.
     """
     try:
-        with open(path) as handle:
-            payload = json.load(handle)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        payload = json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(
@@ -64,6 +70,10 @@ def check_trace(path: str) -> str:
     events = payload.get("traceEvents")
     if not isinstance(events, list):
         raise ValueError(f"{path}: no traceEvents list")
+    # Compared while the text is alive anyway (the check's peak memory
+    # stays the parse's), reported after every other rule.
+    noncanonical_at = _noncanonical_at(text, payload)
+    del text
 
     last_ts = None
     request_spans = 0
@@ -148,10 +158,56 @@ def check_trace(path: str) -> str:
             f"({shed_instants}) != offered ({offered}); a request "
             "was dropped or double-counted"
         )
+    if noncanonical_at is not None:
+        raise ValueError(
+            f"{path}: not in canonical compact form near character "
+            f"{noncanonical_at} (the text must equal "
+            "json.dumps(json.loads(text), separators=(',', ':')) plus a "
+            "newline)"
+        )
     return (
         f"{path}: OK — {len(events)} events, {request_spans} request "
         f"spans + {shed_instants} shed == {offered} offered"
     )
+
+
+#: List items encoded per piece of the canonical text; small pieces keep
+#: the comparison's own memory to a few hundred KiB.
+_ITEMS = 64
+
+
+def _noncanonical_at(text: str, payload: dict) -> int | None:
+    """Where ``text`` first departs from ``json.dumps(payload,
+    separators=(",", ":")) + "\\n"``, or ``None`` when it does not.
+    The canonical side is encoded a piece at a time
+    (:func:`_canonical_pieces`), never as a second whole copy."""
+    pos = 0
+    for piece in _canonical_pieces(payload):
+        if not text.startswith(piece, pos):
+            return pos
+        pos += len(piece)
+    return None if pos == len(text) else pos
+
+
+def _canonical_pieces(payload: dict):
+    """The canonical text of ``payload`` plus a newline, one top-level
+    key or value, or a slice of a top-level list's items, at a time."""
+    yield "{"
+    for i, (key, value) in enumerate(payload.items()):
+        yield ("," if i else "") + _compact(key) + ":"
+        if isinstance(value, list):
+            yield "["
+            for lo in range(0, len(value), _ITEMS):
+                items = _compact(value[lo:lo + _ITEMS])[1:-1]
+                yield ("," if lo else "") + items
+            yield "]"
+        else:
+            yield _compact(value)
+    yield "}\n"
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _check_schedule(path: str, batches: dict, members: list) -> None:
