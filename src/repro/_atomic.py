@@ -55,6 +55,10 @@ def write_atomic(
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=prefix, suffix=suffix
         )
+        # mkstemp's 0600, widened to what open() would create.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         if binary:
             handle = os.fdopen(fd, "wb")
         else:

@@ -570,24 +570,22 @@ def _write_json_payload(path: str, payload: dict) -> None:
     write_atomic(path, dump, f"cannot write JSON to {path}", suffix=".json")
 
 
-def _with_telemetry(payload: dict, reports, obs) -> dict:
+def _with_telemetry(payload: dict, reports, metrics=None) -> dict:
     """Append the execution telemetry of ``reports`` (one engine entry
-    per report — per member fleet in a multi-fleet run) and ``obs``'s
-    metrics.  It rides beside the physics, not inside it: report dicts
-    stay byte-stable for the parity goldens and caches."""
+    per report — per member fleet in a multi-fleet run) and the run's
+    ``metrics`` payload.  It rides beside the physics, not inside it:
+    report dicts stay byte-stable for the parity goldens and caches."""
     engine = [engine_counters_dict(r) for r in reports]
     if any(entry is not None for entry in engine):
         payload["engine"] = engine
-    if obs is not None:
-        metrics = obs.metrics_payload()
-        if metrics is not None:
-            payload["metrics"] = metrics
+    if metrics is not None:
+        payload["metrics"] = metrics
     return payload
 
 
-def _write_json(path: str, reports, obs=None) -> None:
+def _write_json(path: str, reports, metrics=None) -> None:
     payload = {"reports": [report_to_dict(r) for r in reports]}
-    _write_json_payload(path, _with_telemetry(payload, reports, obs))
+    _write_json_payload(path, _with_telemetry(payload, reports, metrics))
 
 
 def _obs_from(args):
@@ -640,16 +638,19 @@ def _reject_obs_with(args, what: str) -> None:
         )
 
 
-def _emit_obs(args, obs, out) -> None:
-    """Write the trace file and print the metrics tables, if recorded."""
+def _emit_obs(args, obs, out) -> dict | None:
+    """Write the trace file and print the metrics tables, if recorded;
+    returns the metrics payload for ``--json``.  The metrics come first,
+    so a window too fine for the run fails before any file is written."""
     if obs is None:
-        return
+        return None
+    metrics = obs.metrics_payload()
     if args.trace_path:
         obs.write_trace(args.trace_path)
-    metrics = obs.metrics_payload()
     if metrics is not None:
         print(file=out)
         print(render_metrics_timeline(metrics), file=out)
+    return metrics
 
 
 def _read_trace_arg(args) -> tuple[float, ...] | None:
@@ -774,9 +775,9 @@ def _resume(args, out) -> None:
         print(render_control_report(report), file=out)
     else:
         print(render_serving_report(report), file=out)
-    _emit_obs(args, obs, out)
+    metrics = _emit_obs(args, obs, out)
     if args.json_path:
-        _write_json(args.json_path, [report], obs)
+        _write_json(args.json_path, [report], metrics)
 
 
 def _serve(args, out) -> None:
@@ -806,9 +807,9 @@ def _serve(args, out) -> None:
         else:
             report = simulate_controlled(control_scenario, obs=obs)
         print(render_control_report(report), file=out)
-        _emit_obs(args, obs, out)
+        metrics = _emit_obs(args, obs, out)
         if args.json_path:
-            _write_json(args.json_path, [report], obs)
+            _write_json(args.json_path, [report], metrics)
         return
     scenario = ServingScenario(
         mix=args.mix,
@@ -865,9 +866,9 @@ def _serve(args, out) -> None:
     else:
         reports = [simulate(scenario, obs=obs)]
         print(render_serving_report(reports[0]), file=out)
-    _emit_obs(args, obs, out)
+    metrics = _emit_obs(args, obs, out)
     if args.json_path:
-        _write_json(args.json_path, reports, obs)
+        _write_json(args.json_path, reports, metrics)
 
 
 def _multi_fleet(args, base, cache, out, obs=None) -> None:
@@ -912,11 +913,11 @@ def _multi_fleet(args, base, cache, out, obs=None) -> None:
             [scenario], jobs=args.jobs, cache=cache
         )[0]
     print(render_multi_fleet_report(report), file=out)
-    _emit_obs(args, obs, out)
+    metrics = _emit_obs(args, obs, out)
     if args.json_path:
         payload = {"multi_fleet": multi_fleet_to_dict(report)}
         _write_json_payload(
-            args.json_path, _with_telemetry(payload, report.fleets, obs)
+            args.json_path, _with_telemetry(payload, report.fleets, metrics)
         )
 
 
@@ -985,9 +986,9 @@ def _control(args, out) -> None:
         else:
             report = simulate_controlled(base, obs=obs)
         print(render_control_report(report), file=out)
-        _emit_obs(args, obs, out)
+        metrics = _emit_obs(args, obs, out)
         if args.json_path:
-            _write_json(args.json_path, [report], obs)
+            _write_json(args.json_path, [report], metrics)
         return
     frontier = pareto_frontier(reports)
     print(

@@ -47,7 +47,7 @@ from ..serve.engine import (
 from ..serve.fleet import Fleet
 from ..serve.policies import make_policy
 from ..serve.profile import DEFAULT_WEIGHT_BANDWIDTH, build_mix
-from ..serve.sketch import StreamingLatencyStats
+from ..serve.sketch import StreamingLatencyStats, percentile
 from ..serve.simulator import (
     ServingReport,
     _arrival_process,
@@ -267,7 +267,7 @@ def _bucket_latency_stats(latencies) -> tuple[int, float]:
         return count, (latencies.quantile(0.99) if count else 0.0)
     count = len(latencies)
     return count, (
-        float(np.percentile(latencies, 99)) if count else 0.0
+        percentile(latencies, 99) if count else 0.0
     )
 
 

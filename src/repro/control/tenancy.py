@@ -47,6 +47,7 @@ from ..serve.arena import Request
 from ..serve.arrival import SharedModulator
 from ..serve.engine import build_requests
 from ..serve.simulator import ServingReport, _offered_qps
+from ..serve.sketch import percentile
 from .simulator import (
     ControlScenario,
     build_control_fleet,
@@ -518,7 +519,7 @@ def simulate_multi_fleet(
         met_requests=met,
         attainment=met / offered if offered else 0.0,
         latency_p99_s=(
-            float(np.percentile(final_latencies, 99))
+            percentile(final_latencies, 99)
             if final_latencies.size
             else 0.0
         ),

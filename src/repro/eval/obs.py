@@ -2,8 +2,8 @@
 
 Two small surfaces kept out of the report dataclass's JSON form on
 purpose: engine execution counters (events processed, peak heap,
-dispatch path) and the rolling metrics timeline recorded by
-:class:`repro.obs.MetricsTimeline`.  Both are *execution* telemetry —
+dispatch path) and the windowed metrics timeline derived by
+:mod:`repro.obs.metrics`.  Both are *execution* telemetry —
 how a run was carried out, not what it computed — so they ride next to
 the report payload rather than inside it, keeping cached and golden
 report dicts byte-identical across telemetry changes.

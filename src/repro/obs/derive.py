@@ -26,6 +26,11 @@ Reconstruction rules (the general loop's semantics, exactly):
   exactly a tick instant that the live loop scheduled *after* the tick
   is a measure-zero tie this rule does not reproduce.)
 
+The metrics timeline is one function of the sample times (a governed
+run's logged ticks, else the grid ``t += window``): counters at every
+retained time by one ``np.searchsorted`` per column, then
+:func:`~repro.obs.metrics.window_samples` — no per-sample sampler.
+
 Admission under priority preemption marks a queued victim shed after
 it was enqueued; the columns record only the final verdict, so the
 derived telemetry counts such a victim as shed at its arrival (and
@@ -36,62 +41,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..serve.arena import RequestArena
 from ..serve.engine import _EPS
 from . import trace
-from .metrics import MetricsTimeline
+from .metrics import _DRIFT, MAX_SAMPLES, window_samples
 
-__all__ = ["Columns", "Schedule", "columns", "trace_events", "timeline"]
+__all__ = ["MAX_GRID", "Schedule", "trace_events", "timeline"]
 
 _INF = float("inf")
-_FIELDS = (
-    "arrival",
-    "start",
-    "finish",
-    "shed",
-    "instance",
-    "deadline",
-    "per_image",
-    "setup",
-    "model_idx",
-    "class_idx",
-    "model_names",
-    "slo_names",
-)
 
-
-class Columns:
-    """One engine stream's outcome columns, in stream order.
-
-    ``model_idx`` indexes the ``model_names`` table and ``class_idx``
-    the ``slo_names`` table (``-1``: no SLO class, outside the control
-    plane); ``per_image``/``setup`` are each row's own service
-    profile."""
-
-    __slots__ = _FIELDS
-
-    def __len__(self) -> int:
-        return len(self.arrival)
-
-
-def columns(arena: RequestArena) -> Columns:
-    """The outcome columns of an engine stream (multi-fleet receivers
-    included: their spill-ins are rows of the merged arena)."""
-    cols = Columns()
-    cols.arrival = arena.arrival
-    cols.start = arena.start
-    cols.finish = arena.finish
-    cols.shed = arena.shed
-    cols.instance = arena.instance
-    cols.deadline = arena.deadline
-    midx = arena.model_idx
-    cols.model_idx = midx
-    cols.class_idx = arena.class_idx
-    cols.model_names = arena.model_names
-    cols.slo_names = arena.slo_names
-    cols.per_image = arena.per_image[midx]
-    cols.setup = arena.setup[midx]
-    return cols
+#: Most sample times an ungoverned timeline derives: a finer window is
+#: rejected up front instead of sampling for ever.
+MAX_GRID = 1_000_000
 
 
 class Schedule:
@@ -105,14 +67,14 @@ class Schedule:
     ``j``'s ``(times, busy, energy)`` cumulative fold.
     """
 
-    def __init__(self, cols: Columns, fleet, initial, log) -> None:
-        started = np.flatnonzero(cols.start >= 0.0)
+    def __init__(self, arena: RequestArena, fleet, initial, log) -> None:
+        started = np.flatnonzero(arena.start >= 0.0)
         order = np.lexsort(
-            (started, cols.start[started], cols.instance[started])
+            (started, arena.start[started], arena.instance[started])
         )
         rows = started[order]
-        inst = cols.instance[rows]
-        start = cols.start[rows]
+        inst = arena.instance[rows]
+        start = arena.start[rows]
         new = np.ones(len(rows), dtype=bool)
         new[1:] = (inst[1:] != inst[:-1]) | (start[1:] != start[:-1])
         first = np.flatnonzero(new)
@@ -121,12 +83,11 @@ class Schedule:
         self.size = np.diff(np.append(first, len(rows)))
         self.inst = inst[first]
         self.start = start[first]
-        head = rows[first]
-        self.model = np.array(cols.model_names, dtype=object)[
-            cols.model_idx[head]
-        ]
-        per = cols.per_image[head]
-        setup = cols.setup[head]
+        # The service profile is gathered at batch heads only.
+        head_model = arena.model_idx[rows[first]]
+        self.model = np.array(arena.model_names, dtype=object)[head_model]
+        per = arena.per_image[head_model]
+        setup = arena.setup[head_model]
         instances = fleet.instances
         K = len(instances)
         bounds = np.searchsorted(self.inst, np.arange(K + 1))
@@ -190,19 +151,19 @@ class Schedule:
         self.bounds = bounds
 
 
-def trace_events(pid: int, cols: Columns, sched: Schedule, ids):
+def trace_events(pid: int, arena: RequestArena, sched: Schedule, ids):
     """The stream's trace events as ``(ts_us, texts)`` in list order:
     shed instants, then each batch span followed by its members'
     request spans (stream order), batches in ``ids`` (launch) order.
 
     Each kind is one :mod:`~repro.obs.trace` template filled from the
-    columns; names come from per-table encodings indexed by
+    arena columns; names come from per-table encodings indexed by
     ``model_idx``/``class_idx``.
     """
-    model = trace.encoded(cols.model_names)
+    model = trace.encoded(arena.model_names)
     # class_idx -1 (no SLO class) picks the trailing "".
-    slo = trace.encoded((*cols.slo_names, ""))
-    shed = np.flatnonzero(cols.shed)
+    slo = trace.encoded((*arena.slo_names, ""))
+    shed = np.flatnonzero(arena.shed)
     order = np.argsort(ids, kind="stable")
     size = sched.size[order]
     # Member rows batch by batch in launch order.
@@ -216,15 +177,15 @@ def trace_events(pid: int, cols: Columns, sched: Schedule, ids):
     ts = np.empty(total)
     texts = np.empty(total, dtype=object)
 
-    shed_ts = trace.Number(cols.arrival[shed] * 1e6, 3)
+    shed_ts = trace.Number(arena.arrival[shed] * 1e6, 3)
     ts[:n_shed] = shed_ts.values
     texts[:n_shed] = trace.fill(
         trace.SHED,
         shed_ts,
         np.full(n_shed, pid),
-        cols.instance[shed],
-        model[cols.model_idx[shed]],
-        slo[cols.class_idx[shed]],
+        arena.instance[shed],
+        model[arena.model_idx[shed]],
+        slo[arena.class_idx[shed]],
     )
 
     # Batch b sits after the sheds, the b batches before it and their
@@ -235,8 +196,8 @@ def trace_events(pid: int, cols: Columns, sched: Schedule, ids):
     ts[at] = batch_ts.values
     texts[at] = trace.fill(
         trace.BATCH,
-        trace.encoded([f"batch:{name}" for name in cols.model_names])[
-            cols.model_idx[members[offsets]]
+        trace.encoded([f"batch:{name}" for name in arena.model_names])[
+            arena.model_idx[members[offsets]]
         ],
         batch_ts,
         trace.Number(((start + sched.service[order]) - start) * 1e6, 3),
@@ -249,20 +210,20 @@ def trace_events(pid: int, cols: Columns, sched: Schedule, ids):
     at = n_shed + np.arange(n_req) + np.repeat(
         np.arange(1, n_batch + 1), size
     )
-    arrival = cols.arrival[members]
-    finish = cols.finish[members]
-    deadline = cols.deadline[members]
+    arrival = arena.arrival[members]
+    finish = arena.finish[members]
+    deadline = arena.deadline[members]
     request_ts = trace.Number(arrival * 1e6, 3)
     ts[at] = request_ts.values
     fields = (
-        model[cols.model_idx[members]],
+        model[arena.model_idx[members]],
         request_ts,
         trace.Number((finish - arrival) * 1e6, 3),
         np.full(n_req, pid),
-        cols.instance[members],
+        arena.instance[members],
         np.repeat(ids[order], size),
-        slo[cols.class_idx[members]],
-        trace.Number((cols.start[members] - arrival) * 1e3, 6),
+        slo[arena.class_idx[members]],
+        trace.Number((arena.start[members] - arrival) * 1e3, 6),
     )
     # Rows with a finite deadline also carry their slack.
     slack = np.isfinite(deadline)
@@ -281,90 +242,123 @@ def trace_events(pid: int, cols: Columns, sched: Schedule, ids):
     return ts, texts
 
 
+def _at(times: np.ndarray, values: np.ndarray, t: np.ndarray):
+    """``values`` of the last of ``times`` at or before each ``t``
+    (``0.0`` before the first)."""
+    return np.concatenate(([0.0], values))[
+        np.searchsorted(times, t, "right")
+    ]
+
+
 def timeline(
-    cols: Columns,
+    arena: RequestArena,
     sched: Schedule,
     window_s: float,
     active: int,
     log,
-) -> MetricsTimeline:
-    """The fleet's metrics timeline, sampled where the live loop
-    sampled it: at a governed run's recorded sample ticks, else on the
-    metrics-cadence grid ``t += window_s`` that runs until no arrival,
-    queued request, or in-flight batch remains."""
+) -> dict:
+    """The fleet's metrics timeline payload, sampled where the live
+    loop sampled it: at a governed run's recorded sample ticks, else on
+    the metrics-cadence grid ``t += window_s`` that runs until no
+    arrival, queued request, or in-flight batch remains.  Counters are
+    read off the columns at every retained sample time at once."""
     K = len(sched.fold)
-    arrival = cols.arrival
-    shed_cum = np.cumsum(cols.shed)
-    admitted = ~cols.shed
+    arrival = arena.arrival
+    admitted = ~arena.shed
     queued_from = [
-        arrival[admitted & (cols.instance == j)] for j in range(K)
+        arrival[admitted & (arena.instance == j)] for j in range(K)
     ]
     # Started rows are sorted by (instance, start): per-instance
     # slices of their starts, and of the batches, are sorted in time.
-    row_start = cols.start[sched.rows]
+    row_start = arena.start[sched.rows]
     row_bounds = np.searchsorted(
-        cols.instance[sched.rows], np.arange(K + 1)
+        arena.instance[sched.rows], np.arange(K + 1)
     ).tolist()
     member_starts = [
         row_start[row_bounds[j]:row_bounds[j + 1]] for j in range(K)
     ]
-    launched = np.sort(row_start)
-    launches = np.sort(sched.start)
+
+    def depth(t: np.ndarray) -> np.ndarray:
+        return np.stack([
+            np.searchsorted(q, t, "right") - np.searchsorted(m, t, "right")
+            for q, m in zip(queued_from, member_starts)
+        ], axis=1)
+
+    forecast = None
+    if log is not None:
+        times = np.array([s[0] for s in log.samples], dtype=np.float64)
+        active = np.array([s[1] for s in log.samples], dtype=np.int64)
+        forecast = [s[2] for s in log.samples]
+    else:
+        times = _grid(arena, sched, window_s, depth)
+    # The newest MAX_SAMPLES samples, led by the one before them (or
+    # by zero counters at t = 0).
+    first = max(len(times) - MAX_SAMPLES, 0)
+    t = np.concatenate(
+        ([times[first - 1] if first else 0.0], times[first:])
+    )
+    offered = np.searchsorted(arrival, t, "right")
+    counters = {
+        "offered": offered,
+        "shed": np.concatenate(([0], np.cumsum(arena.shed)))[offered],
+        "served": np.searchsorted(np.sort(row_start), t, "right"),
+        "batches": np.searchsorted(np.sort(sched.start), t, "right"),
+        "energy": np.zeros(len(t)),
+        "busy": np.empty((len(t), K)),
+    }
+    for j, (fold_t, busy, energy) in enumerate(sched.fold):
+        # The live sum over instances, as the same left fold.
+        counters["energy"] = counters["energy"] + _at(fold_t, energy, t)
+        counters["busy"][:, j] = _at(fold_t, busy, t)
+    if not first:
+        for values in counters.values():
+            values[0] = 0
+    return {
+        "window_s": window_s,
+        "samples": window_samples(
+            t,
+            counters,
+            depth(t[1:]),
+            active if log is None else active[first:],
+            forecast and forecast[first:],
+        ),
+        "dropped_samples": first,
+    }
+
+
+def _grid(arena, sched, window_s: float, depth) -> np.ndarray:
+    """An ungoverned run's sample times ``t += window_s`` (sequential
+    adds) through the first with no arrival to come, no request queued
+    and no batch in flight.  A window needing over :data:`MAX_GRID`
+    samples, or within the drift tolerance of a boundary (where the
+    live sampler skipped grid times), is rejected before any is built.
+    """
     finish = sched.start + sched.service
+    last_arrival = float(arena.arrival[-1]) if len(arena) else -_INF
+    horizon = max(last_arrival, finish.max(initial=0.0))
+    smallest = max(horizon / MAX_GRID, 2 * _DRIFT)
+    if window_s < smallest:
+        digits = 10.0 ** (np.floor(np.log10(smallest)) - 2)
+        raise ConfigError(
+            f"metrics window {window_s:g} s is too fine for this "
+            f"{horizon:.6g} s run (at most {MAX_GRID} samples): use a "
+            f"window of at least "
+            f"{np.ceil(smallest / digits) * digits:.3g} s"
+        )
     bounds = sched.bounds.tolist()
     busy_end = [
-        (
-            sched.start[bounds[j]:bounds[j + 1]],
-            finish[bounds[j]:bounds[j + 1]],
-        )
-        for j in range(K)
+        (sched.start[lo:hi], finish[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-
-    def at(times, values, t, default):
-        k = int(np.searchsorted(times, t, "right")) - 1
-        return values[k].item() if k >= 0 else default
-
-    def depth(t: float) -> list:
-        return [
-            int(np.searchsorted(queued_from[j], t, "right"))
-            - int(np.searchsorted(member_starts[j], t, "right"))
-            for j in range(K)
-        ]
-
-    def counters(t: float) -> dict:
-        offered = int(np.searchsorted(arrival, t, "right"))
-        return {
-            "offered": offered,
-            "shed": int(shed_cum[offered - 1]) if offered else 0,
-            "served": int(np.searchsorted(launched, t, "right")),
-            "batches": int(np.searchsorted(launches, t, "right")),
-            "energy": sum(
-                at(times, energy, t, 0.0)
-                for times, _, energy in sched.fold
-            ),
-            "busy": [
-                at(times, busy, t, 0.0) for times, busy, _ in sched.fold
-            ],
-        }
-
-    result = MetricsTimeline(window_s)
-    if log is not None:
-        for t, active_t, forecast in log.samples:
-            result.sample(t, counters(t), depth(t), active_t, forecast)
-        return result
-    last_arrival = float(arrival[-1]) if len(arrival) else -_INF
-    t = window_s
+    step = np.full(MAX_SAMPLES, window_s)
+    blocks = [np.zeros(1)]
     while True:
-        queue = depth(t)
-        if result.due(t):
-            result.sample(t, counters(t), queue, active)
-        if not (
-            last_arrival > t
-            or any(queue)
-            or any(
-                at(starts, ends, t, 0.0) > t + _EPS
-                for starts, ends in busy_end
-            )
-        ):
-            return result
-        t = t + window_s
+        block = np.cumsum(np.concatenate((blocks[-1][-1:], step)))[1:]
+        running = (last_arrival > block) | depth(block).any(axis=1)
+        for starts, ends in busy_end:
+            running |= _at(starts, ends, block) > block + _EPS
+        stop = np.flatnonzero(~running)
+        if len(stop):
+            blocks.append(block[:stop[0] + 1])
+            return np.concatenate(blocks[1:])
+        blocks.append(block)

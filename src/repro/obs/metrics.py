@@ -1,30 +1,37 @@
-"""Rolling windowed time-series metrics on the tick cadence.
+"""Windowed time-series metrics from cumulative counters.
 
-:class:`MetricsTimeline` turns cumulative fleet counters into
-per-window rates and gauges: offered/admitted/shed rate, per-instance
-queue depth and utilization, in-flight batch size, power draw, and the
-predictive governor's forecaster level/trend when one is running.
-Samples land in a bounded ring buffer (`collections.deque(maxlen=...)`),
-so a million-request run holds a fixed-size timeline.
+:func:`window_samples` turns a fleet's cumulative counters at its
+sample times into per-window rates and gauges — offered/admitted/shed
+rate, per-instance queue depth and utilization, in-flight batch size,
+power draw, the predictive governor's forecaster level/trend — in
+whole-column passes: deltas by shifted subtraction, guarded divisions,
+``round(x, 6)`` bit for bit (:func:`~repro.obs.trace._rounded`).  A
+timeline keeps its newest :data:`MAX_SAMPLES` samples and counts the
+older ones it dropped, so a million-request run reports a fixed size.
+The counters come from a drained run's columns
+(:mod:`repro.obs.derive`), so no checkpoint holds metrics state;
+:func:`is_due`/:func:`next_boundary` are the cadence a governed run's
+:class:`~repro.obs.governor.GovernorObserver` samples at its ticks.
 
-The counters come from a drained run (see :mod:`repro.obs.derive`):
-the timeline is built after the engine finished, from the arena
-columns every execution path writes, so it needs no checkpoint state
-of its own.
-
-Every rate divides by the observed window and every mean by its count
-— all guarded, so zero-duration and zero-admitted windows report
-honest ``0.0`` rows instead of ``inf``/``nan``.
+Zero-duration and zero-batch windows report honest ``0.0`` rates and
+means instead of ``inf``/``nan``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+
+import numpy as np
 
 from ..errors import ConfigError
+from .trace import _rounded
 
-__all__ = ["MetricsTimeline", "check_window", "is_due", "next_boundary"]
+__all__ = [
+    "MAX_SAMPLES", "check_window", "is_due", "next_boundary", "window_samples"
+]
+
+#: Samples a timeline keeps (the newest); older ones are only counted.
+MAX_SAMPLES = 4096
 
 #: Tolerance for accumulated tick-time float drift at a boundary.
 _DRIFT = 1e-9
@@ -53,107 +60,74 @@ def check_window(window_s, what: str = "metrics window") -> None:
         )
 
 
-class MetricsTimeline:
-    """One fleet's metrics ring buffer, sampled every ``window_s``."""
+def _round6(values: np.ndarray) -> np.ndarray:
+    return _rounded(values.ravel(), 6).reshape(values.shape)
 
-    def __init__(self, window_s: float, maxlen: int = 4096) -> None:
-        check_window(window_s)
-        self.window_s = window_s
-        self.maxlen = maxlen
-        self.samples: deque = deque(maxlen=maxlen)
-        self.next_sample_t = window_s
-        self.total_samples = 0
-        self._last: dict | None = None
 
-    def due(self, now: float) -> bool:
-        """Whether ``now`` has reached the next sample boundary (with a
-        tolerance for accumulated tick-time float drift)."""
-        return is_due(self.next_sample_t, now)
+def window_samples(
+    t: np.ndarray,
+    counters: dict,
+    queue_depth: np.ndarray,
+    active,
+    forecast=None,
+) -> list[dict]:
+    """One sample dict per window ending at ``t[1:]``.
 
-    def sample(
-        self,
-        now: float,
-        counters: dict,
-        queue_depth: list,
-        active: int,
-        forecast: tuple | None = None,
-    ) -> None:
-        """Append one window sample and advance the boundary.
+    ``t`` leads with the previous sample's time (``0.0`` before the
+    first); ``counters`` holds the cumulative ``offered``, ``shed``,
+    ``served``, ``batches``, ``energy`` (joules) and per-instance
+    ``busy`` seconds (one column each) at every ``t`` — zeros in the
+    leading row when there is no earlier sample.  ``queue_depth`` has
+    one row per sample, ``active`` the routed-to instance count (one
+    per sample, or one for all), and ``forecast`` a forecasting
+    governor's ``(level, trend)`` per sample (``None`` without one).
+    """
+    elapsed = np.diff(t)
+    delta = {
+        name: np.diff(values, axis=0) for name, values in counters.items()
+    }
 
-        Args:
-            counters: Cumulative fleet counters at ``now``: ``offered``,
-                ``shed``, ``served``, ``batches``, ``energy`` (joules)
-                and ``busy`` (per-instance busy seconds).
-            queue_depth: Per-instance queued requests at ``now``.
-            active: Instances the control plane routes to at ``now``.
-            forecast: ``(level, trend)`` of a forecasting governor, or
-                ``None`` when the run has no forecaster.
-        """
-        busy = counters["busy"]
-        cumulative = dict(counters, t=now)
-        last = self._last or {
-            "t": 0.0,
-            "offered": 0,
-            "shed": 0,
-            "served": 0,
-            "batches": 0,
-            "energy": 0.0,
-            "busy": [0.0] * len(busy),
-        }
-        elapsed = cumulative["t"] - last["t"]
-        d_offered = cumulative["offered"] - last["offered"]
-        d_shed = cumulative["shed"] - last["shed"]
-        d_admitted = d_offered - d_shed
-        d_served = cumulative["served"] - last["served"]
-        d_batches = cumulative["batches"] - last["batches"]
-        d_energy = cumulative["energy"] - last["energy"]
-
-        def rate(count: float) -> float:
-            return count / elapsed if elapsed > 0 else 0.0
-
-        last_busy = last["busy"]
-        utilization = []
-        for j, busy_j in enumerate(busy):
-            prev = last_busy[j] if j < len(last_busy) else 0.0
-            frac = rate(busy_j - prev)
-            utilization.append(round(min(max(frac, 0.0), 1.0), 6))
-        sample = {
-            "t": now,
-            "offered": d_offered,
-            "admitted": d_admitted,
-            "shed": d_shed,
-            "offered_qps": round(rate(d_offered), 6),
-            "admitted_qps": round(rate(d_admitted), 6),
-            "shed_qps": round(rate(d_shed), 6),
-            "queue_depth": list(queue_depth),
-            "utilization": utilization,
-            "active_instances": active,
-            "batches": d_batches,
-            "batch_size_mean": round(
-                d_served / d_batches if d_batches > 0 else 0.0, 6
-            ),
-            "power_w": round(rate(d_energy), 6),
-        }
-        if forecast is not None:
-            level, trend = forecast
-            sample["forecast_level"] = (
-                round(float(level), 6) if level is not None else None
-            )
-            sample["forecast_trend"] = (
-                round(float(trend), 6) if trend is not None else None
-            )
-        self.samples.append(sample)
-        self.total_samples += 1
-        self._last = cumulative
-        self.next_sample_t = next_boundary(
-            self.next_sample_t, now, self.window_s
+    def rate(count: np.ndarray) -> np.ndarray:
+        span = elapsed if count.ndim == 1 else elapsed[:, None]
+        return np.divide(
+            count, span, out=np.zeros(count.shape), where=span > 0
         )
 
-    def to_payload(self) -> dict:
-        """JSON-ready timeline: window, retained samples, and how many
-        older samples the bounded buffer dropped (never silent)."""
-        return {
-            "window_s": self.window_s,
-            "samples": list(self.samples),
-            "dropped_samples": self.total_samples - len(self.samples),
-        }
+    offered, shed = delta["offered"], delta["shed"]
+    admitted = offered - shed
+    batches = delta["batches"]
+    columns = {
+        "t": t[1:],
+        "offered": offered,
+        "admitted": admitted,
+        "shed": shed,
+        "offered_qps": _round6(rate(offered)),
+        "admitted_qps": _round6(rate(admitted)),
+        "shed_qps": _round6(rate(shed)),
+        "queue_depth": queue_depth,
+        "utilization": _round6(
+            np.minimum(np.maximum(rate(delta["busy"]), 0.0), 1.0)
+        ),
+        "active_instances": np.broadcast_to(active, elapsed.shape),
+        "batches": batches,
+        "batch_size_mean": _round6(
+            np.divide(
+                delta["served"],
+                batches,
+                out=np.zeros(batches.shape),
+                where=batches > 0,
+            )
+        ),
+        "power_w": _round6(rate(delta["energy"])),
+    }
+    keys = list(columns)
+    samples = [
+        dict(zip(keys, row))
+        for row in zip(*(column.tolist() for column in columns.values()))
+    ]
+    for sample, pair in zip(samples, forecast or ()):
+        if pair is not None:
+            sample["forecast_level"], sample["forecast_trend"] = (
+                None if v is None else round(float(v), 6) for v in pair
+            )
+    return samples

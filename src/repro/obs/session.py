@@ -4,11 +4,12 @@
 their wiring.  :meth:`Observability.observe` registers each engine's
 fleet and request stream; after the run drained, the trace and the
 metrics timelines are derived from the stream's columns
-(:mod:`repro.obs.derive`).  Only a *governor* is wrapped — a
-:class:`GovernorObserver` that logs control-side facts at the ticks it
-runs anyway — so no run gets an extra hook or tick, and every run
-keeps its execution path.  An inactive session (no trace, no metrics)
-registers nothing.
+(:mod:`repro.obs.derive`) — each fleet's schedule once per run, built
+by the first output and shared by the rest.  Only a *governor* is
+wrapped — a :class:`GovernorObserver` that logs control-side facts at
+the ticks it runs anyway — so no run gets an extra hook or tick, and
+every run keeps its execution path.  An inactive session (no trace, no
+metrics) registers nothing.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ class Observability:
         self.recorder = TraceRecorder() if trace else None
         self.metrics_every_s = metrics_every_s
         self._observed: dict[int, _Observed] = {}
+        # Built by the first output after the drain, so a checkpoint
+        # (taken mid-run) never holds it.
+        self._derived: list | None = None
 
     @property
     def active(self) -> bool:
@@ -95,6 +99,7 @@ class Observability:
             log = ControlLog(self.metrics_every_s)
             governor = GovernorObserver(governor, log, self.recorder, pid)
         self._observed[pid] = _Observed(label, fleet, requests, log)
+        self._derived = None
         if self.recorder is not None:
             self.recorder.set_process_name(pid, label)
             for instance in fleet.instances:
@@ -179,27 +184,25 @@ class Observability:
     # Output (call after the observed engines drained)
     # ------------------------------------------------------------------
 
-    def _derived(self) -> list:
-        """``(pid, observed, columns, schedule)`` per engine."""
-        result = []
-        for pid in sorted(self._observed):
-            observed = self._observed[pid]
-            cols = derive.columns(observed.requests)
-            sched = derive.Schedule(
-                cols, observed.fleet, observed.initial, observed.log
-            )
-            result.append((pid, observed, cols, sched))
-        return result
+    def _schedules(self) -> list:
+        """``(pid, observed, schedule)`` per engine: every output shares
+        one :class:`~repro.obs.derive.Schedule` per fleet."""
+        if self._derived is None:
+            self._derived = [
+                (pid, o, derive.Schedule(o.requests, o.fleet, o.initial, o.log))
+                for pid, o in sorted(self._observed.items())
+            ]
+        return self._derived
 
     def counts(self) -> dict:
         """Aggregate conservation counters across every observed engine
         (one per fleet): spans + sheds must equal offered."""
         offered = completed = shed = 0
         for observed in self._observed.values():
-            cols = derive.columns(observed.requests)
-            offered += len(cols)
-            completed += int(np.count_nonzero(cols.start >= 0.0))
-            shed += int(np.count_nonzero(cols.shed))
+            arena = observed.requests
+            offered += len(arena)
+            completed += int(np.count_nonzero(arena.start >= 0.0))
+            shed += int(np.count_nonzero(arena.shed))
         return {
             "offered": offered,
             "completed": completed,
@@ -211,25 +214,25 @@ class Observability:
         ``(ts_us, texts)`` block per fleet (:func:`derive.trace_events`),
         batches numbered across fleets in launch order (start time,
         fleet, instance)."""
-        derived = self._derived()
+        derived = self._schedules()
         if not derived:
             return []
-        starts = np.concatenate([d[3].start for d in derived])
+        starts = np.concatenate([d[2].start for d in derived])
         pids = np.concatenate(
-            [np.full(len(d[3].start), d[0]) for d in derived]
+            [np.full(len(d[2].start), d[0]) for d in derived]
         )
-        insts = np.concatenate([d[3].inst for d in derived])
+        insts = np.concatenate([d[2].inst for d in derived])
         ids = np.empty(len(starts), dtype=np.int64)
         ids[np.lexsort((insts, pids, starts))] = np.arange(
             1, len(starts) + 1
         )
         blocks = []
         offset = 0
-        for pid, _, cols, sched in derived:
+        for pid, observed, sched in derived:
             count = len(sched.start)
             blocks.append(
                 derive.trace_events(
-                    pid, cols, sched, ids[offset:offset + count]
+                    pid, observed.requests, sched, ids[offset:offset + count]
                 )
             )
             offset += count
@@ -260,20 +263,20 @@ class Observability:
         """The ``--json`` report's ``metrics`` section, or ``None``."""
         if self.metrics_every_s is None:
             return None
-        timelines = []
-        for pid, observed, cols, sched in self._derived():
-            entry = {"pid": pid, "label": observed.label}
-            entry.update(
-                derive.timeline(
-                    cols,
-                    sched,
-                    self.metrics_every_s,
-                    observed.active,
-                    observed.log,
-                ).to_payload()
-            )
-            timelines.append(entry)
         return {
             "window_s": self.metrics_every_s,
-            "timelines": timelines,
+            "timelines": [
+                {
+                    "pid": pid,
+                    "label": observed.label,
+                    **derive.timeline(
+                        observed.requests,
+                        sched,
+                        self.metrics_every_s,
+                        observed.active,
+                        observed.log,
+                    ),
+                }
+                for pid, observed, sched in self._schedules()
+            ],
         }

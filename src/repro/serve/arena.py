@@ -263,7 +263,7 @@ class RequestArena:
             midx = arena.model_idx[rows]
             cidx = arena.class_idx[rows]
             model_map = np.zeros(len(arena.model_names), dtype=np.int64)
-            for m in np.unique(midx).tolist():
+            for m in np.flatnonzero(np.bincount(midx)).tolist():
                 model_map[m] = models[arena.model_names[m]]
             # Trailing -1 keeps class-less rows class-less.
             class_map = np.full(len(arena.slo_names) + 1, -1, np.int64)

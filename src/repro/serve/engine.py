@@ -111,7 +111,7 @@ from .policies import (
     SchedulingPolicy,
 )
 from .profile import ScenarioMix
-from .sketch import StreamingLatencyStats
+from .sketch import StreamingLatencyStats, percentile
 
 __all__ = [
     "EngineHooks",
@@ -1406,7 +1406,7 @@ class RequestSummary:
     def latency_percentile(self, pct: float) -> float:
         if self.stats == "sketch":
             return self.latency_sketch.quantile(pct / 100.0)
-        return float(np.percentile(self.latencies, pct))
+        return percentile(self.latencies, pct)
 
     def latency_max(self) -> float:
         if self.stats == "sketch":
@@ -1515,7 +1515,9 @@ def summarize_requests(
         if track_classes:
             buckets = {}
             ci = arena.class_idx
-            for cid in np.unique(ci).tolist():
+            # The sorted distinct ids (-1 included) without np.unique,
+            # which imports numpy.ma.
+            for cid in (np.flatnonzero(np.bincount(ci + 1)) - 1).tolist():
                 cmask = ci == cid
                 name = "" if cid < 0 else arena.slo_names[cid]
                 sel = cmask & done
@@ -1527,7 +1529,7 @@ def summarize_requests(
         if track_models:
             model_buckets = {}
             mi = arena.model_idx
-            for mid in np.unique(mi).tolist():
+            for mid in np.flatnonzero(np.bincount(mi)).tolist():
                 mmask = mi == mid
                 sel = mmask & done
                 model_buckets[arena.model_names[mid]] = [

@@ -124,7 +124,7 @@ def test_derived_schedule_matches_live_counters(case):
     plane, scenario = case
     obs = Observability(metrics_every_s=0.01)
     _run(plane, scenario, obs)
-    for _, observed, _, sched in obs._derived():
+    for _, observed, sched in obs._schedules():
         for j, instance in enumerate(observed.fleet.instances):
             _, busy, energy = sched.fold[j]
             assert (busy[-1].item() if len(busy) else 0.0) == (

@@ -1,10 +1,19 @@
-"""MetricsTimeline and the Observability session wiring."""
+"""The derived metrics timeline and the Observability session wiring."""
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ReproError
-from repro.obs import MetricsTimeline, Observability
+from repro.obs import Observability, derive
+from repro.obs.derive import MAX_GRID
+from repro.obs.metrics import (
+    check_window,
+    is_due,
+    next_boundary,
+    window_samples,
+)
 from repro.serve import Engine, make_policy
 from repro.serve.arrival import PoissonArrivals
 from repro.serve.engine import build_requests
@@ -12,22 +21,22 @@ from repro.serve.fleet import Fleet
 from repro.serve.profile import build_mix
 
 
-def _counters(offered=0, shed=0, instances=1):
-    return {
-        "offered": offered,
-        "shed": shed,
-        "served": 0,
-        "batches": 0,
-        "energy": 0.0,
-        "busy": [0.0] * instances,
-    }
-
-
-def _sample(timeline, now, offered=0, shed=0, instances=1):
-    timeline.sample(
-        now,
-        _counters(offered, shed, instances),
-        [0] * instances,
+def _windows(t, offered, shed, instances=1):
+    """Sample dicts for cumulative ``offered``/``shed`` counts at the
+    times ``t`` (after a zero row at t = 0)."""
+    n = len(t)
+    zeros = np.zeros(n + 1, dtype=np.int64)
+    return window_samples(
+        np.array([0.0, *t]),
+        {
+            "offered": np.array([0, *offered]),
+            "shed": np.array([0, *shed]),
+            "served": zeros,
+            "batches": zeros,
+            "energy": np.zeros(n + 1),
+            "busy": np.zeros((n + 1, instances)),
+        },
+        np.zeros((n, instances), dtype=np.int64),
         instances,
     )
 
@@ -48,58 +57,74 @@ def _observed_run(obs, pid, label, requests=40, seed=0):
 class TestTimeline:
     def test_rejects_non_positive_window(self):
         with pytest.raises(ConfigError):
-            MetricsTimeline(0.0)
+            check_window(0.0)
         with pytest.raises(ConfigError):
-            MetricsTimeline(-1.0)
+            check_window(-1.0)
 
     def test_due_respects_boundary(self):
-        timeline = MetricsTimeline(0.5)
-        assert not timeline.due(0.4)
-        assert timeline.due(0.5)
-        assert timeline.due(0.5 - 1e-12)  # float-drift tolerance
+        assert not is_due(0.5, 0.4)
+        assert is_due(0.5, 0.5)
+        assert is_due(0.5, 0.5 - 1e-12)  # float-drift tolerance
 
-    def test_boundary_skips_past_quiet_windows(self):
+    def test_next_boundary_skips_past_quiet_windows(self):
         """A late sample (no ticks fired for a while) advances the
         boundary past `now`, not just by one window."""
-        timeline = MetricsTimeline(0.5)
-        _sample(timeline, 3.2, offered=10)
-        assert timeline.next_sample_t == pytest.approx(3.5)
+        assert next_boundary(0.5, 3.2, 0.5) == pytest.approx(3.5)
+        assert next_boundary(1.0, 1.0 - 1e-12, 1.0) == pytest.approx(2.0)
+        assert next_boundary(2.0, 1.0, 1.0) == 2.0
 
     def test_rates_are_window_deltas(self):
-        timeline = MetricsTimeline(1.0)
-        _sample(timeline, 1.0, offered=100, shed=10, instances=2)
-        _sample(timeline, 2.0, offered=160, shed=30, instances=2)
-        first, second = timeline.samples
+        first, second = _windows(
+            [1.0, 2.0], offered=[100, 160], shed=[10, 30], instances=2
+        )
+        assert first["offered"] == 100 and second["offered"] == 60
         assert first["offered_qps"] == pytest.approx(100.0)
         assert first["shed_qps"] == pytest.approx(10.0)
         assert first["admitted_qps"] == pytest.approx(90.0)
         assert second["offered_qps"] == pytest.approx(60.0)
         assert second["shed_qps"] == pytest.approx(20.0)
+        assert second["utilization"] == [0.0, 0.0]
 
     def test_zero_elapsed_window_is_finite(self):
         """Two samples at the same instant (degenerate run) must report
         0.0 rates, never inf/nan."""
-        timeline = MetricsTimeline(1.0)
-        _sample(timeline, 0.0)
-        _sample(timeline, 0.0, offered=5, shed=5)
-        for sample in timeline.samples:
+        samples = _windows([0.0, 0.0], offered=[0, 5], shed=[0, 5])
+        for sample in samples:
             for key, value in sample.items():
                 if isinstance(value, float):
                     assert np.isfinite(value), (key, value)
+        assert samples[1]["offered_qps"] == 0.0
 
-    def test_ring_buffer_bounds_memory_and_reports_drops(self):
-        timeline = MetricsTimeline(1.0, maxlen=3)
-        for i in range(1, 6):
-            _sample(timeline, float(i), offered=i)
-        payload = timeline.to_payload()
-        assert len(payload["samples"]) == 3
-        assert payload["dropped_samples"] == 2
-        assert payload["samples"][0]["t"] == 3.0
+    def test_cap_keeps_the_newest_samples_and_counts_drops(
+        self, monkeypatch
+    ):
+        obs = Observability(metrics_every_s=0.001)
+        _observed_run(obs, 0, "fleet 0")
+        full = obs.metrics_payload()["timelines"][0]
+        assert full["dropped_samples"] == 0 and len(full["samples"]) > 5
+        monkeypatch.setattr(derive, "MAX_SAMPLES", 3)
+        capped = obs.metrics_payload()["timelines"][0]
+        assert capped["samples"] == full["samples"][-3:]
+        assert capped["dropped_samples"] == len(full["samples"]) - 3
 
     @pytest.mark.parametrize("window", [float("nan"), float("inf")])
     def test_rejects_non_finite_window(self, window):
         with pytest.raises(ConfigError, match="finite"):
-            MetricsTimeline(window)
+            check_window(window)
+
+    def test_too_fine_window_names_the_smallest_accepted(self):
+        obs = Observability(metrics_every_s=1e-12)
+        _observed_run(obs, 0, "fleet 0")
+        with pytest.raises(ConfigError, match="too fine") as info:
+            obs.metrics_payload()
+        smallest = float(
+            re.search(r"at least (\S+) s", str(info.value)).group(1)
+        )
+        assert smallest > 1e-12
+        obs.metrics_every_s = smallest
+        timeline = obs.metrics_payload()["timelines"][0]
+        total = len(timeline["samples"]) + timeline["dropped_samples"]
+        assert 0.9 * MAX_GRID < total <= MAX_GRID + 1
 
 
 class TestObservabilitySession:
@@ -170,3 +195,59 @@ class TestCheckResume:
             Observability.check_resume(
                 spec, Observability(metrics_every_s=0.25)
             )
+
+
+@pytest.mark.parametrize(
+    "argv, fleets",
+    [
+        (
+            ["control", "--requests", "600", "--qps", "12000",
+             "--shedding", "deadline", "--policy", "round-robin"],
+            1,
+        ),
+        (
+            ["control", "--multi-fleet-qps", "4000,1500",
+             "--modulator", "diurnal", "--diurnal-period", "0.2",
+             "--spillover", "deadline", "--shedding", "deadline",
+             "--autoscale", "predictive", "--requests", "400"],
+            2,
+        ),
+    ],
+)
+def test_traced_metered_run_derives_each_fleet_once(
+    argv, fleets, tmp_path, monkeypatch
+):
+    """Trace file, conservation counters, metrics table and --json all
+    share one Schedule per fleet and one metrics payload."""
+    import io
+
+    from repro.cli import main
+
+    built = []
+    payloads = []
+
+    class CountingSchedule(derive.Schedule):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    metrics_payload = Observability.metrics_payload
+
+    def counting_payload(self):
+        payloads.append(1)
+        return metrics_payload(self)
+
+    monkeypatch.setattr(derive, "Schedule", CountingSchedule)
+    monkeypatch.setattr(Observability, "metrics_payload", counting_payload)
+    code = main(
+        [
+            *argv,
+            "--trace", str(tmp_path / "t.json"),
+            "--metrics-every", "0.01",
+            "--json", str(tmp_path / "r.json"),
+        ],
+        out=io.StringIO(),
+    )
+    assert code == 0
+    assert len(built) == fleets
+    assert len(payloads) == 1

@@ -23,9 +23,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve import ServingScenario, simulate
-from repro.serve.sketch import _BUFFER, StreamingLatencyStats, TDigest
+from repro.serve.sketch import (
+    _BUFFER,
+    StreamingLatencyStats,
+    TDigest,
+    percentile,
+)
 
 #: Documented accuracy bound (relative error) for p50/p95/p99.
 REL_ERR = 0.01
@@ -224,3 +230,32 @@ class TestSimulateSketchMode:
         assert report.latency_p50_s <= report.latency_p95_s
         assert report.latency_p95_s <= report.latency_p99_s
         assert report.latency_p99_s <= report.latency_max_s
+
+
+class TestExactPercentile:
+    """``sketch.percentile`` is ``np.percentile`` bit for bit (it only
+    skips numpy's ``np.unique``, which imports ``numpy.ma``)."""
+
+    @given(
+        values=st.lists(
+            st.floats(0.0, 10.0, allow_nan=False, width=64),
+            min_size=1,
+            max_size=60,
+        ),
+        pct=st.one_of(
+            st.sampled_from([0, 50, 95, 99, 99.9, 100]),
+            st.floats(0.0, 100.0),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy(self, values, pct):
+        values = np.array(values)
+        assert percentile(values, pct) == float(np.percentile(values, pct))
+
+    def test_latency_sized_input(self):
+        rng = np.random.default_rng(0)
+        values = rng.lognormal(-6.0, 0.7, size=10_001)
+        for pct in (50, 95, 99, 99.99):
+            assert percentile(values, pct) == float(
+                np.percentile(values, pct)
+            )

@@ -462,6 +462,53 @@ class TestAtomicJsonWrites:
         assert list(target.iterdir()) == []
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--json",),
+            ("--trace",),
+            ("--checkpoint-every", "0.01", "--checkpoint"),
+        ],
+        ids=["json", "trace", "checkpoint"],
+    )
+    def test_outputs_respect_the_umask(self, flags, tmp_path):
+        """Outputs get the mode a plain ``open()`` would give them, not
+        the temp file's private 0600."""
+        import os
+        import stat
+
+        target = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            code, _ = run_cli(
+                "control", "--requests", "300", *flags, str(target)
+            )
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+class TestTooFineMetricsWindow:
+    def test_fails_cleanly_instead_of_hanging(self, tmp_path):
+        """A window needing more than ``MAX_GRID`` samples exits 1 with
+        an ``error:`` line naming an accepted window — it used to sample
+        for ever — and writes no output file."""
+        proc = TestNonFiniteInputs._run_repro(
+            [
+                "control", "--requests", "300", "--policy", "round-robin",
+                "--metrics-every", "1e-9",
+                "--json", "r.json", "--trace", "t.json",
+            ],
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "too fine" in proc.stderr and "at least" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTelemetryCli:
     def test_serve_trace_and_metrics(self, tmp_path):
         import json

@@ -37,6 +37,10 @@ PAPER_SIDE = (
     "concurrent.futures.process",
 )
 
+#: Slow imports a serving/control run has no use for: ``numpy.ma``
+#: loads on the first ``np.unique``/``np.percentile`` call.
+SLOW_IMPORTS = ("numpy.ma",)
+
 _CHILD = """
 import json, sys
 import repro.cli
@@ -91,7 +95,7 @@ def test_serving_runs_skip_the_paper_stack(run, tmp_path):
         [
             sys.executable, "-c", _CHILD,
             json.dumps(argv), str(tmp_path / "out.txt"),
-            json.dumps(PAPER_SIDE),
+            json.dumps(PAPER_SIDE + SLOW_IMPORTS),
         ],
         env=env, capture_output=True, text=True, timeout=120,
     )
