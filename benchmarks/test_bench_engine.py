@@ -25,6 +25,7 @@ the same physics, not a relaxation of it.
 
 import time
 import tracemalloc
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -56,18 +57,18 @@ RR_SPEEDUP_FLOOR = 10.0
 #: ~2x; the floor leaves headroom for timer noise on shared runners.
 LL_SPEEDUP_FLOOR = 1.8
 
-#: Control-plane bar: the fused-admission round-robin kernel
-#: (``"rr-ctl"``) must reach at least this multiple of the general
-#: loop's events/sec on the 50k-request deadline-shedding scenario.
-#: Measured 3.8-4.6x end to end (2-vCPU Xeon host).  It was 4.7-5.6x
-#: while the general loop scanned its priority queues from the tail;
-#: that scan is now a bisection, which took a third to a half off the
-#: general loop here while ``"rr-ctl"`` got no slower.  The floor
-#: leaves headroom for noise.
+#: Control-plane bar: the event fold with fused admission
+#: (``"fold"``) must reach at least this multiple of the general
+#: loop's events/sec on the 50k-request round-robin deadline-shedding
+#: scenario.  Measured 3.8-4.6x end to end (2-vCPU Xeon host).  It was
+#: 4.7-5.6x while the general loop scanned its priority queues from
+#: the tail; that scan is now a bisection, which took a third to a
+#: half off the general loop here while the fold got no slower.  The
+#: floor leaves headroom for noise.
 CTL_SPEEDUP_FLOOR = 3.0
 
 #: Kernel-time scaling bar: 4x the requests may cost at most this
-#: multiple of the kernel time.  Measured 3.4-5.4x on both shapes of
+#: multiple of the kernel time.  Measured 3.4-5.4x on the shapes of
 #: :func:`test_bench_control_kernel_scaling` (2-vCPU Xeon host); the
 #: tail-scan queues the bisection replaced grew 8-16x there.
 SCALING_CEILING = 8.0
@@ -440,7 +441,7 @@ def test_bench_control_fastpath_vs_general(benchmark):
     fast = simulate_controlled(CTL_SCENARIO)
     with _force_general_loop():
         general = simulate_controlled(CTL_SCENARIO)
-    assert fast.engine_dispatch == "rr-ctl"
+    assert fast.engine_dispatch == "fold"
     assert general.engine_dispatch == "general"
     assert fast == general
     assert fast.shed_requests > 10_000, "scenario must shed heavily"
@@ -478,10 +479,11 @@ def test_bench_control_fastpath_vs_general(benchmark):
     )
 
 
-def _kernel_seconds(scenario, repeats=3):
+def _kernel_seconds(scenario, repeats=3, general=False):
     """Best-of-N time of the drain alone (``engine.run_until(inf)``),
-    with the dispatched path; stream and fleet are rebuilt per repeat
-    outside the timed region."""
+    with the dispatched path (the general loop when ``general``);
+    stream and fleet are rebuilt per repeat outside the timed
+    region."""
     best = float("inf")
     for _ in range(repeats):
         dvfs_model = DVFSModel()
@@ -492,8 +494,9 @@ def _kernel_seconds(scenario, repeats=3):
             scenario, fleet, mix, capacity, qps, times, requests,
             dvfs_model=dvfs_model,
         ).engine
-        start = time.perf_counter()
-        run = engine.run_until(float("inf"))
+        with _force_general_loop() if general else nullcontext():
+            start = time.perf_counter()
+            run = engine.run_until(float("inf"))
         best = min(best, time.perf_counter() - start)
     return best, run.dispatch
 
@@ -501,18 +504,24 @@ def _kernel_seconds(scenario, repeats=3):
 @pytest.mark.benchmark(group="engine")
 @pytest.mark.parametrize(
     "policy, dispatch",
-    [("least-loaded", "general"), ("round-robin", "rr-ctl")],
-    ids=["default-general", "round-robin-rr-ctl"],
+    [
+        ("least-loaded", "general"),
+        ("least-loaded", "fold"),
+        ("round-robin", "fold"),
+    ],
+    ids=["default-general", "default-fold", "round-robin-fold"],
 )
 def test_bench_control_kernel_scaling(benchmark, policy, dispatch):
     """Priority queues stay cheap as the backlog grows: the default
     ``repro control`` shape (three SLO priorities, no shedding, so the
     queues grow without bound) costs at most ``SCALING_CEILING`` times
-    the kernel time at 4x the requests."""
+    the kernel time at 4x the requests, on the event fold and on the
+    general loop (forced) alike."""
+    general = dispatch == "general"
     small = ControlScenario(requests=5_000, policy=policy)
     large = ControlScenario(requests=20_000, policy=policy)
-    small_s, small_dispatch = _kernel_seconds(small)
-    large_s, large_dispatch = _kernel_seconds(large)
+    small_s, small_dispatch = _kernel_seconds(small, general=general)
+    large_s, large_dispatch = _kernel_seconds(large, general=general)
     assert small_dispatch == large_dispatch == dispatch
     growth = large_s / small_s
     assert growth <= SCALING_CEILING, (
@@ -523,7 +532,8 @@ def test_bench_control_kernel_scaling(benchmark, policy, dispatch):
     benchmark.extra_info["kernel_20k_s"] = round(large_s, 4)
     benchmark.extra_info["growth"] = round(growth, 2)
     benchmark.pedantic(
-        lambda: _kernel_seconds(small, repeats=1), rounds=1
+        lambda: _kernel_seconds(small, repeats=1, general=general),
+        rounds=1,
     )
 
 
@@ -531,7 +541,7 @@ def test_bench_control_kernel_scaling(benchmark, policy, dispatch):
 def test_bench_control_frontier_sweep_speedup(benchmark):
     """Measured end-to-end speedup of a static frontier sweep on the
     controlled kernel — every grid point is a governor-less
-    round-robin shedding run, exactly the shape ``"rr-ctl"`` serves.
+    round-robin shedding run, a shape the event fold serves.
 
     The voltage-only grid specs leave per-instance profiles unset, so
     DVFS latency scales and busy power stay kernel-eligible.  The bar
@@ -550,7 +560,7 @@ def test_bench_control_frontier_sweep_speedup(benchmark):
     fleet_sizes = (2, 4)
 
     fast = static_frontier_sweep(base, voltages, fleet_sizes)
-    assert [r.engine_dispatch for r in fast] == ["rr-ctl"] * 6
+    assert [r.engine_dispatch for r in fast] == ["fold"] * 6
     with _force_general_loop():
         general = static_frontier_sweep(base, voltages, fleet_sizes)
     assert fast == general

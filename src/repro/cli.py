@@ -595,10 +595,6 @@ def _obs_from(args):
     every = getattr(args, "metrics_every_s", None)
     if trace is None and every is None:
         return None
-    if every is not None and every <= 0:
-        raise ReproError(
-            f"--metrics-every must be positive (got {every})"
-        )
     return Observability(trace=trace is not None, metrics_every_s=every)
 
 

@@ -230,8 +230,9 @@ class ControlHooks(EngineHooks):
         return admitted
 
     def fast_admission(self):
-        """Declare the governor-less kernel-eligible configurations for
-        the engine's ``"rr-ctl"`` kernel (see
+        """Declare the governor-less configurations' admission rule
+        for the engine's ``"fold"`` kernel, under round-robin or
+        least-loaded routing (see
         :meth:`repro.serve.engine.EngineHooks.fast_admission`): no
         governor means ``on_tick`` never runs and no arrival observer
         is bound, ``on_complete`` only acts on retired instances (and

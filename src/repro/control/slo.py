@@ -381,8 +381,9 @@ SHEDDING_POLICIES = {
 }
 
 
-#: Exact shedder type -> the admission rule the engine's ``"rr-ctl"``
-#: kernel fuses (see :meth:`repro.serve.engine.EngineHooks.fast_admission`).
+#: Exact shedder type -> the admission rule the engine's ``"fold"``
+#: kernel fuses under either routing rule (see
+#: :meth:`repro.serve.engine.EngineHooks.fast_admission`).
 #: Keyed on the exact type, never inherited: a subclass that overrides
 #: ``admit`` (``PriorityShedding``, or a user's) must keep its own rule.
 KERNEL_ADMISSION = {

@@ -426,7 +426,6 @@ def simulate_multi_fleet(
             payloads = [
                 (
                     {
-                        "kind": "control",
                         "scenario": member_scenario(k),
                         "requests": streams[k],
                     },

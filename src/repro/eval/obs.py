@@ -14,10 +14,16 @@ from __future__ import annotations
 from .report import render_table
 
 __all__ = [
+    "TIMELINE_MAX_ROWS",
     "engine_counters_dict",
     "render_engine_counters",
     "render_metrics_timeline",
 ]
+
+#: Most rows the text timeline prints per fleet.  A finer window is
+#: shown as evenly spaced samples, first and last included; ``--json``
+#: carries the full series.
+TIMELINE_MAX_ROWS = 40
 
 
 def engine_counters_dict(report) -> dict | None:
@@ -70,7 +76,8 @@ def render_metrics_timeline(payload: dict) -> str:
     ``payload`` is :meth:`repro.obs.Observability.metrics_payload`'s
     shape.  Every rate/mean in the samples is pre-guarded at sampling
     time, so zero-duration and zero-admitted runs render finite zeros
-    rather than raising or printing ``-inf``.
+    rather than raising or printing ``-inf``.  At most
+    :data:`TIMELINE_MAX_ROWS` rows per fleet.
     """
     sections = []
     for timeline in payload["timelines"]:
@@ -81,6 +88,17 @@ def render_metrics_timeline(payload: dict) -> str:
         )
         if timeline["dropped_samples"]:
             title += f", {timeline['dropped_samples']} oldest dropped"
+        samples = timeline["samples"]
+        total = len(samples)
+        if total > TIMELINE_MAX_ROWS:
+            # Steps of >= 1 sample: distinct picks, first and last kept.
+            last = TIMELINE_MAX_ROWS - 1
+            samples = [
+                samples[k * (total - 1) // last] for k in range(last + 1)
+            ]
+            title += (
+                f", {last + 1} of {total} samples; full series in --json"
+            )
         title += ")"
         rows = [
             [
@@ -93,7 +111,7 @@ def render_metrics_timeline(payload: dict) -> str:
                 round(s["batch_size_mean"], 2),
                 round(s["power_w"], 1),
             ]
-            for s in timeline["samples"]
+            for s in samples
         ]
         if not rows:
             rows = [["(no samples)", "", "", "", "", "", "", ""]]

@@ -25,8 +25,8 @@ drained columns rather than recorded per event.  The pieces:
   conservation counters.
 
 Observing a run never changes its execution path: no run gets an
-extra hook or tick, so traced ``rr``/``ll``/``rr-ctl`` runs stay on
-their columnar kernels.
+extra hook or tick, so traced ``rr``/``fold`` runs stay on their
+columnar kernels.
 """
 
 from .governor import GovernorObserver

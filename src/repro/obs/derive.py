@@ -1,7 +1,7 @@
 """Telemetry derived from a drained run's arena columns.
 
-Every execution path — the general loop, the ``rr``/``ll`` kernels,
-and the fused ``rr-ctl`` fold — writes the same ``start``/``finish``/
+Every execution path — the general loop, the vectorized ``rr`` kernel
+and the event ``fold`` — writes the same ``start``/``finish``/
 ``shed``/``instance`` columns, bit for bit.  This module turns those
 columns (plus the few control-side facts a governed run's
 :class:`~repro.obs.governor.ControlLog` recorded at its ticks) into the

@@ -29,11 +29,19 @@ draining to infinity takes the kernel :meth:`Engine._fast_mode` picks;
 everything else steps the general loop.  :meth:`Engine.run` is exactly
 ``begin`` + ``run_until(inf)``.
 
+One eligibility rule admits a run to the columnar kernels: no tick, an
+admission rule that is absent (no hook overridden) or declared by
+:meth:`EngineHooks.fast_admission`, a pristine always-active fleet
+without per-instance profiles or accumulated counters, and round-robin
+or least-loaded routing.  Every such run can take the event fold; the
+vectorized round-robin kernel is the faster choice for the hook-free,
+single-priority, unscaled, unpowered runs it resolves exactly (below).
+
 1. **General path** — the ``(time, seq)`` event loop below, processing
-   one arrival/completion/wake/tick at a time.  Runs whenever hooks,
-   ticks, several priority levels in a hook-free stream, or a
-   stateful fleet are in play; iterates arena views, so hook clients
-   still see ``Request`` objects.  Every request stream is a
+   one arrival/completion/wake/tick at a time.  Runs whatever the
+   eligibility rule turns away, and bounded or resumed runs; iterates
+   arena views, so hook clients still see ``Request`` objects.  Every
+   request stream is a
    :class:`~repro.serve.arena.RequestArena` — multi-fleet receivers
    included, which merge their spill-ins as rows — so the stream's
    type never decides the path.
@@ -42,15 +50,16 @@ everything else steps the general loop.  :meth:`Engine.run` is exactly
    the per-instance timeline is computed with vectorized batch
    partitioning plus a lean Python fold over *batches* (not events),
    with an exact scalar repair pass for batches that launch before
-   they fill.  ~10-30x the PR-4 events/sec.
+   they fill.  ~10-30x the PR-4 events/sec.  Dispatched as ``"rr"``.
 3. **Event fold** — one scalar event loop over plain Python lists
-   and a single event slot per instance (no heap, no objects), with
-   two routing rules: ``"ll"`` (hook-free least-loaded serving, whose
-   routing feedback prevents vectorization) and ``"rr-ctl"`` (the
-   governor-less control plane over round-robin: shedding, several
-   priorities, DVFS scales, energy).  Admission fuses into the fold;
-   the hook set opts in through :meth:`EngineHooks.fast_admission`
-   rather than the engine importing the control plane.
+   and a single event slot per instance (no heap, no objects),
+   dispatched as ``"fold"`` for every other eligible run.  It routes
+   by round-robin striping or an inlined least-loaded scan (the
+   report's ``policy`` says which), and folds in the declared
+   admission rule, several priorities, per-instance DVFS scales and
+   busy-power energy.  The hook set opts in through
+   :meth:`EngineHooks.fast_admission` rather than the engine
+   importing the control plane.
 
 Every instance queue is kept in ``(priority, arena row)`` order —
 FIFO within a priority, so a single-priority stream is plain FIFO.
@@ -72,8 +81,8 @@ assertions pin.  The vectorized round-robin path assumes no arrival
 timestamp coincides bit-exactly with a batching-timeout instant
 (``a_head + max_wait_s``) — guaranteed for continuous arrival
 processes, and degenerate cases (``max_wait_s == 0`` with tied trace
-timestamps, sub-nanosecond waits) fall back to the general path.  The
-event fold has no such restriction.
+timestamps, sub-nanosecond waits) take the event fold, which has no
+such restriction.
 
 Event ordering is bit-for-bit the legacy ``(time, seq)`` heap order:
 at equal timestamps arrivals precede every scheduled event (their
@@ -164,17 +173,18 @@ class EngineHooks:
         return True
 
     def fast_admission(self) -> tuple[str, int] | None:
-        """Declare this hook set vectorizable for the ``"rr-ctl"`` path.
+        """Declare this hook set's admission rule for the event fold.
 
-        Return ``None`` (the default) to keep the general loop, or a
-        ``(shedding_kind, queue_threshold)`` pair with
-        ``shedding_kind`` in ``{"none", "deadline", "queue-depth"}``
-        to let :meth:`Engine._fast_mode` fuse admission into the
-        columnar controlled round-robin fold.  A hook set may only opt
-        in when, under a static always-active fleet, (a) its
-        ``on_arrival`` is exactly the declared shedding rule against
-        the chosen instance, (b) its ``on_complete`` is a no-op, and
-        (c) it observes nothing else per event (``on_tick`` never runs
+        Return ``None`` (the default) to keep the general loop whenever
+        a hook is overridden, or a ``(shedding_kind, queue_threshold)``
+        pair with ``shedding_kind`` in ``{"none", "deadline",
+        "queue-depth"}`` to let :meth:`Engine._fast_mode` fuse
+        admission into the ``"fold"`` kernel under round-robin or
+        least-loaded routing.  A hook set may only opt in when, under
+        a static always-active fleet, (a) its ``on_arrival`` is
+        exactly the declared shedding rule against the chosen
+        instance, (b) its ``on_complete`` is a no-op, and (c) it
+        observes nothing else per event (``on_tick`` never runs
         because ``tick_s is None`` is a path precondition).
         """
         return None
@@ -204,7 +214,8 @@ class EngineRun:
             boundary (general loop only; the fast paths never build a
             heap and report 0).
         dispatch: Which execution path served the run — ``"general"``,
-            ``"rr"``, ``"ll"``, ``"rr-ctl"``, or ``"streaming"``.
+            ``"rr"`` (vectorized round-robin), ``"fold"`` (the event
+            fold, under either routing rule), or ``"streaming"``.
         fallback: When ``dispatch == "general"``, the *first failing*
             fast-path precondition (empty when a fast path ran, or
             when nothing recorded a reason) — what makes a fallback
@@ -318,9 +329,9 @@ class Engine:
         self._on_tick_overridden = (
             cls.on_tick is not EngineHooks.on_tick
         )
-        # A hook set that declares a vectorizable admission rule (see
-        # EngineHooks.fast_admission) unlocks the rr-ctl path; unknown
-        # kinds are ignored rather than trusted.
+        # A hook set that declares its admission rule (see
+        # EngineHooks.fast_admission) stays eligible for the event
+        # fold; unknown kinds are ignored rather than trusted.
         spec = self.hooks.fast_admission()
         if spec is not None and spec[0] not in (
             "none",
@@ -345,20 +356,10 @@ class Engine:
         return None
 
     def _fast_mode(self, arena: RequestArena) -> str | None:
-        """Which columnar fast path (if any) reproduces this run
-        bit-for-bit: ``"rr"``, ``"ll"``, ``"rr-ctl"``, or ``None``
-        (general loop).  ``"ll"`` and ``"rr-ctl"`` are the two routing
-        rules of one kernel, :meth:`_run_event_fold`.
-
-        ``"rr"``/``"ll"`` require the hook-free serve-plane
-        configuration over a pristine fleet and a single priority
-        level; ``"rr-ctl"`` relaxes that for round-robin hook sets
-        whose :meth:`EngineHooks.fast_admission` declares a
-        vectorizable shedding rule (the governor-less control plane):
-        priority-ordered queues, DVFS latency scales, and busy-power
-        accounting are folded into the kernel, but ticks,
-        per-instance profiles, and any pre-existing instance state
-        still fall back to the general loop, which handles everything.
+        """Which columnar kernel (if any) reproduces this run
+        bit-for-bit under the module's one eligibility rule: ``"rr"``
+        where :meth:`_vectorizes` holds, else ``"fold"``, or ``None``
+        (general loop).
 
         As a side effect the *first failing precondition* is recorded
         and surfaced as :attr:`EngineRun.fallback`, so a fallback to
@@ -367,15 +368,12 @@ class Engine:
         self._fast_reason = ""
         if self.tick_s is not None:
             return self._fall_back("periodic tick scheduled (tick_s)")
-        ctl = self._ctl_spec
-        if ctl is None:
+        hook_free = self._ctl_spec is None
+        if hook_free:
             if self._admit is not None:
                 return self._fall_back("on_arrival hook overridden")
             if self._on_complete is not None:
                 return self._fall_back("on_complete hook overridden")
-            priority = arena.priority
-            if len(priority) and bool(np.any(priority != priority[0])):
-                return self._fall_back("several priority levels")
             if self._on_tick_overridden:
                 return self._fall_back("on_tick hook overridden")
         for inst in self.fleet.instances:
@@ -396,17 +394,7 @@ class Engine:
                 return self._fall_back(
                     f"instance {inst.index} has per-instance profiles"
                 )
-            if ctl is None:
-                if inst.latency_scale != 1.0:
-                    return self._fall_back(
-                        f"instance {inst.index} has a DVFS "
-                        "latency scale"
-                    )
-                if inst.busy_power_w != 0.0:
-                    return self._fall_back(
-                        f"instance {inst.index} integrates busy power"
-                    )
-            elif (
+            if (
                 inst.busy_seconds != 0.0
                 or inst.busy_seconds_window != 0.0
                 or inst.energy_joules != 0.0
@@ -417,35 +405,33 @@ class Engine:
                 )
         policy = self.policy
         if type(policy) is RoundRobinPolicy and policy._next == 0:
-            if ctl is not None:
-                # The controlled fold is event-driven and scalar, so
-                # (unlike the vectorized "rr" kernel) it is exact for
-                # any max_wait, including zero-wait tied arrivals.
-                return "rr-ctl"
-            mw = self.max_wait_s
-            if mw == 0.0:
-                # Zero-wait batching launches at the arrival event
-                # itself; that is only vectorizable when timestamps
-                # are strictly increasing (no simultaneous arrivals).
-                arr = arena.arrival
-                if len(arr) > 1 and not bool(
-                    np.all(arr[1:] > arr[:-1])
-                ):
-                    return self._fall_back(
-                        "zero-wait batching with coincident arrivals"
-                    )
-            elif mw <= 1e-9:
-                return self._fall_back("sub-nanosecond max_wait")
-            return "rr"
-        if ctl is not None:
-            return self._fall_back(
-                "controlled fast path requires round-robin routing"
-            )
+            if hook_free and self._vectorizes(arena):
+                return "rr"
+            return "fold"
         if type(policy) is LeastLoadedPolicy:
-            return "ll"
+            return "fold"
         return self._fall_back(
             f"policy {type(policy).__name__} has no columnar path"
         )
+
+    def _vectorizes(self, arena: RequestArena) -> bool:
+        """Whether ``"rr"`` serves this hook-free round-robin run: one
+        priority (FIFO queues), unscaled unpowered instances, and a
+        ``max_wait`` its partition resolves — zero only with strictly
+        increasing arrivals, else above a nanosecond."""
+        priority = arena.priority
+        if len(priority) and bool(np.any(priority != priority[0])):
+            return False
+        if any(
+            inst.latency_scale != 1.0 or inst.busy_power_w != 0.0
+            for inst in self.fleet.instances
+        ):
+            return False
+        mw = self.max_wait_s
+        if mw == 0.0:
+            arr = arena.arrival
+            return len(arr) < 2 or bool(np.all(arr[1:] > arr[:-1]))
+        return mw > 1e-9
 
     def _run_round_robin(self, arena: RequestArena) -> EngineRun:
         """Decoupled per-instance kernel: round-robin striping fixes
@@ -509,7 +495,7 @@ class Engine:
         return EngineRun(events=events, tick_actions=0, dispatch="rr")
 
     def _run_event_fold(self, arena: RequestArena) -> EngineRun:
-        """The exact ``"ll"``/``"rr-ctl"`` kernel: one scalar event fold.
+        """The exact ``"fold"`` kernel: one scalar event fold.
 
         Per-instance state lives in flat lists with one event slot per
         instance instead of a heap (a launch overwrites the slot, so
@@ -519,10 +505,10 @@ class Engine:
         :meth:`EngineHooks.fast_admission` rule (which reads only the
         chosen instance), and takes :meth:`Instance.enqueue`'s
         position.  Examine and launch follow the general loop in
-        :meth:`Instance.launch_head`'s float order.  Hook-free
-        least-loaded runs have scale 1.0, zero busy power, one
-        priority and no admission, so those operations reduce
-        bit-for-bit to the plain serve-plane ones.
+        :meth:`Instance.launch_head`'s float order.  A hook-free run
+        admits everything, and an instance at scale 1.0 with zero busy
+        power reduces bit-for-bit to the plain serve-plane operations
+        (``x * 1.0`` and ``e + 0.0 * s`` are exact).
         """
         kind, threshold = self._ctl_spec or ("none", 0)
         instances = self.fleet.instances
@@ -561,6 +547,8 @@ class Engine:
             (per_arr * scale).tolist() if scale != 1.0 else per_tab
             for scale in scale_l
         ]
+        # ``qj * 1.0 == qj``: an unscaled fleet's scan skips the product.
+        scaled = any(scale != 1.0 for scale in scale_l)
         bpw_l = [inst.busy_power_w for inst in instances]
         wend_l = [inst.window_end for inst in instances]
         bu = [0.0] * K
@@ -598,7 +586,7 @@ class Engine:
                     j = rid % K
                 else:
                     # Inlined LeastLoadedPolicy._least_loaded +
-                    # Instance.pending_seconds (latency_scale == 1.0).
+                    # Instance.pending_seconds.
                     j = 0
                     best_load = _INF
                     for jj in range(K):
@@ -606,7 +594,7 @@ class Engine:
                         load = dj if dj > 0.0 else 0.0
                         qj = qs[jj]
                         if qj > 0.0:
-                            load += qj
+                            load += qj * scale_l[jj] if scaled else qj
                         if load < best_load:
                             best_load = load
                             j = jj
@@ -734,16 +722,10 @@ class Engine:
             inst.queued_seconds = 0.0
         if striped:
             self.policy._next += n
-        return EngineRun(
-            events, 0, dispatch="rr-ctl" if striped else "ll"
-        )
+        return EngineRun(events, 0, dispatch="fold")
 
     #: Fast-path name (see :meth:`_fast_mode`) -> its kernel.
-    _kernels = {
-        "rr": _run_round_robin,
-        "ll": _run_event_fold,
-        "rr-ctl": _run_event_fold,
-    }
+    _kernels = {"rr": _run_round_robin, "fold": _run_event_fold}
 
     # ------------------------------------------------------------------
     # General event loop
@@ -858,7 +840,7 @@ class Engine:
         state (no arrivals consumed, no events processed) draining to
         infinity runs whichever columnar kernel :meth:`_fast_mode`
         picks — :meth:`_run_round_robin` for ``"rr"``,
-        :meth:`_run_event_fold` for ``"ll"`` and ``"rr-ctl"`` — exact
+        :meth:`_run_event_fold` for ``"fold"`` — exact
         by the parity pins, and the state is backfilled so the run
         reads as drained (:attr:`finished`, cumulative counters).  Bounded
         horizons and resumed runs always step the general loop.

@@ -1,7 +1,7 @@
 """A/B harness: the controlled fast path against the general loop.
 
 Forces identical workloads down both execution paths — the
-``"rr-ctl"`` fused-admission kernel and the general heap loop with
+``"fold"`` fused-admission kernel and the general heap loop with
 dispatch disabled — and asserts bit-for-bit equivalence: the
 per-request schedule (start/finish/shed as float64/bool arrays), the
 aggregate report, and the result-cache key all must be equal, and
@@ -50,6 +50,15 @@ SCENARIOS = {
             InstanceSpec(voltage_v=v) for v in (0.8, 0.7, 0.6)
         ),
     ),
+    # The default ``repro control`` shape: least-loaded routing, three
+    # SLO priorities, no shedding.
+    "least-loaded-default": ControlScenario(requests=2_000, seed=11),
+    "least-loaded-hetero-dvfs": ControlScenario(
+        requests=2_000, qps=4_000.0, shedding="deadline", seed=11,
+        fleet=tuple(
+            InstanceSpec(voltage_v=v) for v in (0.8, 0.7, 0.6)
+        ),
+    ),
 }
 
 
@@ -61,7 +70,7 @@ class TestFastPathEquivalence:
         with force_general():
             gen_report, gen_arena = _detailed(scenario)
 
-        assert fast_report.engine_dispatch == "rr-ctl"
+        assert fast_report.engine_dispatch == "fold"
         assert gen_report.engine_dispatch == "general"
 
         # Schedule equality as float64/bool arrays: starts, finishes,
@@ -86,7 +95,7 @@ class TestFastPathEquivalence:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_per_class_conservation(self, name):
         report = simulate_controlled(SCENARIOS[name])
-        assert report.engine_dispatch == "rr-ctl"
+        assert report.engine_dispatch == "fold"
         assert report.offered_requests == (
             report.requests + report.shed_requests
         )

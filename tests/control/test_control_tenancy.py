@@ -263,11 +263,11 @@ class TestPreemptedVictimsSpill:
 
 
 class TestMemberDispatch:
-    def test_ungoverned_round_robin_members_take_rr_ctl(self):
+    def test_ungoverned_round_robin_members_take_the_fold(self):
         """Donors drain in one call and receivers run one merged
         arena, so ungoverned round-robin members — receiver included —
-        take the fused "rr-ctl" kernel, with the report the general
-        loop produces."""
+        take the event fold, with the report the general loop
+        produces."""
         pair = _overloaded_pair()
         scenario = dataclasses.replace(
             pair,
@@ -279,7 +279,7 @@ class TestMemberDispatch:
         report = simulate_multi_fleet(scenario)
         assert report.spilled_requests > 0
         assert [f.engine_dispatch for f in report.fleets] == [
-            "rr-ctl", "rr-ctl"
+            "fold", "fold"
         ]
         with force_general():
             general = simulate_multi_fleet(scenario)

@@ -210,7 +210,7 @@ class TestTraceDeterminism:
     def test_ungoverned_cut_and_resume_is_byte_identical(self, tmp_path):
         """Without a governor the checkpoint carries no telemetry log:
         spans and metrics are re-derived from the restored arena, and
-        the uninterrupted run took the rr-ctl kernel."""
+        the uninterrupted run took the event fold."""
         scenario = dataclasses.replace(
             _control_scenario("bursty"),
             autoscale="none",
@@ -218,7 +218,7 @@ class TestTraceDeterminism:
         )
         obs_ref = Observability(trace=True, metrics_every_s=0.05)
         reference = simulate_controlled(scenario, obs=obs_ref)
-        assert reference.engine_dispatch == "rr-ctl"
+        assert reference.engine_dispatch == "fold"
         ref_path = tmp_path / "ref.json"
         obs_ref.write_trace(ref_path)
 

@@ -1,10 +1,13 @@
 """Dispatch decision matrix for the engine's columnar fast paths.
 
 Each case starts from a configuration eligible for one of the kernels
-(``"rr"``, ``"ll"``, or the controlled ``"rr-ctl"``) and flips exactly
+(the vectorized ``"rr"`` or the event ``"fold"``) and flips exactly
 one precondition: ``_fast_mode`` must land on the expected path and
 record the *first failing precondition* (surfaced to ``--json`` as
-``EngineRun.fallback``).  Unsupported control configurations —
+``EngineRun.fallback``).  One eligibility rule covers hook-free and
+controlled runs alike; what ``"rr"`` cannot vectorize (several
+priorities, DVFS scales, busy power, degenerate waits) takes the
+fold, not the general loop.  Unsupported control configurations —
 governors, priority-preemptive shedding, DVFS ladders — must take the
 general loop and still produce reports identical to a forced-general
 run.  Telemetry is derived from the drained columns, so it never moves
@@ -63,29 +66,30 @@ class TestServePlaneMatrix:
         assert _engine()._fast_mode(_arena()) == "rr"
 
     def test_baseline_least_loaded(self):
-        assert _engine(policy="least-loaded")._fast_mode(_arena()) == "ll"
+        engine = _engine(policy="least-loaded")
+        assert engine._fast_mode(_arena()) == "fold"
 
-    @pytest.mark.parametrize(
-        "kwargs, reason_fragment",
-        [
-            ({"tick_s": 0.5}, "tick"),
-            ({"max_wait_s": 1e-10}, "sub-nanosecond"),
-        ],
-    )
-    def test_config_flip_disqualifies(self, kwargs, reason_fragment):
-        engine = _engine(**kwargs)
+    def test_tick_disqualifies(self):
+        engine = _engine(tick_s=0.5)
         assert engine._fast_mode(_arena()) is None
-        assert reason_fragment in engine._fast_reason
+        assert "tick" in engine._fast_reason
+
+    def test_sub_nanosecond_wait_takes_the_fold(self):
+        """Below the "rr" partition's resolution; the scalar fold is
+        exact for any max_wait."""
+        engine = _engine(max_wait_s=1e-10)
+        assert engine._fast_mode(_arena()) == "fold"
+        assert engine._fast_reason == ""
 
     @pytest.mark.parametrize("policy", ["round-robin", "least-loaded"])
-    def test_several_priority_levels_disqualify(self, policy):
-        """The "rr"/"ll" kernels keep FIFO queues, so a hook-free
-        stream with several priority levels takes the general loop."""
+    def test_several_priority_levels_take_the_fold(self, policy):
+        """The "rr" kernel keeps FIFO queues, so a hook-free stream
+        with several priority levels takes the fold's ordered queues."""
         arena = _arena()
         arena.priority[::3] = 1
         engine = _engine(policy=policy)
-        assert engine._fast_mode(arena) is None
-        assert engine._fast_reason == "several priority levels"
+        assert engine._fast_mode(arena) == "fold"
+        assert engine._fast_reason == ""
 
     def test_overridden_hook_disqualifies(self):
         class Admit(EngineHooks):
@@ -102,23 +106,31 @@ class TestServePlaneMatrix:
         assert engine._fast_mode(_arena()) is None
         assert "pre-run state" in engine._fast_reason
 
-    def test_latency_scale_disqualifies_serve_plane(self):
+    def test_latency_scale_takes_the_fold(self):
         engine = _engine()
         engine.fleet[1].latency_scale = 1.2
-        assert engine._fast_mode(_arena()) is None
-        assert "latency scale" in engine._fast_reason
+        assert engine._fast_mode(_arena()) == "fold"
+        assert engine._fast_reason == ""
 
     def test_zero_wait_coincident_arrivals(self):
-        """max_wait=0 vectorizes only for strictly increasing times."""
+        """max_wait=0 vectorizes only for strictly increasing times;
+        tied arrivals take the fold."""
         engine = _engine(max_wait_s=0.0)
         assert engine._fast_mode(_arena()) == "rr"
         engine = _engine(max_wait_s=0.0)
-        assert engine._fast_mode(_arena(tied=True)) is None
-        assert "coincident" in engine._fast_reason
+        assert engine._fast_mode(_arena(tied=True)) == "fold"
+        assert engine._fast_reason == ""
+
+    def test_accumulated_counters_disqualify(self):
+        engine = _engine(policy="least-loaded")
+        engine.fleet[2].energy_joules = 1.0
+        assert engine._fast_mode(_arena()) is None
+        assert "accumulated counters" in engine._fast_reason
 
 
 class TestControlPlaneMatrix:
-    """The ``"rr-ctl"`` kernel: what opts in, what falls back."""
+    """Controlled runs on the ``"fold"`` kernel: what opts in, what
+    falls back."""
 
     @pytest.mark.parametrize(
         "shedder",
@@ -126,7 +138,7 @@ class TestControlPlaneMatrix:
         ids=["none", "deadline", "queue-depth"],
     )
     def test_vectorizable_shedding_opts_in(self, shedder):
-        assert _ctl_engine(shedder)._fast_mode(_arena()) == "rr-ctl"
+        assert _ctl_engine(shedder)._fast_mode(_arena()) == "fold"
 
     def test_dvfs_instance_state_stays_eligible(self):
         """Latency scales and busy power fold into the kernel — only
@@ -134,7 +146,7 @@ class TestControlPlaneMatrix:
         engine = _ctl_engine()
         engine.fleet[0].latency_scale = 1.3
         engine.fleet[0].busy_power_w = 2.0
-        assert engine._fast_mode(_arena()) == "rr-ctl"
+        assert engine._fast_mode(_arena()) == "fold"
         engine = _ctl_engine()
         engine.fleet[0].profiles = {}
         assert engine._fast_mode(_arena()) is None
@@ -180,17 +192,22 @@ class TestControlPlaneMatrix:
         assert arena.shed.tolist() == odd.tolist()
         assert (arena.finish[~odd] > 0).all()
 
-    def test_non_round_robin_routing_disqualifies(self):
+    def test_least_loaded_routing_takes_the_fold(self):
         engine = _ctl_engine(policy="least-loaded")
+        assert engine._fast_mode(_arena()) == "fold"
+        assert engine._fast_reason == ""
+
+    def test_other_routing_disqualifies(self):
+        engine = _ctl_engine(policy="affinity")
         assert engine._fast_mode(_arena()) is None
-        assert "round-robin" in engine._fast_reason
+        assert "AffinityPolicy has no columnar path" in engine._fast_reason
 
     def test_tick_disqualifies(self):
         engine = _ctl_engine(tick_s=0.01)
         assert engine._fast_mode(_arena()) is None
         assert "tick" in engine._fast_reason
 
-    def test_telemetry_keeps_rr_ctl_bit_for_bit(self):
+    def test_telemetry_keeps_the_fold_bit_for_bit(self):
         from repro.obs import Observability
 
         scenario = ControlScenario(
@@ -202,12 +219,12 @@ class TestControlPlaneMatrix:
             seed=7,
         )
         reference = simulate_controlled(scenario)
-        assert reference.engine_dispatch == "rr-ctl"
+        assert reference.engine_dispatch == "fold"
         traced = simulate_controlled(
             scenario,
             obs=Observability(trace=True, metrics_every_s=0.05),
         )
-        assert traced.engine_dispatch == "rr-ctl"
+        assert traced.engine_dispatch == "fold"
         assert traced.engine_fallback == ""
         assert traced == reference
 
@@ -250,15 +267,19 @@ class TestOneDispatchPoint:
     state drained, and checkpointed serve runs without a cadence
     dispatch like :func:`~repro.serve.simulate`."""
 
+    #: Shape -> (engine builder, the kernel it dispatches to).
     _BUILDERS = {
-        "rr": lambda: _engine(),
-        "ll": lambda: _engine(policy="least-loaded"),
-        "rr-ctl": lambda: _ctl_engine(),
+        "round-robin": (lambda: _engine(), "rr"),
+        "least-loaded": (lambda: _engine(policy="least-loaded"), "fold"),
+        "controlled-rr": (lambda: _ctl_engine(), "fold"),
+        "controlled-ll": (
+            lambda: _ctl_engine(policy="least-loaded"), "fold"
+        ),
     }
 
-    @pytest.mark.parametrize("mode", ["rr", "ll", "rr-ctl"])
-    def test_run_is_begin_plus_run_until(self, mode):
-        build = self._BUILDERS[mode]
+    @pytest.mark.parametrize("shape", sorted(_BUILDERS))
+    def test_run_is_begin_plus_run_until(self, shape):
+        build, mode = self._BUILDERS[shape]
         ran, stepped = _arena(qps=2_000.0), _arena(qps=2_000.0)
         by_run = build()
         run = by_run.run(ran)
@@ -286,7 +307,7 @@ class TestOneDispatchPoint:
             requests=2_000, instances=3, policy=policy, seed=4
         )
         report = run_serve_checkpointed(scenario)
-        expected = "rr" if policy == "round-robin" else "ll"
+        expected = "rr" if policy == "round-robin" else "fold"
         assert report.engine_dispatch == expected
         assert report.engine_fallback == ""
         reference = simulate(scenario)

@@ -6,13 +6,13 @@ strictly lower priority, otherwise bisect on priority):
 * a property over :meth:`Instance.enqueue` interleaved with
   :meth:`Instance.launch_head` pops and :class:`PriorityShedding`
   preemptions — mid-queue inserts and priority ties included;
-* a generated differential: on multi-priority controlled scenarios the
-  ``"rr-ctl"`` kernel's inlined copy of the rule schedules exactly what
-  the general loop's :meth:`Instance.enqueue` does.
+* a generated differential: on multi-priority controlled scenarios
+  under both routing rules, DVFS fleets included, the ``"fold"``
+  kernel's inlined copy of the rule schedules exactly what the general
+  loop's :meth:`Instance.enqueue` does.
 
-A second generated differential pins the other routing rule of the
-same event fold: hook-free least-loaded serving (``"ll"``) against the
-general loop.
+A second generated differential pins hook-free least-loaded serving on
+the same event fold against the general loop.
 """
 
 import numpy as np
@@ -21,13 +21,33 @@ from general_loop import force_general
 from hypothesis import given, settings, strategies as st
 
 from repro.control import ControlScenario, SLOClass
-from repro.control.simulator import simulate_controlled_detailed
+from repro.control.hetero import parse_fleet_spec
+from repro.control.simulator import (
+    _control_inputs,
+    finalize_controlled,
+    prepare_controlled,
+)
 from repro.control.slo import PriorityShedding
+from repro.power.dvfs import DVFSModel
 from repro.serve import ServingScenario, build_mix
 from repro.serve.fleet import Instance
 from repro.serve.simulator import finalize_serving, prepare_serving
 
 PROFILES = build_mix("mixed").profiles[:2]
+
+#: Per-instance counters a kernel writes back; each must equal the
+#: general loop's after the drain.
+_INSTANCE_COUNTERS = (
+    "busy_until",
+    "busy_seconds",
+    "busy_seconds_window",
+    "energy_joules",
+    "queued_seconds",
+    "served",
+    "batches",
+    "setups",
+    "loaded_model",
+)
 
 
 def _order_key(request):
@@ -121,13 +141,15 @@ def _multi_priority_scenario(draw):
     )
     tied = draw(st.booleans())
     shedding = draw(st.sampled_from(["none", "deadline", "queue-depth"]))
+    fleet = draw(st.sampled_from([None, "0.8,0.6x2"]))
     return ControlScenario(
         requests=len(_TIED_TRACE) if tied else 400,
         arrival="trace" if tied else "poisson",
         trace=_TIED_TRACE if tied else None,
         qps=None if tied else draw(st.sampled_from([3_000.0, 9_000.0])),
         instances=draw(st.integers(1, 3)),
-        policy="round-robin",
+        fleet=None if fleet is None else parse_fleet_spec(fleet),
+        policy=draw(st.sampled_from(["round-robin", "least-loaded"])),
         max_batch=draw(st.sampled_from([1, 2, 8])),
         max_wait_ms=0.0 if tied else draw(st.sampled_from([0.0, 2.0])),
         slo_classes=classes,
@@ -137,17 +159,40 @@ def _multi_priority_scenario(draw):
     )
 
 
+def _assert_same_schedule(fast_run, general_run, columns):
+    """The drained columns and every instance's counters agree."""
+    a, b = fast_run.requests, general_run.requests
+    for column in columns:
+        assert np.array_equal(getattr(a, column), getattr(b, column))
+    for fi, gi in zip(fast_run.fleet, general_run.fleet, strict=True):
+        for counter in _INSTANCE_COUNTERS:
+            assert getattr(fi, counter) == getattr(gi, counter), counter
+
+
+def _control_detailed(scenario):
+    dvfs_model = DVFSModel()
+    fleet, mix, capacity, qps, times, requests, _ = _control_inputs(
+        scenario, dvfs_model
+    )
+    execution = prepare_controlled(
+        scenario, fleet, mix, capacity, qps, times, requests,
+        dvfs_model=dvfs_model,
+    )
+    execution.engine.run_until(float("inf"))
+    return finalize_controlled(execution), execution
+
+
 @settings(max_examples=100, deadline=None)
 @given(_multi_priority_scenario())
-def test_rr_ctl_queue_order_matches_general_loop(scenario):
-    fast, requests = simulate_controlled_detailed(scenario)
+def test_fold_queue_order_matches_general_loop(scenario):
+    fast, fast_run = _control_detailed(scenario)
     with force_general():
-        general, general_requests = simulate_controlled_detailed(scenario)
-    assert fast.engine_dispatch == "rr-ctl"
+        general, general_run = _control_detailed(scenario)
+    assert fast.engine_dispatch == "fold"
     assert general.engine_dispatch == "general"
-    a, b = requests[0].arena, general_requests[0].arena
-    for column in ("start", "finish", "shed", "instance"):
-        assert np.array_equal(getattr(a, column), getattr(b, column))
+    _assert_same_schedule(
+        fast_run, general_run, ("start", "finish", "shed", "instance")
+    )
     assert fast == general
 
 
@@ -180,22 +225,9 @@ def test_ll_schedule_matches_general_loop(scenario):
     fast, fast_run = _serve_detailed(scenario)
     with force_general():
         general, general_run = _serve_detailed(scenario)
-    assert fast_run.engine.last_run.dispatch == "ll"
+    assert fast_run.engine.last_run.dispatch == "fold"
     assert general_run.engine.last_run.dispatch == "general"
-    a, b = fast_run.requests, general_run.requests
-    for column in ("start", "finish", "instance"):
-        assert np.array_equal(getattr(a, column), getattr(b, column))
-    for fi, gi in zip(fast_run.fleet, general_run.fleet):
-        for counter in (
-            "busy_until",
-            "busy_seconds",
-            "busy_seconds_window",
-            "energy_joules",
-            "queued_seconds",
-            "served",
-            "batches",
-            "setups",
-            "loaded_model",
-        ):
-            assert getattr(fi, counter) == getattr(gi, counter), counter
+    _assert_same_schedule(
+        fast_run, general_run, ("start", "finish", "instance")
+    )
     assert fast == general

@@ -225,7 +225,7 @@ class TestTelemetryOnDegenerateRuns:
         assert counters == {
             "events": report.engine_events,
             "peak_heap": report.engine_peak_heap,
-            "dispatch": "ll",
+            "dispatch": "fold",
         }
 
     def test_engine_counters_do_not_affect_equality(self):

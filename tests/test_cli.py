@@ -533,11 +533,52 @@ class TestTelemetryCli:
         )
         report_payload = json.loads(report.read_text())
         (engine,) = report_payload["engine"]
-        # Observing keeps the run on its least-loaded kernel.
-        assert engine["dispatch"] == "ll"
+        # Observing keeps the run on the event fold.
+        assert engine["dispatch"] == "fold"
         assert report_payload["metrics"]["timelines"]
         # The report dicts themselves stay telemetry-free.
         assert "engine_events" not in report_payload["reports"][0]
+
+    def test_fine_metrics_window_keeps_stdout_bounded(self, tmp_path):
+        """A fine window retains thousands of samples; the text table
+        prints a bounded, evenly spaced subset (first and last
+        included) while ``--json`` keeps every sample."""
+        import json
+
+        from repro.eval.obs import TIMELINE_MAX_ROWS
+        from repro.eval.report import format_value
+
+        report = tmp_path / "fine.json"
+        args = (
+            "control", "--requests", "3000", "--policy", "round-robin",
+            "--shedding", "deadline", "--metrics-every", "1e-4",
+        )
+        code, text = run_cli(*args)
+        assert code == 0
+        lines = text.splitlines()
+        # Unbounded, this printed ~4,100 lines and ~310 kB.
+        assert len(lines) < 150
+        assert len(text) < 12_000
+        (title,) = [
+            k for k, line in enumerate(lines)
+            if line.startswith("Metrics timeline")
+        ]
+        code, _ = run_cli(*args, "--json", str(report))
+        assert code == 0
+        (series,) = json.loads(report.read_text())["metrics"]["timelines"]
+        samples = series["samples"]
+        assert len(samples) > TIMELINE_MAX_ROWS
+        assert (
+            f"{TIMELINE_MAX_ROWS} of {len(samples)} samples; "
+            "full series in --json"
+        ) in lines[title]
+        # Title, rule, header and separator precede the rows.
+        rows = lines[title + 4:]
+        rows = rows[: rows.index("")] if "" in rows else rows
+        assert len(rows) == TIMELINE_MAX_ROWS
+        for row, sample in ((rows[0], samples[0]), (rows[-1], samples[-1])):
+            t = format_value(round(sample["t"], 3))
+            assert row.split("|")[0].strip() == t
 
     def test_control_multi_fleet_trace(self, tmp_path):
         import json
@@ -575,9 +616,10 @@ class TestTelemetryCli:
         assert list(payload) == ["multi_fleet", "engine"]
         engine = payload["engine"]
         assert len(engine) == len(payload["multi_fleet"]["fleets"]) == 2
+        # Governor-less least-loaded members take the event fold.
         for entry in engine:
-            assert entry["dispatch"] == "general"
-            assert entry["fallback"]
+            assert entry["dispatch"] == "fold"
+            assert "fallback" not in entry
             assert entry["events"] > 0
 
     def test_trace_summary_subcommand(self, tmp_path):
