@@ -119,12 +119,9 @@ def simulate_multi_fleet_monolithic(
                 member,
                 slo_classes=member.slo_classes + tuple(foreign),
             )
-        stream_times = np.array(
-            [request.arrival for request in requests]
-        )
         reports[k] = execute_controlled(
             member, fleet, mix, capacity, rates[k],
-            stream_times, requests, dvfs_model=dvfs_model,
+            requests, dvfs_model=dvfs_model,
         )
 
     for k in donors:

@@ -274,14 +274,15 @@ def test_bench_snapshot_restore_cost(benchmark):
     import pickle
 
     from repro import checkpoint as cp
+    from repro.serve.simulator import finalize_serving
 
     scenario = ServingScenario(
         requests=50_000, seed=42, qps=1_000_000.0, instances=1
     )
     reference = cp.run_serve_checkpointed(scenario)
 
-    execution, engine, finalize = cp._begin_serve(scenario)
-    engine.run_until(float(execution.times[-1]))
+    execution = cp._begin_serve(scenario)
+    execution.engine.run_until(float(execution.requests.arrival[-1]))
     in_flight = sum(
         len(instance.queue) for instance in execution.fleet.instances
     )
@@ -296,7 +297,7 @@ def test_bench_snapshot_restore_cost(benchmark):
 
     resumed = pickle.loads(blob)["execution"]
     resumed.engine.run_until(float("inf"))
-    assert finalize(resumed) == reference
+    assert finalize_serving(resumed) == reference
 
     benchmark.extra_info["in_flight_requests"] = in_flight
     benchmark.extra_info["payload_mib"] = round(len(blob) / 2**20, 2)
@@ -487,11 +488,11 @@ def _kernel_seconds(scenario, repeats=3, general=False):
     best = float("inf")
     for _ in range(repeats):
         dvfs_model = DVFSModel()
-        fleet, mix, capacity, qps, times, requests, _ = _control_inputs(
+        fleet, mix, capacity, qps, requests, _ = _control_inputs(
             scenario, dvfs_model
         )
         engine = prepare_controlled(
-            scenario, fleet, mix, capacity, qps, times, requests,
+            scenario, fleet, mix, capacity, qps, requests,
             dvfs_model=dvfs_model,
         ).engine
         with _force_general_loop() if general else nullcontext():

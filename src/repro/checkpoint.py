@@ -1,12 +1,11 @@
 """Checkpoint/resume for long-running simulations.
 
-A checkpoint is one atomic pickle of the live execution — the
-:class:`~repro.serve.simulator.ServingExecution` or
-:class:`~repro.control.simulator.ControlExecution` mid-run: the engine
-(event heap, arena cursor, counters), the fleet with its queues and
-in-flight batches, the policy, the hooks (shedder, governor), the
-request arena as mutated so far, and the RNG position captured right
-after stream construction.  The active
+A checkpoint is one atomic pickle of the live
+:class:`~repro.serve.simulator.Execution` of a serve or control run,
+mid-run: the engine (event heap, arena cursor, counters), the fleet
+with its queues and in-flight batches, the policy, the hooks
+(shedder, governor), the request arena as mutated so far, and the RNG
+position captured right after stream construction.  The active
 :class:`~repro.obs.Observability` session rides along when there is
 one, and so does the checkpoint cadence, so a resumed run keeps saving
 on schedule.  A fresh process that unpickles it continues stepping the
@@ -57,6 +56,7 @@ from .errors import ConfigError, ReproError
 from .power.dvfs import DVFSModel
 from .serve.arrival import capture_rng_state
 from .serve.simulator import (
+    Execution,
     ServingScenario,
     finalize_serving,
     prepare_serving,
@@ -79,7 +79,9 @@ __all__ = [
 #: row).
 #: Schema 4: the payload pickles the live execution (and telemetry
 #: session) instead of per-class state dicts.
-CHECKPOINT_SCHEMA = 4
+#: Schema 5: one ``Execution`` class for both planes, without the
+#: ``times`` field (the arena's arrival column).
+CHECKPOINT_SCHEMA = 5
 
 _INF = float("inf")
 
@@ -146,28 +148,32 @@ def load_checkpoint(path) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _begin_serve(scenario: ServingScenario, obs=None):
+def _begin_serve(scenario: ServingScenario, obs=None) -> Execution:
     """Build and arm a fresh checkpointable serve execution."""
     execution = prepare_serving(scenario, obs=obs)
     execution.engine.begin(execution.requests)
-    return execution, execution.engine, finalize_serving
+    return execution
 
 
-def _begin_control(scenario: ControlScenario, obs=None):
+def _begin_control(scenario: ControlScenario, obs=None) -> Execution:
     """Build and arm a fresh checkpointable control execution."""
     dvfs_model = DVFSModel()
-    fleet, mix, capacity, qps, times, requests, rng = _control_inputs(
+    fleet, mix, capacity, qps, requests, rng = _control_inputs(
         scenario, dvfs_model
     )
     execution = prepare_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
+        scenario, fleet, mix, capacity, qps, requests,
         dvfs_model=dvfs_model, obs=obs,
     )
     execution.rng_state = capture_rng_state(rng)
-    return execution, execution.engine, finalize_controlled
+    return execution
 
 
-_FINALIZERS = {"serve": finalize_serving, "control": finalize_controlled}
+#: Per kind: (build-and-arm, finalize).
+_PLANES = {
+    "serve": (_begin_serve, finalize_serving),
+    "control": (_begin_control, finalize_controlled),
+}
 
 
 def _payload(kind, scenario, execution, every_s, next_t, obs=None) -> dict:
@@ -218,6 +224,19 @@ def _validate_cadence(every_s) -> None:
         )
 
 
+def _run_checkpointed(kind, scenario, checkpoint_path, every_s, obs):
+    """Build, drive on the cadence, and finalize one ``kind`` run."""
+    _validate_cadence(every_s)
+    begin, finalize = _PLANES[kind]
+    execution = begin(scenario, obs)
+    _drive(
+        kind, scenario, execution, every_s,
+        checkpoint_path, every_s if every_s is not None else _INF,
+        obs,
+    )
+    return finalize(execution)
+
+
 def run_serve_checkpointed(
     scenario: ServingScenario,
     checkpoint_path=None,
@@ -233,14 +252,9 @@ def run_serve_checkpointed(
     to :func:`repro.serve.simulate` for ``stats="exact"`` scenarios
     (the general loop and the columnar fast paths agree bit-for-bit).
     """
-    _validate_cadence(every_s)
-    execution, _, finalize = _begin_serve(scenario, obs)
-    _drive(
-        "serve", scenario, execution, every_s,
-        checkpoint_path, every_s if every_s is not None else _INF,
-        obs,
+    return _run_checkpointed(
+        "serve", scenario, checkpoint_path, every_s, obs
     )
-    return finalize(execution)
 
 
 def run_control_checkpointed(
@@ -252,14 +266,9 @@ def run_control_checkpointed(
 ):
     """One control-plane run with periodic checkpoints (identical
     report to :func:`repro.control.simulate_controlled`)."""
-    _validate_cadence(every_s)
-    execution, _, finalize = _begin_control(scenario, obs)
-    _drive(
-        "control", scenario, execution, every_s,
-        checkpoint_path, every_s if every_s is not None else _INF,
-        obs,
+    return _run_checkpointed(
+        "control", scenario, checkpoint_path, every_s, obs
     )
-    return finalize(execution)
 
 
 def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
@@ -291,7 +300,7 @@ def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
     if saved is not None:
         obs.take_over(saved)
     kind = payload["kind"]
-    if kind not in _FINALIZERS:
+    if kind not in _PLANES:
         raise ReproError(
             f"checkpoint {path} has unknown kind {kind!r}"
         )
@@ -302,4 +311,4 @@ def resume_checkpointed(path, checkpoint_path=None, *, obs=None):
         payload["next_checkpoint_s"],
         obs,
     )
-    return kind, payload["scenario"], _FINALIZERS[kind](execution)
+    return kind, payload["scenario"], _PLANES[kind][1](execution)

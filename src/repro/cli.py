@@ -731,10 +731,6 @@ def _checkpoint_args(args) -> tuple[str | None, float | None]:
             "--checkpoint and --checkpoint-every must be given "
             "together"
         )
-    if every is not None and not 0 < every < math.inf:
-        raise ReproError(
-            f"--checkpoint-every must be finite and positive (got {every})"
-        )
     return path, every
 
 
@@ -767,6 +763,12 @@ def _resume(args, out) -> None:
     kind, _scenario, report = resume_checkpointed(
         args.resume_path, checkpoint_path=args.checkpoint_path, obs=obs
     )
+    _emit_single(args, kind, report, obs, out)
+
+
+def _emit_single(args, kind, report, obs, out) -> None:
+    """Print one serve or control run's report, then its telemetry,
+    then its ``--json``."""
     if kind == "control":
         print(render_control_report(report), file=out)
     else:
@@ -774,6 +776,25 @@ def _resume(args, out) -> None:
     metrics = _emit_obs(args, obs, out)
     if args.json_path:
         _write_json(args.json_path, [report], metrics)
+
+
+def _run_single(args, kind, scenario, checkpoint, obs, out) -> None:
+    """Run one serve or control scenario and emit it: in checkpointed
+    slices when ``checkpoint`` (the ``(path, every_s)`` flag pair)
+    names a path, else one-shot."""
+    path, every = checkpoint
+    if path:
+        run = (
+            run_control_checkpointed
+            if kind == "control"
+            else run_serve_checkpointed
+        )
+        report = run(scenario, path, every, obs=obs)
+    elif kind == "control":
+        report = simulate_controlled(scenario, obs=obs)
+    else:
+        report = simulate(scenario, obs=obs)
+    _emit_single(args, kind, report, obs, out)
 
 
 def _serve(args, out) -> None:
@@ -786,7 +807,7 @@ def _serve(args, out) -> None:
         return
     trace = _read_trace_arg(args)
     _check_diurnal_amplitude(args)
-    checkpoint_path, checkpoint_every = _checkpoint_args(args)
+    checkpoint = _checkpoint_args(args)
     obs = _obs_from(args)
     if args.slo_classes or args.shedding or args.autoscale:
         if args.sweep_policies or args.sweep_instances or args.curve_qps:
@@ -794,18 +815,10 @@ def _serve(args, out) -> None:
                 "SLO/control flags cannot be combined with serve "
                 "sweeps; use 'repro control' for governor sweeps"
             )
-        control_scenario = _control_scenario(args, trace)
-        if checkpoint_path:
-            report = run_control_checkpointed(
-                control_scenario, checkpoint_path, checkpoint_every,
-                obs=obs,
-            )
-        else:
-            report = simulate_controlled(control_scenario, obs=obs)
-        print(render_control_report(report), file=out)
-        metrics = _emit_obs(args, obs, out)
-        if args.json_path:
-            _write_json(args.json_path, [report], metrics)
+        _run_single(
+            args, "control", _control_scenario(args, trace), checkpoint,
+            obs, out,
+        )
         return
     scenario = ServingScenario(
         mix=args.mix,
@@ -852,19 +865,11 @@ def _serve(args, out) -> None:
             cache=cache,
         )
         print(render_throughput_latency(reports), file=out)
-    elif checkpoint_path:
-        reports = [
-            run_serve_checkpointed(
-                scenario, checkpoint_path, checkpoint_every, obs=obs
-            )
-        ]
-        print(render_serving_report(reports[0]), file=out)
     else:
-        reports = [simulate(scenario, obs=obs)]
-        print(render_serving_report(reports[0]), file=out)
-    metrics = _emit_obs(args, obs, out)
+        _run_single(args, "serve", scenario, checkpoint, obs, out)
+        return
     if args.json_path:
-        _write_json(args.json_path, reports, metrics)
+        _write_json(args.json_path, reports)
 
 
 def _multi_fleet(args, base, cache, out, obs=None) -> None:
@@ -903,7 +908,7 @@ def _multi_fleet(args, base, cache, out, obs=None) -> None:
     if obs is not None:
         # Telemetry observes execution, so the run can't be served
         # from (or stored into) the result cache — simulate directly.
-        report = simulate_multi_fleet(scenario, jobs=args.jobs, obs=obs)
+        report = simulate_multi_fleet(scenario, obs=obs)
     else:
         report = multi_fleet_sweep(
             [scenario], jobs=args.jobs, cache=cache
@@ -932,7 +937,7 @@ def _control(args, out) -> None:
         return
     trace = _read_trace_arg(args)
     _check_diurnal_amplitude(args)
-    checkpoint_path, checkpoint_every = _checkpoint_args(args)
+    checkpoint = _checkpoint_args(args)
     base = _control_scenario(args, trace)
     cache = _cache_from(args)
     voltage_sweep = args.sweep_voltages or args.sweep_fleet_sizes
@@ -975,16 +980,7 @@ def _control(args, out) -> None:
         )
         labels = [f"{v:.2f}V x{n}" for v in voltages for n in sizes]
     else:
-        if checkpoint_path:
-            report = run_control_checkpointed(
-                base, checkpoint_path, checkpoint_every, obs=obs
-            )
-        else:
-            report = simulate_controlled(base, obs=obs)
-        print(render_control_report(report), file=out)
-        metrics = _emit_obs(args, obs, out)
-        if args.json_path:
-            _write_json(args.json_path, [report], metrics)
+        _run_single(args, "control", base, checkpoint, obs, out)
         return
     frontier = pareto_frontier(reports)
     print(

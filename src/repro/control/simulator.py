@@ -49,6 +49,7 @@ from ..serve.policies import make_policy
 from ..serve.profile import DEFAULT_WEIGHT_BANDWIDTH, build_mix
 from ..serve.sketch import StreamingLatencyStats, percentile
 from ..serve.simulator import (
+    Execution,
     ServingReport,
     _arrival_process,
     _offered_qps,
@@ -67,7 +68,6 @@ from .slo import (
 __all__ = [
     "ControlScenario",
     "ControlHooks",
-    "ControlExecution",
     "build_control_fleet",
     "prepare_controlled",
     "finalize_controlled",
@@ -427,46 +427,18 @@ def _build_governor(scenario, fleet, mix, dvfs_model, tick_s):
     return governor
 
 
-@dataclass
-class ControlExecution:
-    """One armed controlled run, mid-flight.
-
-    :func:`prepare_controlled` builds everything up to (and including)
-    ``engine.begin``; the caller advances ``engine`` with
-    :meth:`~repro.serve.engine.Engine.run_until` — to drain in one
-    call, where the engine dispatches to a columnar fast path if the
-    configuration qualifies, or in bounded slices for checkpointed
-    execution — and :func:`finalize_controlled` turns the drained
-    execution into the :class:`ServingReport`.
-    """
-
-    scenario: ControlScenario
-    fleet: Fleet
-    mix: object
-    capacity: float
-    qps: float
-    times: np.ndarray
-    requests: RequestArena
-    engine: Engine
-    #: Bit-generator state right after stream construction, recorded
-    #: by the checkpointed driver (``None`` when the caller built the
-    #: stream elsewhere, e.g. a multi-fleet member).
-    rng_state: dict | None = None
-
-
 def prepare_controlled(
     scenario: ControlScenario,
     fleet: Fleet,
     mix,
     capacity: float,
     qps: float,
-    times: np.ndarray,
     requests: RequestArena,
     dvfs_model: DVFSModel | None = None,
     *,
     obs=None,
     obs_pid: int = 0,
-) -> ControlExecution:
+) -> Execution:
     """Wire the control plane over a prepared fleet and arm the engine.
 
     The head half of :func:`execute_controlled`: sets the busy window,
@@ -479,7 +451,7 @@ def prepare_controlled(
     names the trace process, the fleet index on multi-fleet runs).
     """
     dvfs_model = dvfs_model if dvfs_model is not None else DVFSModel()
-    window_end = float(times[-1])
+    window_end = float(requests.arrival[-1])
     for instance in fleet:
         instance.window_end = window_end
 
@@ -506,20 +478,20 @@ def prepare_controlled(
         tick_s=tick_s if governor is not None else None,
     )
     engine.begin(requests)
-    return ControlExecution(
+    return Execution(
         scenario=scenario,
         fleet=fleet,
         mix=mix,
         capacity=capacity,
         qps=qps,
-        times=times,
         requests=requests,
         engine=engine,
     )
 
 
-def finalize_controlled(execution: ControlExecution) -> ServingReport:
-    """Aggregate a drained :class:`ControlExecution` into its report.
+def finalize_controlled(execution: Execution) -> ServingReport:
+    """Aggregate a drained control-plane :class:`Execution` into its
+    report.
 
     The tail half of :func:`execute_controlled`; identical whether the
     engine drained in one ``run_until(inf)`` call, in checkpointed
@@ -533,7 +505,7 @@ def finalize_controlled(execution: ControlExecution) -> ServingReport:
     # (a run_until slice reports the totals so far, not the slice's),
     # so a resumed run reports the values an uninterrupted one does.
     run = execution.engine.last_run
-    window_end = float(execution.times[-1])
+    window_end = float(requests.arrival[-1])
 
     track_models = any(
         cls.model is not None for cls in scenario.slo_classes
@@ -604,7 +576,6 @@ def execute_controlled(
     mix,
     capacity: float,
     qps: float,
-    times: np.ndarray,
     requests: RequestArena,
     dvfs_model: DVFSModel | None = None,
     *,
@@ -621,7 +592,7 @@ def execute_controlled(
     (and spillover-merged) streams the caller generated.
     """
     execution = prepare_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
+        scenario, fleet, mix, capacity, qps, requests,
         dvfs_model=dvfs_model, obs=obs, obs_pid=obs_pid,
     )
     execution.engine.run_until(_INF)
@@ -633,10 +604,8 @@ def _control_inputs(scenario: ControlScenario, dvfs_model: DVFSModel):
     materialized request stream, shared by one-shot and checkpointed
     runs (identical RNG consumption).
 
-    Returns ``(fleet, mix, capacity, qps, times, requests, rng)``;
-    ``times`` is the arena's arrival column (the same floats as the
-    drawn times, kept once) and ``rng`` is positioned just past
-    stream construction.
+    Returns ``(fleet, mix, capacity, qps, requests, rng)``; ``rng``
+    is positioned just past stream construction.
     """
     fleet, mix, capacity = build_control_fleet(scenario, dvfs_model)
     qps = _offered_qps(scenario, capacity)
@@ -644,7 +613,7 @@ def _control_inputs(scenario: ControlScenario, dvfs_model: DVFSModel):
     requests = build_requests(
         mix, arrivals.times(n, rng), rng, slo_classes=scenario.slo_classes
     )
-    return fleet, mix, capacity, qps, requests.arrival, requests, rng
+    return fleet, mix, capacity, qps, requests, rng
 
 
 def simulate_controlled_detailed(
@@ -657,11 +626,11 @@ def simulate_controlled_detailed(
     ramp, need per-request outcomes the aggregate report folds away).
     """
     dvfs_model = DVFSModel()
-    fleet, mix, capacity, qps, times, requests, _ = _control_inputs(
+    fleet, mix, capacity, qps, requests, _ = _control_inputs(
         scenario, dvfs_model
     )
     report = execute_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
+        scenario, fleet, mix, capacity, qps, requests,
         dvfs_model=dvfs_model, obs=obs,
     )
     return report, requests

@@ -12,7 +12,6 @@ not dominated on (energy, SLO attainment)? — answered by
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Sequence
 
 from ..errors import ConfigError
@@ -42,23 +41,16 @@ def multi_fleet_sweep(
     A :class:`MultiFleetScenario` is a frozen dataclass of primitives
     (with nested member scenarios), so the persistent cache keys it
     exactly like single-fleet control points — the CLI's warm reruns
-    are served from disk.
-
-    With a single scenario the worker fan-out has nothing to spread
-    over, so ``jobs`` is routed *into* the co-simulation instead:
-    member fleets shard across processes (donors, then receivers
-    after the spillover exchange).  Reports are bit-identical either way, so both routes
-    share one cache key.
+    are served from disk.  ``jobs`` fans whole scenarios out across
+    workers; each scenario's member fleets drain serially in its own
+    worker.
     """
     if not scenarios:
         raise ConfigError("multi_fleet_sweep needs at least one scenario")
     executor = ParallelExecutor(jobs=jobs, cache=cache)
-    fn = simulate_multi_fleet
-    if len(scenarios) == 1 and executor.jobs > 1:
-        fn = functools.partial(simulate_multi_fleet, jobs=executor.jobs)
     return executor.map_cached(
         "multi_fleet_point",
-        fn,
+        simulate_multi_fleet,
         [(s,) for s in scenarios],
     )
 

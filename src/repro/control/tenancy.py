@@ -26,12 +26,11 @@ Every member fleet is its own :class:`~repro.serve.engine.Engine`,
 drained in one call.  Donors drain first; their shed rows cross the
 exchange to the receivers, whose engines then run their home arena
 merged with the forwarded rows (:meth:`RequestArena.merge
-<repro.serve.arena.RequestArena.merge>`) as one arena.  Process
-sharding (``jobs``, keyword-only) is an execution detail — any job
-count reproduces the identical report — and everything — the latent
-path, per-fleet thinning, engine order — is a pure function of the
-frozen scenario, so multi-fleet reports are cacheable content keys
-exactly like single-fleet ones.
+<repro.serve.arena.RequestArena.merge>`) as one arena.  Members drain
+serially in-process; everything — the latent path, per-fleet thinning,
+engine order — is a pure function of the frozen scenario, so
+multi-fleet reports are cacheable content keys exactly like
+single-fleet ones (a sweep fans whole scenarios out across workers).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConfigError
-from ..parallel.executor import ParallelExecutor
 from ..power.dvfs import DVFSModel
 from ..serve.arena import Request
 from ..serve.arrival import SharedModulator
@@ -225,77 +223,29 @@ def _forward_target(
     return None, None
 
 
-#: The columns an engine run writes, shipped back from worker runs.
-_OUTCOMES = ("shed", "start", "finish", "instance")
-
-
-def _drain_member(
-    member, fleet, mix, capacity, qps, stream, dvfs_model,
-    obs=None, obs_pid: int = 0,
-) -> ServingReport:
-    """Drain one member fleet over its stream in one call."""
-    execution = prepare_controlled(
-        member, fleet, mix, capacity, qps, stream.arrival, stream,
-        dvfs_model=dvfs_model, obs=obs, obs_pid=obs_pid,
-    )
-    execution.engine.run_until(_INF)
-    return finalize_controlled(execution)
-
-
-def _member_point(payload: dict):
-    """Worker half of a sharded phase: run one member fleet.
-
-    ``payload`` holds the member's frozen scenario plus its
-    materialized request stream (a receiver's is already
-    merged with its spill-ins).  The worker rebuilds the fleet
-    deterministically, drains the engine, and ships back the report
-    together with the outcome columns, which the parent copies into
-    its own arena (subprocess arena mutations never propagate by
-    themselves).
-    """
-    member = payload["scenario"]
-    stream = payload["requests"]
-    dvfs_model = DVFSModel()
-    fleet, mix, capacity = build_control_fleet(member, dvfs_model)
-    report = _drain_member(
-        member, fleet, mix, capacity, _offered_qps(member, capacity),
-        stream, dvfs_model,
-    )
-    return report, *(getattr(stream, name) for name in _OUTCOMES)
-
-
 def simulate_multi_fleet(
     scenario: MultiFleetScenario,
     *,
-    jobs: int = 1,
     obs=None,
 ) -> MultiFleetReport:
     """Run one correlated multi-fleet scenario to completion.
 
     Deterministic for a given scenario; safe to cache and to fan out
-    across worker processes.  Execution runs in three steps: every
-    donor (a fleet at rho > 1 under spillover) drains; the exchange
-    forwards each donor's shed rows — read off its drained ``shed``
-    column — to the sibling with the most headroom that can still
-    make the deadline; every receiver then drains its home arena
-    merged with the rows it was sent.  Donors never receive and
+    across worker processes.  Execution runs in three serial steps:
+    every donor (a fleet at rho > 1 under spillover) drains; the
+    exchange forwards each donor's shed rows — read off its drained
+    ``shed`` column — to the sibling with the most headroom that can
+    still make the deadline; every receiver then drains its home
+    arena merged with the rows it was sent.  Donors never receive and
     receivers never forward, so each member drains in one call.
 
     Args:
         scenario: The frozen scenario description.
-        jobs: Worker processes for the member fleets (``1`` = serial),
-            keyword-only and never part of the result or the cache
-            content key.  Donors shard across processes first,
-            receivers after the exchange; each worker gets a
-            payload of scenario + materialized stream
-            and returns its report plus the outcome columns.
         obs: Optional :class:`~repro.obs.Observability` session; an
             active one records every member fleet into one shared
             trace (fleet k is trace process k) plus a spillover
-            instant per forwarded request.  Telemetry is derived from
-            the members' in-process streams (and governor logs), so an
-            active session runs the members serially regardless of
-            ``jobs`` — same report.
+            instant per forwarded request, derived from the members'
+            streams (and governor logs) after they drain.
     """
     modulator = scenario.shared_modulator()
     path = modulator.build_path(
@@ -406,64 +356,29 @@ def simulate_multi_fleet(
             return
         home = home_requests[k]
         rows = wheres[k][:len(home)]
-        for name in _OUTCOMES:
+        for name in ("shed", "start", "finish", "instance"):
             getattr(home, name)[:] = getattr(streams[k], name)[rows]
 
-    # Telemetry is derived from the in-process streams and governor
-    # logs, so an active session pins the members to the serial path
-    # (identical report either way — sharding is an execution detail).
-    observed = obs is not None and obs.active
-    executor = (
-        ParallelExecutor(jobs=jobs)
-        if jobs != 1 and n_fleets > 1 and not observed
-        else None
-    )
-
     def drain(members: list[int], then) -> None:
-        """Drain ``members`` (sharded when more than one runs at once),
-        calling ``then(k)`` after each."""
-        if executor is not None and len(members) > 1:
-            payloads = [
-                (
-                    {
-                        "scenario": member_scenario(k),
-                        "requests": streams[k],
-                    },
-                )
-                for k in members
-            ]
-            for k, (report, *outcomes) in zip(
-                members, executor.map(_member_point, payloads)
-            ):
-                reports[k] = report
-                for name, column in zip(_OUTCOMES, outcomes):
-                    getattr(streams[k], name)[:] = column
-                then(k)
-        else:
-            for k in members:
-                fleet, mix, capacity = setups[k]
-                reports[k] = _drain_member(
-                    member_scenario(k), fleet, mix, capacity, rates[k],
-                    streams[k], dvfs_model, obs=obs, obs_pid=k,
-                )
-                then(k)
+        """Drain each of ``members`` in one call, in order, calling
+        ``then(k)`` after each."""
+        for k in members:
+            fleet, mix, capacity = setups[k]
+            execution = prepare_controlled(
+                member_scenario(k), fleet, mix, capacity, rates[k],
+                streams[k], dvfs_model=dvfs_model, obs=obs, obs_pid=k,
+            )
+            execution.engine.run_until(_INF)
+            reports[k] = finalize_controlled(execution)
+            then(k)
 
-    def run_phases() -> None:
-        drain(donors, forward)
-        for k in receivers:
-            if spill_ins[k]:
-                streams[k], wheres[k] = home_requests[k].merge(
-                    spill_ins[k], hop_s
-                )
-        drain(receivers, settle)
-
-    if executor is not None:
-        # One pool spans both phases: the exchange moves rows, not
-        # workers.
-        with executor.session():
-            run_phases()
-    else:
-        run_phases()
+    drain(donors, forward)
+    for k in receivers:
+        if spill_ins[k]:
+            streams[k], wheres[k] = home_requests[k].merge(
+                spill_ins[k], hop_s
+            )
+    drain(receivers, settle)
 
     # End-to-end accounting per original request, over columns: home
     # rows complete at home or were shed there (forwarded or

@@ -100,14 +100,16 @@ def render_metrics_timeline(payload: dict) -> str:
                 f", {last + 1} of {total} samples; full series in --json"
             )
         title += ")"
+        # Times and utilizations print at 3 decimals: the default
+        # 2-decimal float cell would repeat 1 ms sample times.
         rows = [
             [
-                round(s["t"], 3),
+                f"{s['t']:,.3f}",
                 round(s["offered_qps"], 1),
                 round(s["admitted_qps"], 1),
                 round(s["shed_qps"], 1),
                 round(_mean(s["queue_depth"]), 1),
-                round(_mean(s["utilization"]), 3),
+                f"{_mean(s['utilization']):,.3f}",
                 round(s["batch_size_mean"], 2),
                 round(s["power_w"], 1),
             ]

@@ -19,14 +19,10 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..errors import ConfigError
 from .cache import ResultCache, make_key
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["ParallelExecutor", "resolve_jobs"]
 
@@ -73,44 +69,6 @@ class ParallelExecutor:
             # everywhere else we keep the platform default.
             start_method = "fork"
         self.start_method = start_method
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _open_pool(self, workers: int) -> ProcessPoolExecutor:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        return ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context(self.start_method)
-        )
-
-    @contextmanager
-    def session(self):
-        """Keep one worker pool open across multiple :meth:`map` calls.
-
-        By default every :meth:`map` call builds and tears down its own
-        pool; phased orchestration (e.g. the multi-fleet donor phase, a
-        barrier, then the receiver phase) pays that startup twice for
-        the same workers.  Inside a session, consecutive batches reuse
-        the pool::
-
-            with executor.session():
-                first = executor.map(fn, donors)
-                ...exchange at the barrier...
-                second = executor.map(fn, receivers)
-
-        Serial executors (``jobs=1``) pass through unchanged; nesting
-        reuses the outer session's pool.
-        """
-        if self.jobs <= 1 or self._pool is not None:
-            yield self
-            return
-        pool = self._open_pool(self.jobs)
-        self._pool = pool
-        try:
-            yield self
-        finally:
-            self._pool = None
-            pool.shutdown()
 
     def map(
         self,
@@ -126,12 +84,13 @@ class ParallelExecutor:
         argtuples = list(argtuples)
         if self.jobs <= 1 or len(argtuples) <= 1:
             return [fn(*args) for args in argtuples]
-        if self._pool is not None:
-            futures = [
-                self._pool.submit(fn, *args) for args in argtuples
-            ]
-            return [future.result() for future in futures]
-        with self._open_pool(min(self.jobs, len(argtuples))) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(argtuples)),
+            mp_context=get_context(self.start_method),
+        ) as pool:
             futures = [pool.submit(fn, *args) for args in argtuples]
             return [future.result() for future in futures]
 

@@ -525,12 +525,6 @@ class Engine:
         start_l = [-1.0] * n
         fin_l = [-1.0] * n
         inst_l = None if striped else [-1] * n
-        # Wake deadlines: ``arrival + mw`` and ``(arrival + mw) - _EPS``
-        # vectorized are bit-identical to the general loop's scalar adds.
-        dl_l = (arena.arrival + mw).tolist()
-        dle_l = (arena.arrival + mw - _EPS).tolist()
-        # Each request's unscaled queue-load contribution.
-        per_req = per_arr[arena.model_idx].tolist()
         prio_l = arena.priority.tolist()
         prio_key = prio_l.__getitem__
         deadline_shed = kind == "deadline"
@@ -624,7 +618,8 @@ class Engine:
                     q.insert(bisect_right(q, p, key=prio_key), rid)
                 else:
                     q.append(rid)
-                qs[j] += per_req[rid]
+                # The request's unscaled queue-load contribution.
+                qs[j] += per_tab[m_l[rid]]
                 if bu[j] > now:
                     continue
                 at_min = ev[j] == tmin
@@ -640,7 +635,9 @@ class Engine:
             x = _INF
             if q:
                 head = q[0]
-                due = now >= dle_l[head]
+                # The general loop's wake deadline and due test.
+                dl = a_l[head] + mw
+                due = now >= dl - _EPS
                 if not due and len(q) >= mb:
                     model = m_l[head]
                     count = 0
@@ -652,7 +649,7 @@ class Engine:
                             break
                     due = count == mb
                 if not due:
-                    x = dl_l[head]
+                    x = dl
                 else:
                     # Inlined ``launch_head``: scaled per-image for
                     # timing, unscaled for the queued-seconds ledger.

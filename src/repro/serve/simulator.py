@@ -24,6 +24,7 @@ import numpy as np
 from ..arch.params import EDEA_CONFIG, ArchConfig
 from ..errors import ConfigError
 from ..parallel.cache import extension_field, restore_extended
+from .arena import RequestArena
 from .arrival import capture_rng_state, make_arrivals
 from .engine import (
     Engine,
@@ -41,7 +42,7 @@ from .profile import DEFAULT_WEIGHT_BANDWIDTH, build_mix
 __all__ = [
     "ServingScenario",
     "ServingReport",
-    "ServingExecution",
+    "Execution",
     "prepare_serving",
     "finalize_serving",
     "simulate",
@@ -274,30 +275,33 @@ def simulate(
 
 
 @dataclass
-class ServingExecution:
-    """One built serving run, ready to execute.
+class Execution:
+    """One built serve- or control-plane run, ready to execute.
 
-    :func:`prepare_serving` materializes the stream and the engine;
-    the caller drives the engine — ``engine.run(requests)`` (which is
-    ``engine.begin`` + ``run_until(inf)``) to drain in one call, or
-    ``engine.begin`` + bounded ``run_until`` slices for checkpointed
+    :func:`prepare_serving` materializes it, and
+    :func:`~repro.control.simulator.prepare_controlled` also arms it
+    (``engine.begin``).  The caller drives ``engine`` — to drain in
+    one ``run_until(inf)`` (``engine.run(requests)`` is ``begin`` plus
+    that), or in bounded ``run_until`` slices for checkpointed
     execution; either way the engine alone decides whether a columnar
-    fast path serves the run — and :func:`finalize_serving`
-    aggregates the drained execution into the :class:`ServingReport`.
+    fast path serves the run — and :func:`finalize_serving` /
+    :func:`~repro.control.simulator.finalize_controlled` aggregates
+    the drained execution into its :class:`ServingReport`.  The busy
+    window ends at the last arrival, ``requests.arrival[-1]``.
     """
 
-    scenario: ServingScenario
+    scenario: object
+    fleet: Fleet
     mix: object
     capacity: float
     qps: float
-    times: np.ndarray
-    requests: object
-    fleet: Fleet
+    requests: RequestArena
     engine: Engine
     #: Bit-generator state captured right after stream construction —
     #: all randomness is consumed pre-run, so this is the position a
-    #: checkpoint must round-trip exactly.
-    rng_state: dict
+    #: checkpoint must round-trip exactly (``None`` when the caller
+    #: built the stream elsewhere, e.g. a multi-fleet member).
+    rng_state: dict | None = None
 
 
 def _offered_qps(scenario, capacity: float) -> float:
@@ -342,7 +346,7 @@ def prepare_serving(
     hooks: EngineHooks | None = None,
     *,
     obs=None,
-) -> ServingExecution:
+) -> Execution:
     """Build the non-streaming execution for ``scenario``.
 
     The head half of :func:`simulate` (identical build sequence, so
@@ -353,11 +357,8 @@ def prepare_serving(
     """
     mix, capacity, qps, arrivals, n, rng = _serve_inputs(scenario)
     requests = build_requests(mix, arrivals.times(n, rng), rng)
-    # The arena's arrival column holds the same floats as the drawn
-    # times: one array per stream (and per checkpoint).
-    times = requests.arrival
     fleet = Fleet(scenario.instances)
-    window_end = float(times[-1])
+    window_end = float(requests.arrival[-1])
     for instance in fleet:
         instance.window_end = window_end
     policy = make_policy(scenario.policy)
@@ -372,14 +373,13 @@ def prepare_serving(
         max_wait_s=scenario.max_wait_ms * 1e-3,
         hooks=hooks,
     )
-    return ServingExecution(
+    return Execution(
         scenario=scenario,
+        fleet=fleet,
         mix=mix,
         capacity=capacity,
         qps=qps,
-        times=times,
         requests=requests,
-        fleet=fleet,
         engine=engine,
         rng_state=capture_rng_state(rng),
     )
@@ -471,8 +471,9 @@ def _serving_report(
     )
 
 
-def finalize_serving(execution: ServingExecution) -> ServingReport:
-    """Aggregate a drained :class:`ServingExecution` into its report.
+def finalize_serving(execution: Execution) -> ServingReport:
+    """Aggregate a drained serve-plane :class:`Execution` into its
+    report.
 
     The tail half of :func:`simulate`; identical whether the engine
     drained via ``run``, via checkpointed ``run_until`` slices, or
@@ -486,7 +487,7 @@ def finalize_serving(execution: ServingExecution) -> ServingReport:
         execution.fleet,
         execution.engine.last_run,
         offered=len(execution.requests),
-        window_end=float(execution.times[-1]),
+        window_end=float(execution.requests.arrival[-1]),
         qps=execution.qps,
         capacity=execution.capacity,
         makespan=summary.max_finish if summary.completed else 0.0,

@@ -9,6 +9,7 @@ reports *and* identical persistent-cache content keys for a repeated
 
 import dataclasses
 
+import numpy as np
 import pytest
 from general_loop import force_general
 
@@ -67,9 +68,16 @@ def _overloaded_pair(spillover="deadline", **kwargs):
     return MultiFleetScenario(**defaults)
 
 
+def _small_pair_fleets(requests=300):
+    """The overloaded pair's members, cut to ``requests`` each."""
+    return tuple(
+        dataclasses.replace(fleet, requests=requests)
+        for fleet in _overloaded_pair().fleets
+    )
+
+
 def _priority_three_fleets():
-    """Two priority-shedding donors (rho > 1) and one receiver, so the
-    donor phase really shards under ``jobs=2``."""
+    """Two priority-shedding donors (rho > 1) and one receiver."""
     member = ControlScenario(
         requests=1_000, instances=2, shedding="priority"
     )
@@ -323,6 +331,31 @@ class TestDeterministicReplay:
         assert warm.hits == 1 and warm.misses == 0
         assert first == second
 
+    def test_sweep_jobs_fan_out_whole_scenarios(self):
+        """``jobs`` fans whole scenarios out to workers; each report is
+        the in-process one, in submission order."""
+        scenarios = [
+            _overloaded_pair(seed=seed, fleets=_small_pair_fleets())
+            for seed in (11, 12)
+        ]
+        serial = [simulate_multi_fleet(s) for s in scenarios]
+        assert multi_fleet_sweep(scenarios, jobs=2) == serial
+
+    def test_sweep_cache_serves_any_job_count(self, tmp_path):
+        """The job count never enters the content key: points a serial
+        sweep cached serve a ``jobs=2`` sweep without recomputing."""
+        scenarios = [
+            _overloaded_pair(seed=seed, fleets=_small_pair_fleets())
+            for seed in (11, 12)
+        ]
+        cold = ResultCache(tmp_path)
+        first = multi_fleet_sweep(scenarios, jobs=1, cache=cold)
+        assert cold.misses == 2
+        warm = ResultCache(tmp_path)
+        second = multi_fleet_sweep(scenarios, jobs=2, cache=warm)
+        assert warm.hits == 2 and warm.misses == 0
+        assert first == second
+
 
 class TestScenarioValidation:
     def test_rejects_empty_fleets(self):
@@ -367,44 +400,41 @@ class TestScenarioValidation:
             )
 
 
-class TestEpochSteppedExecution:
-    """Process sharding against its own knob: any job count must
-    reproduce the identical report — `jobs` is an execution detail,
-    not semantics."""
+class TestDonorExchange:
+    """The serial drain: donors, the spillover exchange, receivers."""
 
-    def test_process_sharding_is_invisible(self):
-        scenario = _overloaded_pair()
-        reference = simulate_multi_fleet(scenario)
-        assert simulate_multi_fleet(scenario, jobs=2) == reference
-
-    def test_sharded_priority_shedding_two_donors(self):
+    def test_priority_shedding_two_donors(self, monkeypatch):
         """Priority shedding preempts queued victims after their own
-        arrival; every one of them must be forwarded whether the two
-        donors drain in-process or in worker processes (the sharded
-        path used to forward the preempted victims, the serial path
-        not)."""
+        arrival; every shed donor row that can still make its deadline
+        at the receiver spills — preempted victims included — however
+        many donors drain before the exchange."""
+        import repro.control.tenancy as tenancy
+
+        drained = []
+        finalize = tenancy.finalize_controlled
+
+        def capture(execution):
+            drained.append(execution)
+            return finalize(execution)
+
+        monkeypatch.setattr(tenancy, "finalize_controlled", capture)
         scenario = _priority_three_fleets()
-        assert simulate_multi_fleet(scenario, jobs=1) == (
-            simulate_multi_fleet(scenario, jobs=2)
-        )
-
-    def test_sharded_no_spillover_fleets(self):
-        scenario = _overloaded_pair(spillover="none")
-        reference = simulate_multi_fleet(scenario)
-        assert simulate_multi_fleet(scenario, jobs=2) == reference
-
-    def test_execution_knobs_do_not_perturb_cache_keys(self):
-        scenario = _overloaded_pair()
-        # Keyword-only execution knobs never enter the content key:
-        # a cache populated by a serial run serves a sharded one.
-        assert make_key(
-            "multi_fleet_point", args=(scenario,)
-        ) == make_key("multi_fleet_point", args=(scenario,))
-
-    def test_single_scenario_sweep_routes_jobs_inward(self):
-        # The CLI always hands the sweep one scenario; its --jobs must
-        # reach the member-fleet sharding without changing the report.
-        scenario = _overloaded_pair()
-        serial = multi_fleet_sweep([scenario], jobs=1)
-        sharded = multi_fleet_sweep([scenario], jobs=2)
-        assert serial == sharded
+        report = simulate_multi_fleet(scenario)
+        assert report.conserved
+        *donors, receiver = drained
+        assert len(donors) == 2
+        service = {
+            p.name: p.per_image_seconds for p in receiver.mix.profiles
+        }
+        hop_s = scenario.spillover_hop_ms * 1e-3
+        forwardable = 0
+        for execution in donors:
+            arena = execution.requests
+            for row in np.flatnonzero(arena.shed):
+                model = arena.model_names[arena.model_idx[row]]
+                forwardable += bool(
+                    arena.arrival[row] + hop_s + service[model]
+                    <= arena.deadline[row]
+                )
+        assert forwardable > 0
+        assert report.spilled_requests == forwardable

@@ -107,8 +107,9 @@ class TestConservationGrid:
         scenario = _control_scenario(arrival)
         path = tmp_path / "run.ckpt"
         obs_cut = Observability(trace=True)
-        execution, engine, _ = cp._begin_control(scenario, obs_cut)
-        t_cut = 0.4 * float(execution.times[-1])
+        execution = cp._begin_control(scenario, obs_cut)
+        engine = execution.engine
+        t_cut = 0.4 * float(execution.requests.arrival[-1])
         engine.run_until(t_cut)
         save_checkpoint(
             path,
@@ -188,8 +189,9 @@ class TestTraceDeterminism:
 
         path = tmp_path / "run.ckpt"
         obs_cut = Observability(trace=True, metrics_every_s=0.05)
-        execution, engine, _ = cp._begin_control(scenario, obs_cut)
-        t_cut = 0.35 * float(execution.times[-1])
+        execution = cp._begin_control(scenario, obs_cut)
+        engine = execution.engine
+        t_cut = 0.35 * float(execution.requests.arrival[-1])
         engine.run_until(t_cut)
         save_checkpoint(
             path,
@@ -224,8 +226,9 @@ class TestTraceDeterminism:
 
         path = tmp_path / "run.ckpt"
         obs_cut = Observability(trace=True, metrics_every_s=0.05)
-        execution, engine, _ = cp._begin_control(scenario, obs_cut)
-        t_cut = 0.5 * float(execution.times[-1])
+        execution = cp._begin_control(scenario, obs_cut)
+        engine = execution.engine
+        t_cut = 0.5 * float(execution.requests.arrival[-1])
         engine.run_until(t_cut)
         save_checkpoint(
             path,
@@ -248,7 +251,8 @@ class TestTraceDeterminism:
         scenario = _control_scenario("poisson")
         path = tmp_path / "run.ckpt"
         obs_cut = Observability(trace=True)
-        execution, engine, _ = cp._begin_control(scenario, obs_cut)
+        execution = cp._begin_control(scenario, obs_cut)
+        engine = execution.engine
         engine.run_until(0.05)
         save_checkpoint(
             path,

@@ -251,3 +251,28 @@ def test_traced_metered_run_derives_each_fleet_once(
     assert code == 0
     assert len(built) == fleets
     assert len(payloads) == 1
+
+
+def test_millisecond_samples_render_distinct_times():
+    """Consecutive 1 ms samples print distinct times: the table prints
+    ``t`` at the 3 decimals it is rounded to (a 2-decimal cell printed
+    0.00 and 0.01 on rows 1 ms apart)."""
+    import io
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    argv = [
+        "control", "--requests", "200", "--policy", "round-robin",
+        "--metrics-every", "0.001",
+    ]
+    assert main(argv, out=out) == 0
+    lines = out.getvalue().split("Metrics timeline", 1)[1].splitlines()
+    header = next(k for k, line in enumerate(lines) if "t (s)" in line)
+    times = []
+    for line in lines[header + 2:]:
+        if not line.strip():
+            break
+        times.append(line.split("|")[0].strip())
+    assert len(times) > 12
+    assert len(set(times)) == len(times), times

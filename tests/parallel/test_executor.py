@@ -50,10 +50,6 @@ def _raise_config_error(value):
     raise ConfigError(f"boom {value}")
 
 
-def _square(value):
-    return value * value
-
-
 class TestSerialParallelEquivalence:
     def test_sweep_results_bit_for_bit(self):
         serial = width_resolution_sweep(WIDTHS, RESOLUTIONS, jobs=1)
@@ -98,40 +94,3 @@ class TestMapCached:
         )
         assert results[0].width == 1.0
 
-
-class TestSession:
-    """Persistent-pool sessions: one pool across phased map calls."""
-
-    def test_session_batches_match_serial(self):
-        executor = ParallelExecutor(jobs=2)
-        serial = ParallelExecutor(jobs=1)
-        args = [(i,) for i in range(6)]
-        with executor.session():
-            first = executor.map(_square, args)
-            second = executor.map(_square, [(r,) for r in first])
-        assert first == serial.map(_square, args)
-        assert second == serial.map(_square, [(r,) for r in first])
-
-    def test_session_reuses_one_pool(self):
-        executor = ParallelExecutor(jobs=2)
-        with executor.session():
-            pool = executor._pool
-            assert pool is not None
-            executor.map(_square, [(1,), (2,)])
-            assert executor._pool is pool
-        assert executor._pool is None
-
-    def test_serial_session_is_a_no_op(self):
-        executor = ParallelExecutor(jobs=1)
-        with executor.session():
-            assert executor._pool is None
-            assert executor.map(_square, [(3,)]) == [9]
-
-    def test_nested_session_reuses_outer_pool(self):
-        executor = ParallelExecutor(jobs=2)
-        with executor.session():
-            outer = executor._pool
-            with executor.session():
-                assert executor._pool is outer
-            assert executor._pool is outer
-        assert executor._pool is None

@@ -42,7 +42,12 @@ from repro.errors import ConfigError, ReproError
 from repro.eval.control import report_to_dict
 from repro.parallel.cache import make_key
 from repro.serve.arrival import capture_rng_state, restore_rng
-from repro.serve.simulator import ServingScenario, simulate
+from repro.serve.simulator import (
+    Execution,
+    ServingScenario,
+    finalize_serving,
+    simulate,
+)
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -84,10 +89,12 @@ def _cut_and_save(kind, scenario, fraction, path):
     """Run ``scenario`` up to ``fraction`` of its arrival window, then
     save a checkpoint — the mid-run state a crash would leave behind."""
     if kind == "serve":
-        execution, engine, _ = cp._begin_serve(scenario)
+        execution = cp._begin_serve(scenario)
+        engine = execution.engine
     else:
-        execution, engine, _ = cp._begin_control(scenario)
-    t_cut = fraction * float(execution.times[-1])
+        execution = cp._begin_control(scenario)
+        engine = execution.engine
+    t_cut = fraction * float(execution.requests.arrival[-1])
     engine.run_until(t_cut)
     save_checkpoint(
         path, cp._payload(kind, scenario, execution, t_cut, 2 * t_cut)
@@ -108,16 +115,17 @@ class TestRunUntil:
     def test_slice_boundaries_are_invisible(self):
         scenario = ServingScenario(requests=1200, seed=3)
         reference = simulate(scenario)
-        execution, engine, finalize = cp._begin_serve(scenario)
+        execution = cp._begin_serve(scenario)
+        engine = execution.engine
         t = 0.013  # deliberately misaligned with any event cadence
         while not engine.finished:
             engine.run_until(t)
             t += 0.013
-        assert finalize(execution) == reference
+        assert finalize_serving(execution) == reference
 
     def test_run_until_is_cumulative_and_bounded(self):
         scenario = ServingScenario(requests=1000, seed=5)
-        _, engine, _ = cp._begin_serve(scenario)
+        engine = cp._begin_serve(scenario).engine
         first = engine.run_until(0.05)
         assert not engine.finished
         assert engine.state.clock == 0.05
@@ -258,7 +266,8 @@ class TestRngRoundTrip:
         self, tmp_path
     ):
         scenario = ServingScenario(requests=800, seed=41)
-        execution, engine, _ = cp._begin_serve(scenario)
+        execution = cp._begin_serve(scenario)
+        engine = execution.engine
         engine.run_until(0.02)
         path = tmp_path / "rng.ckpt"
         save_checkpoint(
@@ -313,6 +322,41 @@ class TestCheckpointFormat:
         with pytest.raises(ReproError, match="schema 3"):
             load_checkpoint(path)
 
+    def test_schema4_checkpoint_is_rejected(self, tmp_path, monkeypatch):
+        """Schema 4 pickled per-plane execution classes (with a
+        ``times`` field); its checkpoints fail with a clean error,
+        whether the loader stops at the vanished class or reaches the
+        schema tag."""
+        import repro.serve.simulator as serve_sim
+
+        class ServingExecution:  # the schema-4 serve record, by name
+            pass
+
+        ServingExecution.__module__ = serve_sim.__name__
+        ServingExecution.__qualname__ = "ServingExecution"
+        monkeypatch.setattr(
+            serve_sim, "ServingExecution", ServingExecution,
+            raising=False,
+        )
+        stale = tmp_path / "schema4.ckpt"
+        with open(stale, "wb") as handle:
+            pickle.dump(
+                {
+                    "schema": 4,
+                    "version": __version__,
+                    "execution": ServingExecution(),
+                },
+                handle,
+            )
+        monkeypatch.delattr(serve_sim, "ServingExecution")
+        with pytest.raises(ReproError, match="not readable"):
+            load_checkpoint(stale)
+        tagged = tmp_path / "schema4-tag.ckpt"
+        with open(tagged, "wb") as handle:
+            pickle.dump({"schema": 4, "version": __version__}, handle)
+        with pytest.raises(ReproError, match="schema 4"):
+            load_checkpoint(tagged)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "version.ckpt"
         with open(path, "wb") as handle:
@@ -331,6 +375,23 @@ class TestCheckpointFormat:
         assert payload["schema"] == CHECKPOINT_SCHEMA
         assert payload["version"] == __version__
         assert payload["kind"] == "serve"
+
+    def test_both_planes_checkpoint_one_execution_record(self, tmp_path):
+        """Serve and control checkpoints pickle the same execution
+        class; its busy window is read off the arena, not a copy."""
+        control = ControlScenario(
+            requests=600, shedding="deadline", seed=4
+        )
+        serve = ServingScenario(requests=600, seed=4)
+        loaded = []
+        for kind, scenario in (("serve", serve), ("control", control)):
+            path = tmp_path / f"{kind}.ckpt"
+            _cut_and_save(kind, scenario, 0.5, path)
+            payload = load_checkpoint(path)
+            assert payload["kind"] == kind
+            loaded.append(payload["execution"])
+        assert all(type(e) is Execution for e in loaded)
+        assert not any(hasattr(e, "times") for e in loaded)
 
     def test_unwritable_path(self, tmp_path):
         scenario = ServingScenario(requests=400, seed=2)

@@ -171,11 +171,11 @@ def _assert_same_schedule(fast_run, general_run, columns):
 
 def _control_detailed(scenario):
     dvfs_model = DVFSModel()
-    fleet, mix, capacity, qps, times, requests, _ = _control_inputs(
+    fleet, mix, capacity, qps, requests, _ = _control_inputs(
         scenario, dvfs_model
     )
     execution = prepare_controlled(
-        scenario, fleet, mix, capacity, qps, times, requests,
+        scenario, fleet, mix, capacity, qps, requests,
         dvfs_model=dvfs_model,
     )
     execution.engine.run_until(float("inf"))

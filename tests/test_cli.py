@@ -546,7 +546,6 @@ class TestTelemetryCli:
         import json
 
         from repro.eval.obs import TIMELINE_MAX_ROWS
-        from repro.eval.report import format_value
 
         report = tmp_path / "fine.json"
         args = (
@@ -577,8 +576,7 @@ class TestTelemetryCli:
         rows = rows[: rows.index("")] if "" in rows else rows
         assert len(rows) == TIMELINE_MAX_ROWS
         for row, sample in ((rows[0], samples[0]), (rows[-1], samples[-1])):
-            t = format_value(round(sample["t"], 3))
-            assert row.split("|")[0].strip() == t
+            assert row.split("|")[0].strip() == f"{sample['t']:,.3f}"
 
     def test_control_multi_fleet_trace(self, tmp_path):
         import json
@@ -621,6 +619,29 @@ class TestTelemetryCli:
             assert entry["dispatch"] == "fold"
             assert "fallback" not in entry
             assert entry["events"] > 0
+
+    def test_multi_fleet_jobs_leave_a_single_run_unchanged(self, tmp_path):
+        """One multi-fleet run drains its members serially in one
+        process; ``--jobs`` only fans out whole scenarios, so it leaves
+        a single run's report byte-identical."""
+        import json
+
+        reports = []
+        for jobs in ("1", "2"):
+            report = tmp_path / f"mf-jobs{jobs}.json"
+            code, text = run_cli(
+                "control", "--multi-fleet-qps", "9000,9000,800",
+                "--requests", "1000", "--instances", "2",
+                "--shedding", "priority", "--modulator", "diurnal",
+                "--diurnal-period", "0.05", "--spillover", "deadline",
+                "--seed", "1", "--jobs", jobs, "--json", str(report),
+            )
+            assert code == 0
+            reports.append((text, report.read_bytes()))
+        assert reports[0] == reports[1]
+        summary = json.loads(reports[0][1])["multi_fleet"]
+        assert summary["spilled_requests"] > 0
+        assert summary["conserved"]
 
     def test_trace_summary_subcommand(self, tmp_path):
         trace = tmp_path / "run.trace.json"
@@ -875,37 +896,53 @@ class TestNonFiniteInputs:
         )
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, error",
         [
             (("control", "--requests", "200", "--metrics-every", "nan"),
-             "--metrics-every"),
+             "--metrics-every must be a finite number"),
             (("control", "--requests", "200", "--metrics-every", "inf"),
-             "--metrics-every"),
-            (("control", "--requests", "200", "--qps", "nan"), "--qps"),
+             "--metrics-every must be a finite number"),
+            (("control", "--requests", "200", "--qps", "nan"),
+             "--qps must be a finite number"),
             (("serve", "--requests", "200", "--arrival", "diurnal",
-              "--diurnal-period", "nan"), "--diurnal-period"),
+              "--diurnal-period", "nan"),
+             "--diurnal-period must be a finite number"),
             (("serve", "--requests", "200", "--max-wait-ms", "nan"),
-             "--max-wait-ms"),
-            (("serve", "--requests", "200", "--qps", "inf"), "--qps"),
+             "--max-wait-ms must be a finite number"),
+            (("serve", "--requests", "200", "--qps", "inf"),
+             "--qps must be a finite number"),
             (("serve", "--requests", "200", "--arrival", "bursty",
-              "--burst-factor", "nan"), "--burst-factor"),
+              "--burst-factor", "nan"),
+             "--burst-factor must be a finite number"),
             (("control", "--requests", "200", "--arrival", "bursty",
-              "--burst-factor", "nan"), "--burst-factor"),
+              "--burst-factor", "nan"),
+             "--burst-factor must be a finite number"),
             (("serve", "--requests", "200", "--arrival", "bursty",
-              "--burst-factor", "inf"), "--burst-factor"),
+              "--burst-factor", "inf"),
+             "--burst-factor must be a finite number"),
             (("control", "--requests", "200", "--autoscale",
               "queue-delay", "--target-delay-ms", "nan"),
-             "--target-delay-ms"),
+             "--target-delay-ms must be a finite number"),
             (("control", "--requests", "200", "--autoscale",
               "queue-delay", "--target-delay-ms", "inf"),
-             "--target-delay-ms"),
+             "--target-delay-ms must be a finite number"),
             (("control", "--requests", "200", "--multi-fleet-qps",
               "1000,500", "--spillover", "deadline",
-              "--spillover-hop-ms", "nan"), "--spillover-hop-ms"),
+              "--spillover-hop-ms", "nan"),
+             "--spillover-hop-ms must be a finite number"),
             (("control", "--requests", "200", "--checkpoint", "c.pkl",
-              "--checkpoint-every", "nan"), "--checkpoint-every"),
+              "--checkpoint-every", "nan"),
+             "--checkpoint-every must be a finite number"),
             (("serve", "--requests", "200", "--checkpoint", "c.pkl",
-              "--checkpoint-every", "inf"), "--checkpoint-every"),
+              "--checkpoint-every", "inf"),
+             "--checkpoint-every must be a finite number"),
+            *(
+                ((command, "--requests", "200", "--checkpoint", "c.pkl",
+                  "--checkpoint-every", every),
+                 "--checkpoint-every must be finite and positive")
+                for command in ("serve", "control")
+                for every in ("0", "-1")
+            ),
         ],
         ids=[
             "metrics-every-nan",
@@ -922,12 +959,16 @@ class TestNonFiniteInputs:
             "spillover-hop-nan",
             "control-checkpoint-every-nan",
             "serve-checkpoint-every-inf",
+            "serve-checkpoint-every-zero",
+            "serve-checkpoint-every-negative",
+            "control-checkpoint-every-zero",
+            "control-checkpoint-every-negative",
         ],
     )
-    def test_cli_rejects(self, argv, flag, tmp_path):
+    def test_cli_rejects(self, argv, error, tmp_path):
         proc = self._run_repro(argv, cwd=tmp_path)
         assert proc.returncode == 1, proc.stdout[-500:]
-        assert f"error: {flag} must be a finite number" in proc.stderr
+        assert f"error: {error}" in proc.stderr
         assert not list(tmp_path.iterdir())  # no checkpoint written
 
     @pytest.mark.parametrize(
