@@ -67,6 +67,14 @@ LL_SPEEDUP_FLOOR = 1.8
 #: floor leaves headroom for noise.
 CTL_SPEEDUP_FLOOR = 3.0
 
+#: Governed bar: with a predictive governor ticking inside the run,
+#: the event fold must reach at least this multiple of the general
+#: loop's events/sec (kernel time only, same event population) on
+#: :data:`GOV_SCENARIO`.  2x is the go/no-go the resumable fold was
+#: built against; measured 3.3-3.9x on this and a round-robin
+#: utilization-governed shape (2-vCPU Xeon host).
+GOV_SPEEDUP_FLOOR = 2.0
+
 #: Kernel-time scaling bar: 4x the requests may cost at most this
 #: multiple of the kernel time.  Measured 3.4-5.4x on the shapes of
 #: :func:`test_bench_control_kernel_scaling` (2-vCPU Xeon host); the
@@ -82,6 +90,21 @@ CTL_SCENARIO = ControlScenario(
     instances=4,
     policy="round-robin",
     shedding="deadline",
+    seed=42,
+)
+
+
+#: A governed diurnal shape: least-loaded routing, deadline shedding,
+#: and a predictive governor resizing four instances every 10 ms over
+#: two day/night cycles — ticks, warm-ups and drains inside the run.
+GOV_SCENARIO = ControlScenario(
+    requests=40_000,
+    qps=9_000.0,
+    instances=4,
+    arrival="diurnal",
+    diurnal_period_s=2.0,
+    shedding="deadline",
+    autoscale="predictive",
     seed=42,
 )
 
@@ -599,4 +622,42 @@ def test_bench_control_frontier_sweep_speedup(benchmark):
     benchmark.pedantic(
         lambda: static_frontier_sweep(base, voltages, fleet_sizes),
         rounds=3,
+    )
+
+
+@pytest.mark.benchmark(group="engine")
+def test_bench_governed_fold_vs_general(benchmark):
+    """Governed bar: a predictive-governed run takes the event fold
+    and holds ``GOV_SPEEDUP_FLOOR`` times the general loop's
+    events/sec on identical work (interleaved best-of-N kernel times,
+    both over the general loop's event count)."""
+    fast = simulate_controlled(GOV_SCENARIO)
+    with _force_general_loop():
+        general = simulate_controlled(GOV_SCENARIO)
+    assert fast.engine_dispatch == "fold"
+    assert general.engine_dispatch == "general"
+    assert fast.autoscale_events > 0
+    assert fast == general
+
+    fast_s = float("inf")
+    gen_s = float("inf")
+    for _ in range(3):
+        fast_s = min(fast_s, _kernel_seconds(GOV_SCENARIO, repeats=1)[0])
+        gen_s = min(
+            gen_s,
+            _kernel_seconds(GOV_SCENARIO, repeats=1, general=True)[0],
+        )
+    gen_eps = general.engine_events / gen_s
+    fast_eps = general.engine_events / fast_s
+    ratio = fast_eps / gen_eps
+    assert ratio >= GOV_SPEEDUP_FLOOR, (
+        f"governed fold only {ratio:.1f}x the general loop "
+        f"({fast_eps:,.0f} vs {gen_eps:,.0f} events/sec)"
+    )
+    benchmark.extra_info["general_events"] = general.engine_events
+    benchmark.extra_info["general_events_per_sec"] = round(gen_eps)
+    benchmark.extra_info["fold_events_per_sec"] = round(fast_eps)
+    benchmark.extra_info["speedup"] = round(ratio, 1)
+    benchmark.pedantic(
+        lambda: _kernel_seconds(GOV_SCENARIO, repeats=1), rounds=3
     )

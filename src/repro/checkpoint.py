@@ -15,18 +15,20 @@ uninterrupted one: nothing is rebuilt from the scenario or overlaid
 keys).
 
 Pickle walks the object graph, so a new stateful field is
-checkpointed without being listed anywhere.  Two classes shape their
-own pickles: :class:`~repro.serve.fleet.Instance` stores its queue as
-``(arena, rows)`` instead of one view object per request, and
-:class:`~repro.control.slo.DeadlineShedding` leaves its per-arena
-column cache out.
+checkpointed without being listed anywhere.  Three classes shape
+their own pickles: :class:`~repro.serve.fleet.Instance` stores its
+queue as ``(arena, rows)`` instead of one view object per request, and
+:class:`~repro.control.slo.DeadlineShedding` and
+:class:`~repro.serve.engine.Engine` leave their per-arena list caches
+out (the engine's event-fold rows are rebuilt on the first slice after
+a resume).
 
-Checkpointed execution steps the engine's general loop in bounded
-:meth:`~repro.serve.engine.Engine.run_until` slices — which is
-bit-for-bit the one-shot run — and converges on the same
-``finalize_*`` report builders as the one-shot simulators.  Without a
-cadence a run drains in one ``run_until(inf)``, so it dispatches to a
-columnar fast path exactly as the one-shot simulators do.
+Checkpointed execution steps the engine in bounded
+:meth:`~repro.serve.engine.Engine.run_until` slices on the path the
+one-shot run takes (the event fold or the general loop; only the
+whole-stream ``"rr"`` kernel gives way to the fold) — bit-for-bit the
+one-shot run — and converges on the same ``finalize_*`` report
+builders as the one-shot simulators.
 Serve scenarios with ``stats="sketch"`` are the one caveat: plain
 :func:`repro.serve.simulate` may take the chunk-interleaved streaming
 mode whose RNG consumption differs by design, so the equality
@@ -81,7 +83,11 @@ __all__ = [
 #: session) instead of per-class state dicts.
 #: Schema 5: one ``Execution`` class for both planes, without the
 #: ``times`` field (the arena's arrival column).
-CHECKPOINT_SCHEMA = 5
+#: Schema 6: governed runs drain on the event fold, whose pending
+#: events are one slot per instance plus a tick that sorts after every
+#: instance event at its instant; the predictive governor counts
+#: offered requests from the engine's cursor.
+CHECKPOINT_SCHEMA = 6
 
 _INF = float("inf")
 
@@ -103,8 +109,40 @@ def save_checkpoint(path, payload: dict) -> None:
     )
 
 
+class _Unresolved:
+    """Stand-in for a class or function a checkpoint names but this
+    build no longer has: it absorbs construction and state, so the
+    payload's schema tag can still be read."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        pass
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _TagReader(pickle.Unpickler):
+    """Unpickler that records unresolvable names instead of raising,
+    so an older checkpoint reports its schema, not a missing class."""
+
+    def __init__(self, handle) -> None:
+        super().__init__(handle)
+        self.missing: list[str] = []
+
+    def find_class(self, module, name):
+        try:
+            return super().find_class(module, name)
+        except (AttributeError, ImportError):
+            self.missing.append(f"{module}.{name}")
+            return _Unresolved
+
+
 def load_checkpoint(path) -> dict:
     """Read and validate a checkpoint payload.
+
+    The schema tag is checked before anything the payload names has to
+    resolve: a checkpoint from another schema fails with the schema
+    message even when its classes have since been renamed or removed.
 
     Raises:
         ReproError: If the file is missing, unreadable, not a repro
@@ -114,11 +152,12 @@ def load_checkpoint(path) -> dict:
     path = Path(path)
     try:
         with open(path, "rb") as handle:
-            payload = pickle.load(handle)
+            reader = _TagReader(handle)
+            payload = reader.load()
     except FileNotFoundError:
         raise ReproError(f"checkpoint {path} does not exist") from None
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError) as exc:
+            ImportError, IndexError, TypeError, ValueError) as exc:
         raise ReproError(
             f"checkpoint {path} is not readable: {exc}"
         ) from exc
@@ -132,6 +171,11 @@ def load_checkpoint(path) -> dict:
             f"checkpoint {path} uses schema "
             f"{payload['schema']!r}, this build expects "
             f"{CHECKPOINT_SCHEMA!r}; re-run without --resume"
+        )
+    if reader.missing:
+        raise ReproError(
+            f"checkpoint {path} is not readable: this build has no "
+            + ", ".join(dict.fromkeys(reader.missing))
         )
     if payload.get("version") != __version__:
         raise ReproError(
@@ -246,11 +290,11 @@ def run_serve_checkpointed(
 ):
     """One serve-plane run with periodic checkpoints.
 
-    Steps the general loop in ``every_s``-simulated-second slices,
-    saving an atomic checkpoint after each (without a cadence it
-    drains in one call, fast paths included); the report is identical
-    to :func:`repro.serve.simulate` for ``stats="exact"`` scenarios
-    (the general loop and the columnar fast paths agree bit-for-bit).
+    Steps the engine in ``every_s``-simulated-second slices, saving
+    an atomic checkpoint after each (without a cadence it drains in
+    one call); the report is identical to :func:`repro.serve.simulate`
+    for ``stats="exact"`` scenarios (every execution path agrees
+    bit-for-bit).
     """
     return _run_checkpointed(
         "serve", scenario, checkpoint_path, every_s, obs

@@ -118,13 +118,17 @@ class PredictiveGovernor(Governor):
         self.mean_service_s = mean_service_s
         self.target_util = target_util
         self.forecaster = HoltForecaster(alpha=alpha, beta=beta)
+        self._offered = 0
         self._arrivals = 0
 
-    def observe_arrival(self, now: float) -> None:
-        """Count one offered request (called by the arrival hook for
-        every request, admitted or shed — the forecaster tracks the
-        offered rate, not the post-shedding one)."""
-        self._arrivals += 1
+    def count_offered(self, total: int) -> None:
+        """Take the stream's offered count so far, just before a tick
+        (the control hooks pass the engine's cursor: every request
+        consumed, admitted or shed — the forecaster tracks the offered
+        rate, not the post-shedding one); the requests since the last
+        tick become its rate observation."""
+        self._arrivals = total - self._offered
+        self._offered = total
 
     def tick(self, fleet, now: float) -> int:
         self._window_utilization(fleet)  # keep snapshots current

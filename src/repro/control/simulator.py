@@ -213,34 +213,29 @@ class ControlHooks(EngineHooks):
     def __init__(self, shedder, governor=None) -> None:
         self.shedder = shedder
         self.governor = governor
-        # A forecasting governor watches the offered rate itself; bind
-        # its observer once so non-predictive runs pay nothing extra.
-        self._observe_arrival = getattr(
-            governor, "observe_arrival", None
-        )
+        # A forecasting governor watches the offered rate: at each tick
+        # it takes the engine's cursor (every request consumed so far,
+        # admitted or shed), so no per-arrival call is needed.
+        self._count_offered = getattr(governor, "count_offered", None)
 
     def on_arrival(self, request, instance, now, engine) -> bool:
-        """Observe the arrival (forecasting governors), then admit
-        through the shedder, marking any preempted victim shed."""
-        if self._observe_arrival is not None:
-            self._observe_arrival(now)
+        """Admit through the shedder, marking any preempted victim
+        shed."""
         admitted, victim = self.shedder.admit(request, instance, now)
         if victim is not None:
             victim.shed = True
         return admitted
 
     def fast_admission(self):
-        """Declare the governor-less configurations' admission rule
-        for the engine's ``"fold"`` kernel, under round-robin or
-        least-loaded routing (see
-        :meth:`repro.serve.engine.EngineHooks.fast_admission`): no
-        governor means ``on_tick`` never runs and no arrival observer
-        is bound, ``on_complete`` only acts on retired instances (and
-        the path requires an always-active fleet), and the shedder's
-        *exact* type maps to the rule its ``admit`` implements
+        """Declare the admission rule for the engine's ``"fold"``
+        kernel, under round-robin or least-loaded routing (see
+        :meth:`repro.serve.engine.EngineHooks.fast_admission`):
+        ``on_arrival`` is the shedder alone, ``on_complete`` closes
+        the powered interval of a retired instance once it drains, and
+        ``on_tick`` runs the governor over the instances' counters, the
+        queue lengths and the engine's cursor.  The shedder's *exact*
+        type maps to the rule its ``admit`` implements
         (:data:`repro.control.slo.KERNEL_ADMISSION`)."""
-        if self.governor is not None:
-            return None
         kind = KERNEL_ADMISSION.get(type(self.shedder))
         if kind is None:
             return None
@@ -249,6 +244,8 @@ class ControlHooks(EngineHooks):
     def on_tick(self, now, engine) -> int:
         if self.governor is None:
             return 0
+        if self._count_offered is not None:
+            self._count_offered(engine.state.cursor)
         return self.governor.tick(engine.fleet, now)
 
     def on_complete(self, instance, now, engine) -> None:

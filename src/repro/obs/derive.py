@@ -21,10 +21,9 @@ Reconstruction rules (the general loop's semantics, exactly):
   (``np.cumsum``, the same left fold as the live ``+=``) of batch
   services and warm-ups in event order;
 * at a tick time ``t``, everything that happened at or before ``t``
-  has happened — arrivals at ``t`` precede the tick, and a governor
-  action at ``t`` applies to launches after ``t``.  (A launch at
-  exactly a tick instant that the live loop scheduled *after* the tick
-  is a measure-zero tie this rule does not reproduce.)
+  has happened — arrivals and instance events at ``t`` precede the
+  tick (it sorts last at its instant), and a governor action at ``t``
+  applies to launches after ``t``.
 
 The metrics timeline is one function of the sample times (a governed
 run's logged ticks, else the grid ``t += window``): counters at every

@@ -24,22 +24,25 @@ Three execution paths share one physics
 Requests live in a columnar :class:`~repro.serve.arena.RequestArena`
 (see that module) and the engine picks the fastest path that preserves
 the event loop's observable behaviour *bit-for-bit*.  The choice is
-made in one place, :meth:`Engine.run_until`: a pristine begun run
-draining to infinity takes the kernel :meth:`Engine._fast_mode` picks;
-everything else steps the general loop.  :meth:`Engine.run` is exactly
-``begin`` + ``run_until(inf)``.
+made in one place, :meth:`Engine.run_until`, by one rule for fresh,
+bounded and resumed calls alike: the kernel :meth:`Engine._fast_mode`
+picks for the engine, else the general loop.  :meth:`Engine.run` is
+exactly ``begin`` + ``run_until(inf)``.
 
-One eligibility rule admits a run to the columnar kernels: no tick, an
-admission rule that is absent (no hook overridden) or declared by
-:meth:`EngineHooks.fast_admission`, a pristine always-active fleet
-without per-instance profiles or accumulated counters, and round-robin
-or least-loaded routing.  Every such run can take the event fold; the
-vectorized round-robin kernel is the faster choice for the hook-free,
-single-priority, unscaled, unpowered runs it resolves exactly (below).
+One eligibility rule, on the configuration only, admits an engine to
+the columnar kernels: an admission rule that is absent (no hook
+overridden) or declared by :meth:`EngineHooks.fast_admission` (ticks
+and governors included), no per-instance profiles, and round-robin or
+least-loaded routing.  Every such run takes the event fold; the
+vectorized round-robin kernel is the faster choice for a call that
+drains a hook-free, tick-free, single-priority, unscaled, unpowered
+stream whole from a pristine fleet, when it resolves the wait exactly
+(below).
 
 1. **General path** — the ``(time, seq)`` event loop below, processing
    one arrival/completion/wake/tick at a time.  Runs whatever the
-   eligibility rule turns away, and bounded or resumed runs; iterates
+   eligibility rule turns away (priority preemption, the other routing
+   policies, per-instance profiles, undeclared hooks); iterates
    arena views, so hook clients still see ``Request`` objects.  Every
    request stream is a
    :class:`~repro.serve.arena.RequestArena` — multi-fleet receivers
@@ -56,8 +59,9 @@ single-priority, unscaled, unpowered runs it resolves exactly (below).
    dispatched as ``"fold"`` for every other eligible run.  It routes
    by round-robin striping or an inlined least-loaded scan (the
    report's ``policy`` says which), and folds in the declared
-   admission rule, several priorities, per-instance DVFS scales and
-   busy-power energy.  The hook set opts in through
+   admission rule, several priorities, per-instance DVFS scales,
+   busy-power energy and governor ticks; it resumes from the state a
+   bounded slice or a checkpoint left.  The hook set opts in through
    :meth:`EngineHooks.fast_admission` rather than the engine
    importing the control plane.
 
@@ -84,10 +88,12 @@ processes, and degenerate cases (``max_wait_s == 0`` with tied trace
 timestamps, sub-nanosecond waits) take the event fold, which has no
 such restriction.
 
-Event ordering is bit-for-bit the legacy ``(time, seq)`` heap order:
-at equal timestamps arrivals precede every scheduled event (their
-sequence numbers were seeded first) and scheduled events pop in push
-order.
+Event ordering is the ``(time, seq)`` heap order: at equal
+timestamps arrivals precede every scheduled event (their sequence
+numbers were seeded first), instance events pop in push order, and
+the tick comes last (:data:`_TICK_SEQ`), so a governor sees
+everything due at its instant and the fold can treat a tick as a
+barrier.
 
 Statistics modes
 ----------------
@@ -107,7 +113,8 @@ from bisect import bisect_right
 from collections import deque
 from itertools import islice
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from sys import float_info
 
 import numpy as np
 
@@ -137,6 +144,10 @@ __all__ = [
 _COMPLETE, _WAKE, _TICK = 1, 2, 3
 _EPS = 1e-12
 _INF = float("inf")
+_FINITE_MAX = float_info.max
+#: The tick's heap sequence number: past every instance event's, so at
+#: equal timestamps the tick runs after everything else due then.
+_TICK_SEQ = 1 << 62
 
 #: Arrival chunk size of the streaming round-robin runner: large
 #: enough to amortize numpy call overhead, small enough that resident
@@ -180,12 +191,15 @@ class EngineHooks:
         pair with ``shedding_kind`` in ``{"none", "deadline",
         "queue-depth"}`` to let :meth:`Engine._fast_mode` fuse
         admission into the ``"fold"`` kernel under round-robin or
-        least-loaded routing.  A hook set may only opt in when, under
-        a static always-active fleet, (a) its ``on_arrival`` is
-        exactly the declared shedding rule against the chosen
-        instance, (b) its ``on_complete`` is a no-op, and (c) it
-        observes nothing else per event (``on_tick`` never runs
-        because ``tick_s is None`` is a path precondition).
+        least-loaded routing.  A hook set may only opt in when (a) its
+        ``on_arrival`` is exactly the declared shedding rule against
+        the chosen instance, (b) its ``on_complete`` at most closes the
+        powered interval of an inactive instance with an empty queue
+        that is idle, and (c) its ``on_tick`` reads the instances'
+        counters, operating points, activity and queue *lengths*
+        (during a fold tick a queue holds arena rows) plus the state's
+        cursor, and changes only activity, warm-up horizons, resident
+        models, operating points and busy counters.
         """
         return None
 
@@ -231,11 +245,13 @@ class EngineRun:
 
 @dataclass(slots=True)
 class EngineState:
-    """Explicit execution state of one general-loop run.
+    """Explicit execution state of one run, on any path.
 
     Everything :meth:`Engine.run_until` needs to continue a paused run
     lives here rather than in loop locals: the pending ``(time, seq,
-    kind, payload)`` event heap, the next sequence number, the arena
+    kind, payload)`` event heap (the event fold keeps one entry per
+    busy or waiting instance, plus the tick), the next sequence
+    number, the arena
     cursor (arrivals consumed so far), the cumulative event counters,
     and the static-fleet flag computed at :meth:`Engine.begin`.
     Per-instance queues and in-flight batches live on the
@@ -251,6 +267,39 @@ class EngineState:
     tick_actions: int
     peak_heap: int
     static_fleet: bool
+
+
+class _FoldRows:
+    """The event fold's per-row lists over one arena, built once per
+    run: the inputs it reads (arrival, model, priority, and the
+    shedding deadline) and the outputs it writes (start, finish, and
+    the least-loaded route).  A slice writes back only the rows it
+    consumed or carried, so the ``-1`` seeds never reach the arena.
+    """
+
+    __slots__ = (
+        "arrival",
+        "model",
+        "priority",
+        "deadline",
+        "start",
+        "finish",
+        "instance",
+    )
+
+    def __init__(self, arena: RequestArena, deadline: bool, striped: bool):
+        n = len(arena)
+        self.arrival = arena.arrival.tolist()
+        self.model = arena.model_idx.tolist()
+        self.priority = arena.priority.tolist()
+        # SLO deadlines are absolute; the vectorized + _EPS is
+        # bit-identical to the shedder's scalar `deadline + _EPS`.
+        self.deadline = (
+            (arena.deadline + _EPS).tolist() if deadline else None
+        )
+        self.start = [-1.0] * n
+        self.finish = [-1.0] * n
+        self.instance = None if striped else [-1] * n
 
 
 class Engine:
@@ -284,6 +333,7 @@ class Engine:
         "state",
         "last_run",
         "_requests",
+        "_rows",
     )
 
     def __init__(
@@ -344,6 +394,22 @@ class Engine:
         self.state: EngineState | None = None
         self.last_run: EngineRun | None = None
         self._requests: RequestArena | None = None
+        self._rows: _FoldRows | None = None
+
+    def __getstate__(self):
+        """Pickle every slot but the fold's per-row lists, which the
+        next slice rebuilds from the arena (a checkpoint stays the size
+        of the run's state, not of its inputs)."""
+        return None, {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_rows"
+        }
+
+    def __setstate__(self, state) -> None:
+        self._rows = None
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     # ------------------------------------------------------------------
     # Fast-path dispatch
@@ -356,20 +422,19 @@ class Engine:
         return None
 
     def _fast_mode(self, arena: RequestArena) -> str | None:
-        """Which columnar kernel (if any) reproduces this run
-        bit-for-bit under the module's one eligibility rule: ``"rr"``
-        where :meth:`_vectorizes` holds, else ``"fold"``, or ``None``
-        (general loop).
+        """Which columnar kernel (if any) serves this engine under the
+        module's one eligibility rule: ``"rr"`` where
+        :meth:`_vectorizes` holds, else ``"fold"``, or ``None``
+        (general loop).  Kernel or general loop depends on the
+        configuration alone, so fresh, sliced and resumed runs of one
+        engine never change sides.
 
         As a side effect the *first failing precondition* is recorded
         and surfaced as :attr:`EngineRun.fallback`, so a fallback to
         the general loop is diagnosable from ``--json``.
         """
         self._fast_reason = ""
-        if self.tick_s is not None:
-            return self._fall_back("periodic tick scheduled (tick_s)")
-        hook_free = self._ctl_spec is None
-        if hook_free:
+        if self._ctl_spec is None:
             if self._admit is not None:
                 return self._fall_back("on_arrival hook overridden")
             if self._on_complete is not None:
@@ -377,37 +442,13 @@ class Engine:
             if self._on_tick_overridden:
                 return self._fall_back("on_tick hook overridden")
         for inst in self.fleet.instances:
-            if not inst.active:
-                return self._fall_back(
-                    f"instance {inst.index} inactive"
-                )
-            if (
-                inst.busy_until != 0.0
-                or inst.queue
-                or inst.loaded_model is not None
-                or inst.queued_seconds != 0.0
-            ):
-                return self._fall_back(
-                    f"instance {inst.index} carries pre-run state"
-                )
             if inst.profiles is not None:
                 return self._fall_back(
                     f"instance {inst.index} has per-instance profiles"
                 )
-            if (
-                inst.busy_seconds != 0.0
-                or inst.busy_seconds_window != 0.0
-                or inst.energy_joules != 0.0
-            ):
-                return self._fall_back(
-                    f"instance {inst.index} carries accumulated "
-                    "counters"
-                )
         policy = self.policy
-        if type(policy) is RoundRobinPolicy and policy._next == 0:
-            if hook_free and self._vectorizes(arena):
-                return "rr"
-            return "fold"
+        if type(policy) is RoundRobinPolicy:
+            return "rr" if self._vectorizes(arena) else "fold"
         if type(policy) is LeastLoadedPolicy:
             return "fold"
         return self._fall_back(
@@ -415,17 +456,32 @@ class Engine:
         )
 
     def _vectorizes(self, arena: RequestArena) -> bool:
-        """Whether ``"rr"`` serves this hook-free round-robin run: one
-        priority (FIFO queues), unscaled unpowered instances, and a
+        """Whether ``"rr"`` serves this round-robin run: hook-free and
+        tick-free, striping from the first row over an always-active
+        fleet that is idle, cold, empty and uncounted; one priority
+        (FIFO queues), unscaled unpowered instances, and a
         ``max_wait`` its partition resolves — zero only with strictly
         increasing arrivals, else above a nanosecond."""
+        if (
+            self._ctl_spec is not None
+            or self.tick_s is not None
+            or self.policy._next
+        ):
+            return False
+        for inst in self.fleet.instances:
+            if (
+                not inst.active
+                or inst.busy_until != 0.0
+                or inst.queue
+                or inst.loaded_model is not None
+                or inst.busy_seconds != 0.0
+                or inst.busy_seconds_window != 0.0
+                or inst.latency_scale != 1.0
+                or inst.busy_power_w != 0.0
+            ):
+                return False
         priority = arena.priority
         if len(priority) and bool(np.any(priority != priority[0])):
-            return False
-        if any(
-            inst.latency_scale != 1.0 or inst.busy_power_w != 0.0
-            for inst in self.fleet.instances
-        ):
             return False
         mw = self.max_wait_s
         if mw == 0.0:
@@ -433,10 +489,11 @@ class Engine:
             return len(arr) < 2 or bool(np.all(arr[1:] > arr[:-1]))
         return mw > 1e-9
 
-    def _run_round_robin(self, arena: RequestArena) -> EngineRun:
+    def _run_round_robin(self, arena: RequestArena, t: float) -> EngineRun:
         """Decoupled per-instance kernel: round-robin striping fixes
         instance ``j``'s stream to ``arena[j::K]``, so each timeline is
-        computed independently by :func:`_rr_feed`."""
+        computed independently by :func:`_rr_feed`.  Drains the whole
+        stream (``t`` is infinite) and leaves the state drained."""
         instances = self.fleet.instances
         K = len(instances)
         mb = self.max_batch
@@ -492,16 +549,33 @@ class Engine:
             inst.queued_seconds = 0.0
             events += nb
         self.policy._next += n
+        state = self.state
+        state.cursor = n
+        state.events = events
+        # Where the general loop's clock ends: the last arrival or
+        # completion.
+        state.clock = max(
+            [float(arr[-1]) if n else 0.0]
+            + [inst.busy_until for inst in instances]
+        )
         return EngineRun(events=events, tick_actions=0, dispatch="rr")
 
-    def _run_event_fold(self, arena: RequestArena) -> EngineRun:
-        """The exact ``"fold"`` kernel: one scalar event fold.
+    def _run_event_fold(self, arena: RequestArena, t: float) -> EngineRun:
+        """The exact ``"fold"`` kernel: one scalar event fold that
+        resumes where the state left off.
 
         Per-instance state lives in flat lists with one event slot per
         instance instead of a heap (a launch overwrites the slot, so
         the general loop's stale-wake pops — provably no-ops — never
-        exist).  An arrival is routed by round-robin striping or an
-        inlined least-loaded scan, passes the declared
+        exist).  The lists are seeded from the instances and the
+        state's pending events on entry and written back on exit, so
+        one call drains a run, or a bounded ``run_until(t)`` stops at
+        ``t`` and a later call (in this process or, via a checkpoint,
+        another) carries on; the per-row lists are built once per run
+        (:class:`_FoldRows`).
+
+        An arrival is routed over the active instances by round-robin
+        striping or an inlined least-loaded scan, passes the declared
         :meth:`EngineHooks.fast_admission` rule (which reads only the
         chosen instance), and takes :meth:`Instance.enqueue`'s
         position.  Examine and launch follow the general loop in
@@ -509,217 +583,336 @@ class Engine:
         admits everything, and an instance at scale 1.0 with zero busy
         power reduces bit-for-bit to the plain serve-plane operations
         (``x * 1.0`` and ``e + 0.0 * s`` are exact).
+
+        A tick is a barrier: the fold runs every arrival and instance
+        event at or before it, writes the instances back, calls
+        ``on_tick``, then reloads what a governor may change (activity,
+        warm-up horizons, resident model, operating point, busy
+        counters), re-arms grown horizons and reschedules the tick as
+        the general loop's tick handler does.  A retired instance
+        closes its powered interval at its first event that finds it
+        drained, which is the declared ``on_complete``.
         """
         kind, threshold = self._ctl_spec or ("none", 0)
+        state = self.state
         instances = self.fleet.instances
         K = len(instances)
         mb = self.max_batch
         mw = self.max_wait_s
         n = len(arena)
         striped = type(self.policy) is RoundRobinPolicy
-        a_l = arena.arrival.tolist()
-        m_l = arena.model_idx.tolist()
+        deadline_shed = kind == "deadline"
+        depth_shed = kind == "queue-depth"
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _FoldRows(arena, deadline_shed, striped)
+        a_l = rows.arrival
+        m_l = rows.model
+        prio_l = rows.priority
+        prio_key = prio_l.__getitem__
+        dl_eps_l = rows.deadline
+        start_l = rows.start
+        fin_l = rows.finish
+        inst_l = rows.instance
         per_arr = arena.per_image
         per_tab = per_arr.tolist()
         setup_tab = arena.setup.tolist()
-        start_l = [-1.0] * n
-        fin_l = [-1.0] * n
-        inst_l = None if striped else [-1] * n
-        prio_l = arena.priority.tolist()
-        prio_key = prio_l.__getitem__
-        deadline_shed = kind == "deadline"
-        depth_shed = kind == "queue-depth"
-        # SLO deadlines are absolute; the vectorized + _EPS is
-        # bit-identical to the shedder's scalar `deadline + _EPS`.
-        dl_eps_l = (
-            (arena.deadline + _EPS).tolist() if deadline_shed else None
-        )
-        scale_l = [inst.latency_scale for inst in instances]
-        # Scaled per-image table per instance: the same IEEE products
-        # as launch_head's `per_image_seconds * latency_scale`.
-        per_s = [
-            (per_arr * scale).tolist() if scale != 1.0 else per_tab
-            for scale in scale_l
-        ]
-        # ``qj * 1.0 == qj``: an unscaled fleet's scan skips the product.
-        scaled = any(scale != 1.0 for scale in scale_l)
-        bpw_l = [inst.busy_power_w for inst in instances]
+        names = arena.model_names
+        model_index = {name: k for k, name in enumerate(names)}
+        closes = self._on_complete is not None
+        tick_s = self.tick_s
+        on_tick = self.hooks.on_tick
+
+        queues = [deque(r.i for r in inst.queue) for inst in instances]
+        # Rows queued on entry launch in this slice or stay queued;
+        # either way they are written back with the consumed rows.
+        carried = [r for q in queues for r in q]
+        qs = [inst.queued_seconds for inst in instances]
+        served = [inst.served for inst in instances]
+        nbatches = [inst.batches for inst in instances]
+        setups = [inst.setups for inst in instances]
         wend_l = [inst.window_end for inst in instances]
+        # What a tick may change, (re)loaded at the top of each round.
         bu = [0.0] * K
-        qs = [0.0] * K
-        loaded = [-1] * K
-        queues = [deque() for _ in range(K)]
         busy = [0.0] * K
         busyw = [0.0] * K
         energy = [0.0] * K
-        served = [0] * K
-        nbatches = [0] * K
-        setups = [0] * K
+        loaded = [-1] * K
+        bpw_l = [0.0] * K
+        scale_l = [None] * K
+        per_s = [None] * K
+        on = [True] * K
+        # The pending events: one slot per instance plus the tick.
         ev = [_INF] * K
-        shed_ids: list[int] = []
-        events = n
-
-        i = 0
+        tick_t = _INF
+        for x, _, event, j in state.heap:
+            if event == _TICK:
+                tick_t = x
+            elif x < ev[j]:
+                ev[j] = x
         ev_index = ev.index
-        # ``tmin`` is always ``min(ev)``, maintained where the examine
-        # below writes a slot; ``ev.index(tmin)`` (first minimum) picks
-        # the instance of a non-arrival event.
-        tmin = _INF
-        nexta = a_l[0] if n else _INF
+        shed_ids: list[int] = []
+        i = i0 = state.cursor
+        # Striping: row ``rid`` goes to active position ``(rid +
+        # rr_off) % na`` (the policy counter moves with the cursor),
+        # and ``segments`` holds the active list from each row on.
+        rr_off = self.policy._next - i0 if striped else 0
+        segments: list[tuple[int, list[int]]] = []
+        events = state.events
+        tick_actions = state.tick_actions
+        now = state.clock
+        before = None
+        # No comprehension below may name a hot local: in a nested
+        # scope it would turn that local into a slower cell variable.
         while True:
-            if nexta <= tmin:
-                # Arrival first at ties, like the (time, seq) heap.
-                # Arrivals exhausted and no event pending: done.
-                if i >= n:
-                    break
-                now = nexta
-                rid = i
-                i += 1
-                nexta = a_l[i] if i < n else _INF
-                if striped:
-                    j = rid % K
-                else:
-                    # Inlined LeastLoadedPolicy._least_loaded +
-                    # Instance.pending_seconds.
-                    j = 0
-                    best_load = _INF
-                    for jj in range(K):
-                        dj = bu[jj] - now
-                        load = dj if dj > 0.0 else 0.0
-                        qj = qs[jj]
+            act = []
+            for j, inst in enumerate(instances):
+                on[j] = inst.active
+                if on[j]:
+                    act.append(j)
+                bu[j] = inst.busy_until
+                busy[j] = inst.busy_seconds
+                busyw[j] = inst.busy_seconds_window
+                energy[j] = inst.energy_joules
+                loaded[j] = model_index.get(inst.loaded_model, -1)
+                bpw_l[j] = inst.busy_power_w
+                scale = inst.latency_scale
+                if scale != scale_l[j]:
+                    scale_l[j] = scale
+                    # Scaled per-image table: the same IEEE products
+                    # as launch_head's `per_image_seconds *
+                    # latency_scale`.
+                    per_s[j] = (
+                        (per_arr * scale).tolist()
+                        if scale != 1.0
+                        else per_tab
+                    )
+            # ``qj * 1.0 == qj``: an unscaled fleet's scan skips the
+            # product.
+            scaled = any(scale != 1.0 for scale in scale_l)
+            na = len(act)
+            retired = closes and na < K
+            if striped and (not segments or segments[-1][1] != act):
+                segments.append((i, act))
+            if before is not None:
+                # The general loop's tick tail: a warm-up may extend
+                # busy_until without launching, so re-arm the slot at
+                # every grown horizon, then reschedule the tick.
+                tick_t = _INF
+                for j in range(K):
+                    grown = bu[j]
+                    if grown > before[j] and grown > now:
+                        ev[j] = grown
+                    if i < n or queues[j] or grown > now + _EPS:
+                        tick_t = now + tick_s
+            # ``tmin`` is always ``min(ev)``, maintained where the
+            # examine below writes a slot; ``ev.index(tmin)`` (first
+            # minimum) picks the instance of a non-arrival event.
+            tmin = min(ev)
+            # Everything at or before ``lim`` runs before the tick or
+            # the horizon; the finite cap also stops the loop once
+            # arrivals and events are exhausted.
+            lim = min(t, tick_t, _FINITE_MAX)
+            nexta = a_l[i] if i < n else _INF
+            while True:
+                if nexta <= tmin:
+                    # Arrival first at ties, like the (time, seq) heap.
+                    if nexta > lim:
+                        break
+                    now = nexta
+                    rid = i
+                    i += 1
+                    nexta = a_l[i] if i < n else _INF
+                    if striped:
+                        j = act[(rid + rr_off) % na]
+                    else:
+                        # Inlined LeastLoadedPolicy._least_loaded +
+                        # Instance.pending_seconds.
+                        best_load = _INF
+                        for jj in act:
+                            dj = bu[jj] - now
+                            load = dj if dj > 0.0 else 0.0
+                            qj = qs[jj]
+                            if qj > 0.0:
+                                load += qj * scale_l[jj] if scaled else qj
+                            if load < best_load:
+                                best_load = load
+                                j = jj
+                        inst_l[rid] = j
+                    if deadline_shed:
+                        # Inlined DeadlineShedding.admit (estimated
+                        # completion = now + pending_seconds + own
+                        # service).
+                        pending = bu[j] - now
+                        if pending < 0.0:
+                            pending = 0.0
+                        qj = qs[j]
                         if qj > 0.0:
-                            load += qj * scale_l[jj] if scaled else qj
-                        if load < best_load:
-                            best_load = load
-                            j = jj
-                    inst_l[rid] = j
-                if deadline_shed:
-                    # Inlined DeadlineShedding.admit (estimated
-                    # completion = now + pending_seconds + own service).
-                    pending = bu[j] - now
-                    if pending < 0.0:
-                        pending = 0.0
-                    qj = qs[j]
-                    if qj > 0.0:
-                        pending += qj * scale_l[j]
-                    cost = per_s[j][m_l[rid]]
-                    if (now + pending) + cost > dl_eps_l[rid]:
+                            pending += qj * scale_l[j]
+                        cost = per_s[j][m_l[rid]]
+                        if (now + pending) + cost > dl_eps_l[rid]:
+                            shed_ids.append(rid)
+                            continue
+                    elif depth_shed and len(queues[j]) >= threshold:
                         shed_ids.append(rid)
                         continue
-                elif depth_shed and len(queues[j]) >= threshold:
-                    shed_ids.append(rid)
-                    continue
-                q = queues[j]
-                # Instance.enqueue's rule: rows strictly increase, so
-                # bisecting on priority alone gives the (priority, row)
-                # position.
-                p = prio_l[rid]
-                if q and prio_l[q[-1]] > p:
-                    q.insert(bisect_right(q, p, key=prio_key), rid)
-                else:
-                    q.append(rid)
-                # The request's unscaled queue-load contribution.
-                qs[j] += per_tab[m_l[rid]]
-                if bu[j] > now:
-                    continue
-                at_min = ev[j] == tmin
-            else:
-                now = tmin
-                j = ev_index(tmin)
-                events += 1
-                q = queues[j]
-                at_min = True
-            # Inlined ``examine`` (the general loop's rule): launch if
-            # the head batch is due — wake deadline passed, or a full
-            # same-model batch — else the slot holds the head's wake.
-            x = _INF
-            if q:
-                head = q[0]
-                # The general loop's wake deadline and due test.
-                dl = a_l[head] + mw
-                due = now >= dl - _EPS
-                if not due and len(q) >= mb:
-                    model = m_l[head]
-                    count = 0
-                    for rid2 in q:
-                        if m_l[rid2] != model:
-                            break
-                        count += 1
-                        if count == mb:
-                            break
-                    due = count == mb
-                if not due:
-                    x = dl
-                else:
-                    # Inlined ``launch_head``: scaled per-image for
-                    # timing, unscaled for the queued-seconds ledger.
-                    model = m_l[head]
-                    if loaded[j] != model:
-                        setup = setup_tab[model]
-                        setups[j] += 1
+                    q = queues[j]
+                    # Instance.enqueue's rule: rows strictly increase,
+                    # so bisecting on priority alone gives the
+                    # (priority, row) position.
+                    p = prio_l[rid]
+                    if q and prio_l[q[-1]] > p:
+                        q.insert(bisect_right(q, p, key=prio_key), rid)
                     else:
-                        setup = 0.0
-                    per = per_s[j][model]
-                    peru = per_tab[model]
-                    base = now + setup
-                    count = 0
-                    qsj = qs[j]
-                    popleft = q.popleft
-                    while True:
-                        rid2 = popleft()
-                        count += 1
-                        start_l[rid2] = now
-                        fin_l[rid2] = base + count * per
-                        qsj -= peru
-                        if count == mb or not q or m_l[q[0]] != model:
-                            break
-                    qs[j] = qsj if q else 0.0
-                    service = setup + count * per
-                    x = now + service
-                    bu[j] = x
-                    busy[j] += service
-                    # Window clip; a batch starting at or past the
-                    # window end contributes nothing.
-                    w = wend_l[j]
-                    if w is not None and now < w:
-                        busyw[j] += (x if x < w else w) - now
-                    energy[j] += bpw_l[j] * service
-                    served[j] += count
-                    nbatches[j] += 1
-                    loaded[j] = model
-            # Every other slot is >= tmin; only a slot that held the
-            # minimum and moved up needs a rescan (a plain loop:
-            # builtins.min costs about twice as much on a short list).
-            ev[j] = x
-            if x <= tmin:
-                tmin = x
-            elif at_min:
-                tmin = x
-                for t in ev:
-                    if t < tmin:
-                        tmin = t
+                        q.append(rid)
+                    # The request's unscaled queue-load contribution.
+                    qs[j] += per_tab[m_l[rid]]
+                    if bu[j] > now:
+                        continue
+                    at_min = ev[j] == tmin
+                else:
+                    if tmin > lim:
+                        break
+                    now = tmin
+                    j = ev_index(tmin)
+                    events += 1
+                    q = queues[j]
+                    at_min = True
+                # Inlined ``examine`` (the general loop's rule): launch
+                # if the head batch is due — wake deadline passed, or a
+                # full same-model batch — else the slot holds the
+                # head's wake.
+                x = _INF
+                if q:
+                    head = q[0]
+                    # The general loop's wake deadline and due test.
+                    dl = a_l[head] + mw
+                    due = now >= dl - _EPS
+                    if not due and len(q) >= mb:
+                        model = m_l[head]
+                        count = 0
+                        for rid2 in q:
+                            if m_l[rid2] != model:
+                                break
+                            count += 1
+                            if count == mb:
+                                break
+                        due = count == mb
+                    if not due:
+                        x = dl
+                    else:
+                        # Inlined ``launch_head``: scaled per-image for
+                        # timing, unscaled for the queued-seconds
+                        # ledger.
+                        model = m_l[head]
+                        if loaded[j] != model:
+                            setup = setup_tab[model]
+                            setups[j] += 1
+                        else:
+                            setup = 0.0
+                        per = per_s[j][model]
+                        peru = per_tab[model]
+                        base = now + setup
+                        count = 0
+                        qsj = qs[j]
+                        popleft = q.popleft
+                        while True:
+                            rid2 = popleft()
+                            count += 1
+                            start_l[rid2] = now
+                            fin_l[rid2] = base + count * per
+                            qsj -= peru
+                            if (
+                                count == mb
+                                or not q
+                                or m_l[q[0]] != model
+                            ):
+                                break
+                        qs[j] = qsj if q else 0.0
+                        service = setup + count * per
+                        x = now + service
+                        bu[j] = x
+                        busy[j] += service
+                        # Window clip; a batch starting at or past the
+                        # window end contributes nothing.
+                        w = wend_l[j]
+                        if w is not None and now < w:
+                            busyw[j] += (x if x < w else w) - now
+                        energy[j] += bpw_l[j] * service
+                        served[j] += count
+                        nbatches[j] += 1
+                        loaded[j] = model
+                elif retired and not on[j] and bu[j] <= now:
+                    # Retired and drained (arrivals only reach active
+                    # instances, so this is an instance event).
+                    instances[j].close_power_interval(now)
+                # Every other slot is >= tmin; only a slot that held
+                # the minimum and moved up needs a rescan (a plain
+                # loop: builtins.min costs about twice as much on a
+                # short list).
+                ev[j] = x
+                if x <= tmin:
+                    tmin = x
+                elif at_min:
+                    tmin = x
+                    for y in ev:
+                        if y < tmin:
+                            tmin = y
+            # Write the instances back: the tick reads them (queues as
+            # arena rows; views are restored when the slice ends).
+            for j, inst in enumerate(instances):
+                inst.busy_until = bu[j]
+                inst.queued_seconds = qs[j]
+                inst.busy_seconds = busy[j]
+                inst.busy_seconds_window = busyw[j]
+                inst.energy_joules = energy[j]
+                inst.served = served[j]
+                inst.batches = nbatches[j]
+                inst.setups = setups[j]
+                if loaded[j] >= 0:
+                    inst.loaded_model = names[loaded[j]]
+                inst.queue = queues[j]
+            if lim != tick_t:
+                break
+            now = tick_t
+            events += 1
+            state.cursor = i
+            before = bu[:]
+            tick_actions += on_tick(now, self)
 
-        arena.start[:] = start_l
-        arena.finish[:] = fin_l
-        # Striping fixes the routed instance of every row, shed or not.
-        arena.instance[:] = np.arange(n) % K if striped else inst_l
+        view = arena.view
+        for inst, q in zip(instances, queues):
+            inst.queue = deque(map(view, q))
+        arena.start[i0:i] = start_l[i0:i]
+        arena.finish[i0:i] = fin_l[i0:i]
+        if carried:
+            arena.start[carried] = list(map(start_l.__getitem__, carried))
+            arena.finish[carried] = list(map(fin_l.__getitem__, carried))
+        # The routed instance of every consumed row, shed or not.
+        if striped:
+            ends = [s for s, _ in segments[1:]] + [i]
+            for (s, a), e in zip(segments, ends):
+                if e > s:
+                    arena.instance[s:e] = np.asarray(a)[
+                        (np.arange(s, e) + rr_off) % len(a)
+                    ]
+            self.policy._next += i - i0
+        else:
+            arena.instance[i0:i] = inst_l[i0:i]
         if shed_ids:
             arena.shed[shed_ids] = True
-        for j, inst in enumerate(instances):
-            inst.busy_until = bu[j]
-            inst.loaded_model = (
-                arena.model_names[loaded[j]] if loaded[j] >= 0 else None
-            )
-            inst.busy_seconds += busy[j]
-            inst.busy_seconds_window += busyw[j]
-            inst.energy_joules += energy[j]
-            inst.served += served[j]
-            inst.batches += nbatches[j]
-            inst.setups += setups[j]
-            inst.queued_seconds = 0.0
-        if striped:
-            self.policy._next += n
-        return EngineRun(events, 0, dispatch="fold")
+        heap = [(x, j, _WAKE, j) for j, x in enumerate(ev) if x < _INF]
+        if tick_t < _INF:
+            heap.append((tick_t, _TICK_SEQ, _TICK, None))
+        heapify(heap)
+        state.heap = heap
+        state.cursor = i
+        state.events = events = events + i - i0
+        state.tick_actions = tick_actions
+        state.clock = now if t == _INF else t
+        if i >= n and not heap:
+            self._rows = None  # drained: free the per-row lists
+        return EngineRun(events, tick_actions, state.peak_heap, "fold")
 
     #: Fast-path name (see :meth:`_fast_mode`) -> its kernel.
     _kernels = {"rr": _run_round_robin, "fold": _run_event_fold}
@@ -782,8 +975,7 @@ class Engine:
         seq = n
         tick_s = self.tick_s
         if tick_s is not None:
-            seq += 1
-            heappush(heap, (tick_s, seq, _TICK, None))
+            heappush(heap, (tick_s, _TICK_SEQ, _TICK, None))
         # With no ticks and no custom hooks nothing can change instance
         # activity mid-run, so the active slice is the fleet itself
         # (skip per-arrival filtering).  Any hook — not just on_tick —
@@ -799,6 +991,7 @@ class Engine:
             )
         )
         self._requests = requests
+        self._rows = None
         self.state = EngineState(
             heap=heap,
             seq=seq,
@@ -825,59 +1018,40 @@ class Engine:
     def run_until(self, t: float) -> EngineRun:
         """Advance the begun run through every event at time <= ``t``.
 
+        This is the engine's one dispatch point, and it applies one
+        rule to fresh, bounded and resumed calls alike: an engine
+        :meth:`_fast_mode` admits runs :meth:`_run_event_fold`
+        (``"fold"``), or :meth:`_run_round_robin` (``"rr"``) when the
+        call drains a pristine stream whole; anything else steps
+        :meth:`_run_general`.  Every path continues from :attr:`state`
+        and the instances and writes them back, and all three agree
+        bit-for-bit (the parity pins).  Returns the *cumulative*
+        counters of the run so far.
+        """
+        requests = self._requests
+        mode = self._fast_mode(requests)
+        if mode == "rr" and t != _INF:
+            mode = "fold"
+        if mode is None:
+            run = self._run_general(t)
+        else:
+            run = self._kernels[mode](self, requests, t)
+        self.last_run = run
+        return run
+
+    def _run_general(self, t: float) -> EngineRun:
+        """The general event loop over :attr:`state`, through time
+        ``t``.
+
         The loop body is the legacy general event loop verbatim, with
         execution state loaded from :attr:`state` on entry and written
         back on exit; the only additions are the two horizon checks,
         which compare against ``t`` before consuming an arrival or
         popping a scheduled event and are no-ops at ``t = inf`` — so
         ``run_until(inf)`` is bit-for-bit the legacy ``run()``.
-        Returns the *cumulative* counters of the run so far.
-
-        This is the engine's one dispatch point.  A *pristine* begun
-        state (no arrivals consumed, no events processed) draining to
-        infinity runs whichever columnar kernel :meth:`_fast_mode`
-        picks — :meth:`_run_round_robin` for ``"rr"``,
-        :meth:`_run_event_fold` for ``"fold"`` — exact
-        by the parity pins, and the state is backfilled so the run
-        reads as drained (:attr:`finished`, cumulative counters).  Bounded
-        horizons and resumed runs always step the general loop.
         """
         state = self.state
         requests = self._requests
-        fresh = (
-            t == _INF
-            and state.cursor == 0
-            and state.events == 0
-            and state.clock == 0.0
-        )
-        # Diagnose a run that cannot take a kernel at most once per
-        # engine (the reason is sticky until _fast_mode reassesses):
-        # the config-level precondition leads when one fails, which is
-        # identical whether the run drains in one call, in bounded
-        # checkpoint slices, or in a resumed process — tick_s and hook
-        # checks precede fleet-state checks — so checkpointed reruns
-        # report byte-identical telemetry.  Run mechanics are the
-        # reason only when the config itself qualifies.
-        if len(requests) and (fresh or not self._fast_reason):
-            mode = self._fast_mode(requests)
-            if mode is not None and fresh:
-                run = self._kernels[mode](self, requests)
-                state.cursor = len(requests)
-                state.events = run.events
-                # Where the general loop's clock ends: the last
-                # arrival or completion.
-                state.clock = max(
-                    [float(requests.arrival[-1])]
-                    + [inst.busy_until for inst in self.fleet.instances]
-                )
-                self.last_run = run
-                return run
-            if mode is not None:
-                self._fast_reason = (
-                    "bounded run_until horizon"
-                    if t != _INF
-                    else "run already in progress"
-                )
         instances = self.fleet.instances
         policy = self.policy
         admit = self._admit
@@ -946,6 +1120,9 @@ class Engine:
                 before = [
                     instance.busy_until for instance in instances
                 ]
+                # The cursor is current at a tick (a forecasting
+                # governor counts the arrivals since the last one).
+                state.cursor = i
                 tick_actions += hooks.on_tick(now, self)
                 # A tick may extend busy_until (e.g. a power-up warm-up)
                 # without launching a batch, which would swallow the
@@ -964,9 +1141,8 @@ class Engine:
                     instance.queue or instance.busy_until > now + _EPS
                     for instance in instances
                 ):
-                    state.seq += 1
                     heappush(
-                        heap, (now + tick_s, state.seq, _TICK, None)
+                        heap, (now + tick_s, _TICK_SEQ, _TICK, None)
                     )
             else:  # _COMPLETE and _WAKE both just re-examine the queue
                 instance = instances[payload]
@@ -979,15 +1155,13 @@ class Engine:
         state.tick_actions = tick_actions
         state.peak_heap = peak_heap
         state.clock = now if t == _INF else t
-        run = EngineRun(
+        return EngineRun(
             events=events,
             tick_actions=tick_actions,
             peak_heap=peak_heap,
             dispatch="general",
             fallback=self._fast_reason,
         )
-        self.last_run = run
-        return run
 
     def run(self, requests: RequestArena) -> EngineRun:
         """Play ``requests`` (non-decreasing arrival order) to drain:

@@ -324,9 +324,9 @@ class TestCheckpointFormat:
 
     def test_schema4_checkpoint_is_rejected(self, tmp_path, monkeypatch):
         """Schema 4 pickled per-plane execution classes (with a
-        ``times`` field); its checkpoints fail with a clean error,
-        whether the loader stops at the vanished class or reaches the
-        schema tag."""
+        ``times`` field) that no longer exist; the loader reads the
+        schema tag before anything has to resolve, so such a file gets
+        the schema message, not a missing-class error."""
         import repro.serve.simulator as serve_sim
 
         class ServingExecution:  # the schema-4 serve record, by name
@@ -349,13 +349,60 @@ class TestCheckpointFormat:
                 handle,
             )
         monkeypatch.delattr(serve_sim, "ServingExecution")
-        with pytest.raises(ReproError, match="not readable"):
+        with pytest.raises(
+            ReproError,
+            match="uses schema 4, this build expects "
+            f"{CHECKPOINT_SCHEMA}; re-run without --resume",
+        ):
             load_checkpoint(stale)
         tagged = tmp_path / "schema4-tag.ckpt"
         with open(tagged, "wb") as handle:
             pickle.dump({"schema": 4, "version": __version__}, handle)
         with pytest.raises(ReproError, match="schema 4"):
             load_checkpoint(tagged)
+
+    def test_schema5_checkpoint_is_rejected(self):
+        """A real schema-5 checkpoint (a governed control run saved
+        while the general loop stepped every governed run) fails with
+        the schema message."""
+        path = Path(__file__).parents[1] / "data" / "schema5_control.pickle"
+        with pytest.raises(
+            ReproError,
+            match="uses schema 5, this build expects "
+            f"{CHECKPOINT_SCHEMA}; re-run without --resume",
+        ):
+            load_checkpoint(path)
+
+    def test_current_schema_with_vanished_class_is_unreadable(
+        self, tmp_path, monkeypatch
+    ):
+        """A current-schema payload naming a class this build lacks
+        is not readable, and the message names the class."""
+        import repro.serve.simulator as serve_sim
+
+        class Vanished:
+            pass
+
+        Vanished.__module__ = serve_sim.__name__
+        Vanished.__qualname__ = "Vanished"
+        monkeypatch.setattr(serve_sim, "Vanished", Vanished, raising=False)
+        path = tmp_path / "vanished.ckpt"
+        with open(path, "wb") as handle:
+            pickle.dump(
+                {
+                    "schema": CHECKPOINT_SCHEMA,
+                    "version": __version__,
+                    "execution": Vanished(),
+                },
+                handle,
+            )
+        monkeypatch.delattr(serve_sim, "Vanished")
+        with pytest.raises(
+            ReproError,
+            match="not readable: this build has no "
+            "repro.serve.simulator.Vanished",
+        ):
+            load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "version.ckpt"

@@ -6,13 +6,16 @@ one precondition: ``_fast_mode`` must land on the expected path and
 record the *first failing precondition* (surfaced to ``--json`` as
 ``EngineRun.fallback``).  One eligibility rule covers hook-free and
 controlled runs alike; what ``"rr"`` cannot vectorize (several
-priorities, DVFS scales, busy power, degenerate waits) takes the
-fold, not the general loop.  Unsupported control configurations —
-governors, priority-preemptive shedding, DVFS ladders — must take the
-general loop and still produce reports identical to a forced-general
-run.  Telemetry is derived from the drained columns, so it never moves
-a run off its fast path.
+priorities, DVFS scales, busy power, degenerate waits, a fleet that
+already ran) takes the fold, not the general loop.  Governed runs —
+ticks, autoscaling, DVFS ladders — take the fold whether they drain in
+one call, in bounded slices or after a resume; priority-preemptive
+shedding must take the general loop and still produce reports
+identical to a forced-general run.  Telemetry is derived from the
+drained columns, so it never moves a run off its fast path.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -69,10 +72,12 @@ class TestServePlaneMatrix:
         engine = _engine(policy="least-loaded")
         assert engine._fast_mode(_arena()) == "fold"
 
-    def test_tick_disqualifies(self):
+    def test_tick_takes_the_fold(self):
+        """A tick is a barrier inside the fold, not a reason to leave
+        it; only ``"rr"`` (which has no ticks) gives way."""
         engine = _engine(tick_s=0.5)
-        assert engine._fast_mode(_arena()) is None
-        assert "tick" in engine._fast_reason
+        assert engine._fast_mode(_arena()) == "fold"
+        assert engine._fast_reason == ""
 
     def test_sub_nanosecond_wait_takes_the_fold(self):
         """Below the "rr" partition's resolution; the scalar fold is
@@ -100,11 +105,32 @@ class TestServePlaneMatrix:
         assert engine._fast_mode(_arena()) is None
         assert "on_arrival" in engine._fast_reason
 
-    def test_dirty_instance_disqualifies(self):
-        engine = _engine()
-        engine.fleet[0].busy_until = 1.0
-        assert engine._fast_mode(_arena()) is None
-        assert "pre-run state" in engine._fast_reason
+    def test_dirty_instance_takes_the_fold(self):
+        """The fold seeds itself from the instances — a warm, busy,
+        counted fleet drains as the general loop drains it; ``"rr"``
+        starts from an idle, cold fleet only."""
+
+        def warm_run():
+            engine = _engine()
+            engine.fleet[0].busy_until = 0.2
+            engine.fleet[1].loaded_model = "mobilenet-v1-224"
+            engine.fleet[2].busy_seconds = 0.3
+            arena = _arena()
+            return engine, arena, engine.run(arena)
+
+        engine, arena, run = warm_run()
+        assert run.dispatch == "fold"
+        assert engine._fast_reason == ""
+        with force_general():
+            general, general_arena, _ = warm_run()
+        for column in ("start", "finish", "instance"):
+            np.testing.assert_array_equal(
+                getattr(arena, column), getattr(general_arena, column)
+            )
+        for fi, gi in zip(engine.fleet, general.fleet):
+            assert (fi.busy_until, fi.busy_seconds, fi.loaded_model) == (
+                gi.busy_until, gi.busy_seconds, gi.loaded_model
+            )
 
     def test_latency_scale_takes_the_fold(self):
         engine = _engine()
@@ -121,11 +147,11 @@ class TestServePlaneMatrix:
         assert engine._fast_mode(_arena(tied=True)) == "fold"
         assert engine._fast_reason == ""
 
-    def test_accumulated_counters_disqualify(self):
+    def test_accumulated_counters_take_the_fold(self):
         engine = _engine(policy="least-loaded")
         engine.fleet[2].energy_joules = 1.0
-        assert engine._fast_mode(_arena()) is None
-        assert "accumulated counters" in engine._fast_reason
+        assert engine._fast_mode(_arena()) == "fold"
+        assert engine._fast_reason == ""
 
 
 class TestControlPlaneMatrix:
@@ -152,14 +178,14 @@ class TestControlPlaneMatrix:
         assert engine._fast_mode(_arena()) is None
         assert "profiles" in engine._fast_reason
 
-    def test_governor_disqualifies(self):
+    def test_governor_takes_the_fold(self):
         from repro.control.autoscale import make_governor
 
         governor = make_governor("utilization", 0.01, 1, 3, 0.0)
-        engine = _ctl_engine(governor=governor)
-        assert engine.hooks.fast_admission() is None
-        assert engine._fast_mode(_arena()) is None
-        assert "on_arrival" in engine._fast_reason
+        engine = _ctl_engine(governor=governor, tick_s=0.01)
+        assert engine.hooks.fast_admission() == ("deadline", 0)
+        assert engine._fast_mode(_arena()) == "fold"
+        assert engine._fast_reason == ""
 
     def test_priority_shedding_keeps_generic_path(self):
         """PriorityShedding subclasses QueueDepthShedding but preempts
@@ -202,10 +228,10 @@ class TestControlPlaneMatrix:
         assert engine._fast_mode(_arena()) is None
         assert "AffinityPolicy has no columnar path" in engine._fast_reason
 
-    def test_tick_disqualifies(self):
+    def test_tick_takes_the_fold(self):
         engine = _ctl_engine(tick_s=0.01)
-        assert engine._fast_mode(_arena()) is None
-        assert "tick" in engine._fast_reason
+        assert engine._fast_mode(_arena()) == "fold"
+        assert engine._fast_reason == ""
 
     def test_telemetry_keeps_the_fold_bit_for_bit(self):
         from repro.obs import Observability
@@ -233,24 +259,14 @@ class TestUnsupportedConfigsMatchGeneral:
     """Configs outside the kernel's envelope take the general loop and
     must report identically to a run with dispatch disabled."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"autoscale": "utilization", "min_instances": 1},
-            {"shedding": "priority"},
-            {"autoscale": "dvfs", "min_instances": 1},
-        ],
-        ids=["governor", "priority-shedding", "dvfs-ladder"],
-    )
-    def test_general_loop_bit_for_bit(self, overrides):
+    def test_general_loop_bit_for_bit(self):
         scenario = ControlScenario(
             requests=1_500,
             qps=2_500.0,
             instances=2,
             policy="round-robin",
             seed=7,
-            shedding=overrides.pop("shedding", "deadline"),
-            **overrides,
+            shedding="priority",
         )
         report = simulate_controlled(scenario)
         assert report.engine_dispatch == "general"
@@ -259,6 +275,83 @@ class TestUnsupportedConfigsMatchGeneral:
             forced = simulate_controlled(scenario)
         assert forced.engine_dispatch == "general"
         assert report == forced
+
+
+#: Governed shapes: a sizing governor with warm-ups, and a DVFS ladder.
+_GOVERNED = {
+    "governor": {"autoscale": "utilization", "min_instances": 1},
+    "dvfs-ladder": {"autoscale": "dvfs", "min_instances": 1},
+}
+
+
+def _governed(name):
+    return ControlScenario(
+        requests=1_500,
+        qps=2_500.0,
+        instances=2,
+        policy="round-robin",
+        seed=7,
+        shedding="deadline",
+        **_GOVERNED[name],
+    )
+
+
+def _governed_execution(scenario):
+    from repro.control.simulator import _control_inputs, prepare_controlled
+    from repro.power.dvfs import DVFSModel
+
+    dvfs_model = DVFSModel()
+    fleet, mix, capacity, qps, requests, _ = _control_inputs(
+        scenario, dvfs_model
+    )
+    return prepare_controlled(
+        scenario, fleet, mix, capacity, qps, requests,
+        dvfs_model=dvfs_model,
+    )
+
+
+class TestGovernedRunsTakeTheFold:
+    """Governed runs drain on the fold — in one call, in bounded
+    slices, or resumed from a pickle — and match the general loop."""
+
+    @pytest.mark.parametrize("name", sorted(_GOVERNED))
+    def test_fold_matches_general_bit_for_bit(self, name):
+        scenario = _governed(name)
+        report = simulate_controlled(scenario)
+        assert report.engine_dispatch == "fold"
+        assert report.engine_fallback == ""
+        assert report.autoscale_events > 0
+        with force_general():
+            forced = simulate_controlled(scenario)
+        assert forced.engine_dispatch == "general"
+        assert report == forced
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["bounded", "resumed"])
+    @pytest.mark.parametrize("name", sorted(_GOVERNED))
+    def test_sliced_run_stays_on_the_fold(self, name, resume):
+        from repro.control.simulator import finalize_controlled
+
+        scenario = _governed(name)
+        whole = _governed_execution(scenario)
+        whole.engine.run_until(float("inf"))
+        execution = _governed_execution(scenario)
+        last = float(execution.requests.arrival[-1])
+        for cut in (0.1 * last, 0.5 * last, last):
+            run = execution.engine.run_until(cut)
+            assert run.dispatch == "fold"
+            assert not execution.engine.finished
+            if resume:
+                execution = pickle.loads(pickle.dumps(execution))
+        run = execution.engine.run_until(float("inf"))
+        assert run.dispatch == "fold"
+        assert execution.engine.finished
+        for column in ("start", "finish", "shed", "instance"):
+            np.testing.assert_array_equal(
+                getattr(execution.requests, column),
+                getattr(whole.requests, column),
+            )
+        assert run == whole.engine.last_run
+        assert finalize_controlled(execution) == finalize_controlled(whole)
 
 
 class TestOneDispatchPoint:

@@ -12,8 +12,13 @@ strictly lower priority, otherwise bisect on priority):
   loop's :meth:`Instance.enqueue` does.
 
 A second generated differential pins hook-free least-loaded serving on
-the same event fold against the general loop.
+the same event fold against the general loop, and a third pins
+governed runs — every governor, warm-ups a whole number of ticks long
+so re-armed wakes tie with a tick, cut at random horizons with a
+pickle round trip of the execution at each cut.
 """
+
+import pickle
 
 import numpy as np
 from arena_rows import arena_of
@@ -28,6 +33,7 @@ from repro.control.simulator import (
     prepare_controlled,
 )
 from repro.control.slo import PriorityShedding
+from repro.obs import Observability
 from repro.power.dvfs import DVFSModel
 from repro.serve import ServingScenario, build_mix
 from repro.serve.fleet import Instance
@@ -126,10 +132,9 @@ _TIED_TRACE = tuple(
 )
 
 
-@st.composite
-def _multi_priority_scenario(draw):
-    count = draw(st.integers(2, 4))
-    classes = tuple(
+def _slo_classes(draw):
+    """Two to four SLO classes, priorities drawn with repeats."""
+    return tuple(
         SLOClass(
             f"c{k}",
             deadline_ms=draw(st.sampled_from([2.0, 5.0, 20.0, 80.0])),
@@ -137,8 +142,13 @@ def _multi_priority_scenario(draw):
             priority=draw(st.integers(0, 3)),
             share=draw(st.sampled_from([0.5, 1.0, 2.0])),
         )
-        for k in range(count)
+        for k in range(draw(st.integers(2, 4)))
     )
+
+
+@st.composite
+def _multi_priority_scenario(draw):
+    classes = _slo_classes(draw)
     tied = draw(st.booleans())
     shedding = draw(st.sampled_from(["none", "deadline", "queue-depth"]))
     fleet = draw(st.sampled_from([None, "0.8,0.6x2"]))
@@ -231,3 +241,99 @@ def test_ll_schedule_matches_general_loop(scenario):
         fast_run, general_run, ("start", "finish", "instance")
     )
     assert fast == general
+
+
+#: Per-instance state a governed run must agree on as well: power
+#: intervals and what the governor moves.
+_GOVERNED_COUNTERS = _INSTANCE_COUNTERS + (
+    "powered_seconds",
+    "powered_since",
+    "active",
+    "latency_scale",
+    "busy_power_w",
+)
+
+
+@st.composite
+def _governed_case(draw):
+    """A governed control scenario, the warm-up in ticks, and the run's
+    cut points as fractions of its last arrival."""
+    tied = draw(st.booleans())
+    arrival = "trace" if tied else draw(
+        st.sampled_from(["poisson", "diurnal"])
+    )
+    scenario = ControlScenario(
+        requests=len(_TIED_TRACE) if tied else 400,
+        arrival=arrival,
+        trace=_TIED_TRACE if tied else None,
+        qps=None if tied else draw(st.sampled_from([3_000.0, 9_000.0])),
+        diurnal_period_s=0.05,
+        instances=draw(st.integers(2, 3)),
+        policy=draw(st.sampled_from(["round-robin", "least-loaded"])),
+        max_batch=draw(st.sampled_from([1, 2, 8])),
+        max_wait_ms=0.0 if tied else draw(st.sampled_from([0.0, 2.0])),
+        slo_classes=_slo_classes(draw),
+        shedding=draw(st.sampled_from(["none", "deadline", "queue-depth"])),
+        queue_threshold=draw(st.integers(2, 16)),
+        autoscale=draw(
+            st.sampled_from(
+                ["utilization", "queue-delay", "predictive", "dvfs"]
+            )
+        ),
+        min_instances=1,
+        tick_ms=draw(st.sampled_from([1.0, 2.0, 5.0])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    warmup_ticks = draw(st.integers(0, 3))
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.3), max_size=3)))
+    return scenario, warmup_ticks, cuts
+
+
+def _governed_run(scenario, warmup_ticks, cuts=()):
+    """Drain a governed scenario (metrics on, so the governor is
+    observed), its warm-up set to ``warmup_ticks`` ticks, pickling the
+    execution at every cut."""
+    dvfs_model = DVFSModel()
+    fleet, mix, capacity, qps, requests, _ = _control_inputs(
+        scenario, dvfs_model
+    )
+    execution = prepare_controlled(
+        scenario, fleet, mix, capacity, qps, requests,
+        dvfs_model=dvfs_model,
+        obs=Observability(metrics_every_s=2e-3 * scenario.tick_ms),
+    )
+    engine = execution.engine
+    engine.hooks.governor.governor.warmup_s = warmup_ticks * engine.tick_s
+    last = float(requests.arrival[-1])
+    for cut in cuts:
+        execution.engine.run_until(cut * last)
+        execution = pickle.loads(pickle.dumps(execution))
+    execution.engine.run_until(float("inf"))
+    return execution
+
+
+@settings(max_examples=60, deadline=None)
+@given(_governed_case())
+def test_governed_sliced_fold_matches_general_loop(case):
+    scenario, warmup_ticks, cuts = case
+    fold = _governed_run(scenario, warmup_ticks, cuts)
+    with force_general():
+        general = _governed_run(scenario, warmup_ticks)
+    assert fold.engine.last_run.dispatch == "fold"
+    assert general.engine.last_run.dispatch == "general"
+    a, b = fold.requests, general.requests
+    for column in ("start", "finish", "shed", "instance"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
+    for fi, gi in zip(fold.fleet, general.fleet, strict=True):
+        for counter in _GOVERNED_COUNTERS:
+            assert getattr(fi, counter) == getattr(gi, counter), counter
+    assert (
+        fold.engine.last_run.tick_actions
+        == general.engine.last_run.tick_actions
+    )
+    fold_log = fold.engine.hooks.governor.log
+    general_log = general.engine.hooks.governor.log
+    assert fold_log.power == general_log.power
+    assert fold_log.dvfs == general_log.dvfs
+    assert fold_log.samples == general_log.samples
+    assert finalize_controlled(fold) == finalize_controlled(general)
