@@ -15,13 +15,11 @@ uninterrupted one: nothing is rebuilt from the scenario or overlaid
 keys).
 
 Pickle walks the object graph, so a new stateful field is
-checkpointed without being listed anywhere.  Three classes shape
-their own pickles: :class:`~repro.serve.fleet.Instance` stores its
-queue as ``(arena, rows)`` instead of one view object per request, and
-:class:`~repro.control.slo.DeadlineShedding` and
-:class:`~repro.serve.engine.Engine` leave their per-arena list caches
-out (the engine's event-fold rows are rebuilt on the first slice after
-a resume).
+checkpointed without being listed anywhere.  Instance queues hold
+arena rows, so a queue pickles as a flat list of ints.  Only
+:class:`~repro.serve.engine.Engine` shapes its own pickle: it leaves
+the event fold's per-row lists out (they are rebuilt on the first
+slice after a resume).
 
 Checkpointed execution steps the engine in bounded
 :meth:`~repro.serve.engine.Engine.run_until` slices on the path the
@@ -87,7 +85,9 @@ __all__ = [
 #: events are one slot per instance plus a tick that sorts after every
 #: instance event at its instant; the predictive governor counts
 #: offered requests from the engine's cursor.
-CHECKPOINT_SCHEMA = 6
+#: Schema 7: instance queues hold arena rows (no custom ``Instance``
+#: pickle) and ``EngineState`` drops its static-fleet flag.
+CHECKPOINT_SCHEMA = 7
 
 _INF = float("inf")
 
@@ -111,7 +111,8 @@ def save_checkpoint(path, payload: dict) -> None:
 
 class _Unresolved:
     """Stand-in for a class or function a checkpoint names but this
-    build no longer has: it absorbs construction and state, so the
+    build cannot rebuild: it absorbs construction, state and attribute
+    lookups (a bound method pickles as ``getattr(obj, name)``), so the
     payload's schema tag can still be read."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -120,16 +121,29 @@ class _Unresolved:
     def __setstate__(self, state) -> None:
         pass
 
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return _Unresolved
+
 
 class _TagReader(pickle.Unpickler):
     """Unpickler that records unresolvable names instead of raising,
-    so an older checkpoint reports its schema, not a missing class."""
+    so an older checkpoint reports its schema, not a missing class.
 
-    def __init__(self, handle) -> None:
+    With ``stand_ins`` every ``repro`` name resolves to
+    :class:`_Unresolved`, which also reads past classes whose pickled
+    state changed shape (the tag is all such a read is good for).
+    """
+
+    def __init__(self, handle, stand_ins: bool = False) -> None:
         super().__init__(handle)
+        self.stand_ins = stand_ins
         self.missing: list[str] = []
 
     def find_class(self, module, name):
+        if self.stand_ins and module.split(".")[0] == "repro":
+            return _Unresolved
         try:
             return super().find_class(module, name)
         except (AttributeError, ImportError):
@@ -137,12 +151,28 @@ class _TagReader(pickle.Unpickler):
             return _Unresolved
 
 
+#: What a failed read of a checkpoint file raises.
+_READ_ERRORS = (
+    OSError, pickle.UnpicklingError, EOFError, AttributeError,
+    ImportError, IndexError, TypeError, ValueError,
+)
+
+
+def _read(path: Path, stand_ins: bool = False) -> tuple[object, list]:
+    """Unpickle ``path``; returns the payload and the names it could
+    not resolve."""
+    with open(path, "rb") as handle:
+        reader = _TagReader(handle, stand_ins)
+        return reader.load(), reader.missing
+
+
 def load_checkpoint(path) -> dict:
     """Read and validate a checkpoint payload.
 
     The schema tag is checked before anything the payload names has to
     resolve: a checkpoint from another schema fails with the schema
-    message even when its classes have since been renamed or removed.
+    message even when its classes have since been renamed, removed or
+    reshaped.
 
     Raises:
         ReproError: If the file is missing, unreadable, not a repro
@@ -151,16 +181,22 @@ def load_checkpoint(path) -> dict:
     """
     path = Path(path)
     try:
-        with open(path, "rb") as handle:
-            reader = _TagReader(handle)
-            payload = reader.load()
+        payload, missing = _read(path)
     except FileNotFoundError:
         raise ReproError(f"checkpoint {path} does not exist") from None
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError, TypeError, ValueError) as exc:
-        raise ReproError(
-            f"checkpoint {path} is not readable: {exc}"
-        ) from exc
+    except _READ_ERRORS as exc:
+        # A class whose pickled state changed shape fails to rebuild;
+        # a second read with every repro name stood in finds the tag.
+        try:
+            payload, missing = _read(path, stand_ins=True)
+        except _READ_ERRORS:
+            payload = None
+        if not isinstance(payload, dict) or payload.get("schema") in (
+            None, CHECKPOINT_SCHEMA
+        ):
+            raise ReproError(
+                f"checkpoint {path} is not readable: {exc}"
+            ) from exc
     if not isinstance(payload, dict) or "schema" not in payload:
         raise ReproError(
             f"{path} is not a repro checkpoint "
@@ -172,10 +208,10 @@ def load_checkpoint(path) -> dict:
             f"{payload['schema']!r}, this build expects "
             f"{CHECKPOINT_SCHEMA!r}; re-run without --resume"
         )
-    if reader.missing:
+    if missing:
         raise ReproError(
             f"checkpoint {path} is not readable: this build has no "
-            + ", ".join(dict.fromkeys(reader.missing))
+            + ", ".join(dict.fromkeys(missing))
         )
     if payload.get("version") != __version__:
         raise ReproError(

@@ -284,54 +284,16 @@ class DeadlineShedding(SheddingPolicy):
     queued work plus the request's own service time, ignoring batching
     effects — so it sheds exactly the requests that would miss anyway
     and converts deadline misses into cheap early rejections.
-
-    On instances without their own profiles the estimate reads
-    per-arena column tables (``deadline + eps``, per-model per-image
-    seconds, model index), cached by arena identity so a run pays one
-    ``.tolist()`` per column rather than one boxed float per request;
-    the floats and their order are exactly
-    :meth:`~repro.serve.fleet.Instance.estimated_completion`'s.
     """
 
     name = "deadline"
-    #: ``(arena, deadline + eps, per_image, model_idx)`` of the last
-    #: arena seen; a class default, so subclasses need no ``__init__``.
-    _cols = None
-
-    def __getstate__(self) -> dict:
-        # The column tables are a cache of the arena, which the
-        # checkpoint already carries; rebuilt on the first arrival.
-        state = self.__dict__.copy()
-        state.pop("_cols", None)
-        return state
 
     def admit(self, request, instance, now):
-        if instance.profiles is not None:
-            feasible = (
-                instance.estimated_completion(request, now)
-                <= request.deadline + _EPS
-            )
-            return feasible, None
-        arena = request.arena
-        cols = self._cols
-        if cols is None or cols[0] is not arena:
-            cols = self._cols = (
-                arena,
-                (arena.deadline + _EPS).tolist(),
-                arena.per_image.tolist(),
-                arena.model_idx.tolist(),
-            )
-        index = request.i
-        pending = instance.busy_until - now
-        if pending < 0.0:
-            pending = 0.0
-        queued = instance.queued_seconds
-        if queued > 0.0:
-            pending += queued * instance.latency_scale
-        est = (now + pending) + cols[2][
-            cols[3][index]
-        ] * instance.latency_scale
-        return est <= cols[1][index], None
+        feasible = (
+            instance.estimated_completion(request, now)
+            <= request.deadline + _EPS
+        )
+        return feasible, None
 
 
 class QueueDepthShedding(SheddingPolicy):
@@ -363,10 +325,12 @@ class PriorityShedding(QueueDepthShedding):
     name = "priority"
 
     def admit(self, request, instance, now):
-        if len(instance.queue) < self.threshold:
+        queue = instance.queue
+        if len(queue) < self.threshold:
             return True, None
-        victim = instance.queue[-1]
-        if victim.priority > request.priority:
+        arena = request.arena
+        if arena.priority[queue[-1]] > request.priority:
+            victim = arena.view(queue[-1])
             instance.remove(victim)
             return True, victim
         return False, None

@@ -340,8 +340,8 @@ class Request:
     :meth:`RequestArena.view`); ``index`` is the row ``i``.
 
     Equality is identity (the dataclass era's value-``__eq__`` made
-    requests unhashable and was never relied on: queue membership
-    tests compare the very objects the engine enqueued).
+    requests unhashable and was never relied on; instance queues hold
+    rows, so compare ``request.i`` to match a view against a queue).
     """
 
     __slots__ = ("arena", "i")

@@ -42,7 +42,7 @@ stream whole from a pristine fleet, when it resolves the wait exactly
 1. **General path** — the ``(time, seq)`` event loop below, processing
    one arrival/completion/wake/tick at a time.  Runs whatever the
    eligibility rule turns away (priority preemption, the other routing
-   policies, per-instance profiles, undeclared hooks); iterates
+   policies, per-instance profiles, undeclared hooks); hands hooks
    arena views, so hook clients still see ``Request`` objects.  Every
    request stream is a
    :class:`~repro.serve.arena.RequestArena` — multi-fleet receivers
@@ -65,8 +65,9 @@ stream whole from a pristine fleet, when it resolves the wait exactly
    :meth:`EngineHooks.fast_admission` rather than the engine
    importing the control plane.
 
-Every instance queue is kept in ``(priority, arena row)`` order —
-FIFO within a priority, so a single-priority stream is plain FIFO.
+Every instance queue is a deque of arena rows on every path, kept in
+``(priority, row)`` order — FIFO within a priority, so a
+single-priority stream is plain FIFO.
 Rows are consumed in increasing order, so an arrival appends unless
 the queue's tail is strictly lower priority, and otherwise bisects in
 on priority alone (:meth:`Instance.enqueue`; the event fold inlines
@@ -110,7 +111,6 @@ request count (the million-request mode).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from itertools import islice
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -178,8 +178,8 @@ class EngineHooks:
         Return ``False`` to shed ``request`` (the engine marks it);
         preempting a queued victim is the hook's own business.  The
         view's ``request.arena``/``request.i`` give hooks the whole
-        stream's columns, so a hook can cache per-arena column tables
-        instead of boxing one float per request.
+        stream's columns, which is also how they read the rows queued
+        on ``instance`` (``request.arena.priority[row]``).
         """
         return True
 
@@ -196,10 +196,10 @@ class EngineHooks:
         the chosen instance, (b) its ``on_complete`` at most closes the
         powered interval of an inactive instance with an empty queue
         that is idle, and (c) its ``on_tick`` reads the instances'
-        counters, operating points, activity and queue *lengths*
-        (during a fold tick a queue holds arena rows) plus the state's
-        cursor, and changes only activity, warm-up horizons, resident
-        models, operating points and busy counters.
+        counters, operating points, activity and queues (arena rows,
+        as on every path) plus the state's cursor, and changes only
+        activity, warm-up horizons, resident models, operating points
+        and busy counters — never a queue.
         """
         return None
 
@@ -252,11 +252,11 @@ class EngineState:
     kind, payload)`` event heap (the event fold keeps one entry per
     busy or waiting instance, plus the tick), the next sequence
     number, the arena
-    cursor (arrivals consumed so far), the cumulative event counters,
-    and the static-fleet flag computed at :meth:`Engine.begin`.
-    Per-instance queues and in-flight batches live on the
-    :class:`~repro.serve.fleet.Instance` objects themselves; a
-    checkpoint pickles the engine with both (:mod:`repro.checkpoint`).
+    cursor (arrivals consumed so far) and the cumulative event
+    counters.  Per-instance queues (arena rows) and in-flight batches
+    live on the :class:`~repro.serve.fleet.Instance` objects
+    themselves; a checkpoint pickles the engine with both
+    (:mod:`repro.checkpoint`).
     """
 
     heap: list
@@ -266,7 +266,6 @@ class EngineState:
     events: int
     tick_actions: int
     peak_heap: int
-    static_fleet: bool
 
 
 class _FoldRows:
@@ -623,7 +622,7 @@ class Engine:
         tick_s = self.tick_s
         on_tick = self.hooks.on_tick
 
-        queues = [deque(r.i for r in inst.queue) for inst in instances]
+        queues = [inst.queue for inst in instances]
         # Rows queued on entry launch in this slice or stay queued;
         # either way they are written back with the consumed rows.
         carried = [r for q in queues for r in q]
@@ -858,8 +857,8 @@ class Engine:
                     for y in ev:
                         if y < tmin:
                             tmin = y
-            # Write the instances back: the tick reads them (queues as
-            # arena rows; views are restored when the slice ends).
+            # Write the instances back: the tick reads them (the
+            # queues are the instances' own deques).
             for j, inst in enumerate(instances):
                 inst.busy_until = bu[j]
                 inst.queued_seconds = qs[j]
@@ -871,7 +870,6 @@ class Engine:
                 inst.setups = setups[j]
                 if loaded[j] >= 0:
                     inst.loaded_model = names[loaded[j]]
-                inst.queue = queues[j]
             if lim != tick_t:
                 break
             now = tick_t
@@ -880,9 +878,6 @@ class Engine:
             before = bu[:]
             tick_actions += on_tick(now, self)
 
-        view = arena.view
-        for inst, q in zip(instances, queues):
-            inst.queue = deque(map(view, q))
         arena.start[i0:i] = start_l[i0:i]
         arena.finish[i0:i] = fin_l[i0:i]
         if carried:
@@ -928,16 +923,18 @@ class Engine:
         if instance.busy_until > now or not instance.queue:
             return
         queue = instance.queue
+        requests = self._requests
         head = queue[0]
         max_batch = self.max_batch
-        deadline = head.arrival + self.max_wait_s
+        deadline = requests.arrival.item(head) + self.max_wait_s
         if now >= deadline - _EPS:
             due = True
         elif len(queue) >= max_batch:
-            model = head.model
+            model_idx = requests.model_idx
+            model = model_idx[head]
             count = 0
-            for queued in queue:
-                if queued.model != model:
+            for row in queue:
+                if model_idx[row] != model:
                     break
                 count += 1
                 if count == max_batch:
@@ -948,7 +945,7 @@ class Engine:
         state = self.state
         state.seq += 1
         if due:
-            finish = instance.launch_head(max_batch, now)
+            finish = instance.launch_head(requests, max_batch, now)
             heappush(
                 state.heap,
                 (finish, state.seq, _COMPLETE, instance.index),
@@ -976,20 +973,6 @@ class Engine:
         tick_s = self.tick_s
         if tick_s is not None:
             heappush(heap, (tick_s, _TICK_SEQ, _TICK, None))
-        # With no ticks and no custom hooks nothing can change instance
-        # activity mid-run, so the active slice is the fleet itself
-        # (skip per-arrival filtering).  Any hook — not just on_tick —
-        # may power instances down, so their presence forces the
-        # rebuild, exactly like the legacy control loop's per-arrival
-        # active view.
-        static_fleet = (
-            tick_s is None
-            and self._admit is None
-            and self._on_complete is None
-            and all(
-                instance.active for instance in self.fleet.instances
-            )
-        )
         self._requests = requests
         self._rows = None
         self.state = EngineState(
@@ -1000,7 +983,6 @@ class Engine:
             events=0,
             tick_actions=0,
             peak_heap=0,
-            static_fleet=static_fleet,
         )
         return self.state
 
@@ -1058,7 +1040,6 @@ class Engine:
         on_complete = self._on_complete
         hooks = self.hooks
         tick_s = self.tick_s
-        static_fleet = state.static_fleet
         heap = state.heap
         n = len(requests)
         i = state.cursor
@@ -1091,15 +1072,9 @@ class Engine:
                 )
                 events += 1
                 now = request.arrival
-                active = (
-                    instances
-                    if static_fleet
-                    else [
-                        instance
-                        for instance in instances
-                        if instance.active
-                    ]
-                )
+                active = [
+                    instance for instance in instances if instance.active
+                ]
                 instance = active[policy.choose(request, active, now)]
                 route(instance.index)
                 if admit is not None and not admit(

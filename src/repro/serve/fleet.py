@@ -11,19 +11,15 @@ fleet is just the indexed collection a scheduling policy chooses from.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from ..errors import ConfigError
-from .arena import Request
+from .arena import Request, RequestArena
 from .profile import ServiceProfile
 
 __all__ = ["Instance", "Fleet"]
-
-_priority = attrgetter("priority")
 
 
 @dataclass(slots=True)
@@ -36,8 +32,10 @@ class Instance:
         busy_until: Completion time of the in-flight batch (<= now when
             idle).
         loaded_model: Model whose weights are resident (None when cold).
-        queue: Waiting requests in ``(priority, arena row)`` order —
-            FIFO within a priority (see :meth:`enqueue`).
+        queue: The waiting requests' arena rows (``int``), in
+            ``(priority, row)`` order — FIFO within a priority (see
+            :meth:`enqueue`).  Every execution path and a checkpoint
+            hold the same rows; ``arena.view(row)`` gives a request.
         busy_seconds: Accumulated service time (utilization numerator).
         served: Completed request count.
         batches: Launched batch count.
@@ -86,26 +84,8 @@ class Instance:
     busy_seconds_window: float = 0.0
     profiles: dict[str, ServiceProfile] | None = None
 
-    def __getstate__(self) -> dict:
-        """Pickle the queue as ``(arena, rows)``: one reference to the
-        arena every view shares plus a flat row array, instead of one
-        object per request."""
-        state = {name: getattr(self, name) for name in self.__slots__}
-        queue = self.queue
-        state["queue"] = (
-            queue[0].arena if queue else None,
-            [request.i for request in queue],
-        )
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        arena, rows = state.pop("queue")
-        for name, value in state.items():
-            setattr(self, name, value)
-        self.queue = deque(map(arena.view, rows) if rows else ())
-
     def enqueue(self, request: Request) -> None:
-        """Add a request, keeping the queue in ``(priority, arena
+        """Queue ``request``'s row, keeping the queue in ``(priority,
         row)`` order: urgent classes batch first, FIFO within a
         priority (so a single-priority stream is plain FIFO).
 
@@ -115,18 +95,20 @@ class Instance:
         O(1); only an overtaking one pays a bisection and an insert.
         """
         queue = self.queue
-        priority = request.priority
-        if queue and queue[-1].priority > priority:
+        priority = request.arena.priority
+        p = priority[request.i]
+        if queue and priority[queue[-1]] > p:
             queue.insert(
-                bisect_right(queue, priority, key=_priority), request
+                bisect_right(queue, p, key=priority.__getitem__),
+                request.i,
             )
         else:
-            queue.append(request)
+            queue.append(request.i)
         self.queued_seconds += request.profile.per_image_seconds
 
     def remove(self, request: Request) -> None:
         """Drop a queued request (priority-preemptive shedding)."""
-        self.queue.remove(request)
+        self.queue.remove(request.i)
         self.queued_seconds -= request.profile.per_image_seconds
         if not self.queue:
             self.queued_seconds = 0.0
@@ -189,44 +171,53 @@ class Instance:
             self.powered_seconds += now - self.powered_since
             self.powered_since = None
 
-    def launch_head(self, max_batch: int, now: float) -> float:
-        """Launch the due head batch; returns its completion time.
+    def launch_head(
+        self, arena: RequestArena, max_batch: int, now: float
+    ) -> float:
+        """Launch the due head batch of ``arena`` rows; returns its
+        completion time.
 
         The batch is the longest same-model run at the queue head,
         capped at ``max_batch`` (queue order is never violated — a
         different model behind the head waits its turn).  Images
         stream sequentially, so the i-th request of the batch finishes
         after ``setup + (i+1) * per_image`` — completion times inside a
-        batch are staggered, not simultaneous.  Service times come from
+        batch are staggered, not simultaneous; they are written to the
+        arena's ``start``/``finish`` columns.  Service times come from
         the instance's own profile (heterogeneous fleets) when one is
         set, stretched by its DVFS ``latency_scale``.
         """
         queue = self.queue
         if not queue:
             raise ConfigError("no queued requests to batch")
-        model = queue[0].model
+        model_idx = arena.model_idx
+        m = model_idx[queue[0]]
         members = [queue.popleft()]
         while (
             len(members) < max_batch
             and queue
-            and queue[0].model == model
+            and model_idx[queue[0]] == m
         ):
             members.append(queue.popleft())
+        request_profile = arena.profiles[m]
         queued_seconds = self.queued_seconds
-        for request in members:
-            queued_seconds -= request.profile.per_image_seconds
+        # One subtraction per member, as each enqueue added one.
+        for _ in members:
+            queued_seconds -= request_profile.per_image_seconds
         self.queued_seconds = queued_seconds if queue else 0.0
-        head = members[0]
+        model = arena.model_names[m]
         cold = self.loaded_model != model
-        profile = self.profile_for(model) or head.profile
+        profile = self.profile_for(model) or request_profile
         setup = profile.setup_seconds if cold else 0.0
         per_image = profile.per_image_seconds * self.latency_scale
         base = now + setup
+        start = arena.start
+        finish = arena.finish
         count = 0
-        for request in members:
+        for row in members:
             count += 1
-            request.start = now
-            request.finish = base + count * per_image
+            start[row] = now
+            finish[row] = base + count * per_image
         service = setup + count * per_image
         self.busy_until = now + service
         self._accrue_busy(now, service)

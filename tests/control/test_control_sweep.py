@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from general_loop import force_general
 
 from repro.control import (
     ControlScenario,
@@ -42,6 +43,24 @@ class TestSweeps:
         )
         assert cache.hits == 4
         assert again == reports
+
+    def test_general_loop_cache_serves_the_fast_path(self, tmp_path):
+        """Entries the forced general loop wrote are warm hits for the
+        event fold: the cache key never names the execution path, and
+        both paths produce equal reports."""
+        base = ControlScenario(
+            requests=800, qps=2500.0, instances=2,
+            policy="round-robin", shedding="deadline", seed=3,
+        )
+        cold = ResultCache(tmp_path)
+        with force_general():
+            general = static_frontier_sweep(
+                base, (0.6, 0.8), (1, 2), cache=cold
+            )
+        warm = ResultCache(tmp_path)
+        fast = static_frontier_sweep(base, (0.6, 0.8), (1, 2), cache=warm)
+        assert (warm.hits, warm.misses) == (4, 0)
+        assert fast == general, "cached general entries diverge"
 
     def test_more_voltage_means_more_energy(self):
         lo, hi = static_frontier_sweep(

@@ -373,6 +373,19 @@ class TestCheckpointFormat:
         ):
             load_checkpoint(path)
 
+    def test_schema6_checkpoint_is_rejected(self):
+        """A real schema-6 checkpoint (a governed control run with
+        requests queued as views under ``Instance``'s former custom
+        pickle) fails with the schema message, although its instance
+        state no longer fits the class."""
+        path = Path(__file__).parents[1] / "data" / "schema6_control.pickle"
+        with pytest.raises(
+            ReproError,
+            match="uses schema 6, this build expects 7; "
+            "re-run without --resume",
+        ):
+            load_checkpoint(path)
+
     def test_current_schema_with_vanished_class_is_unreadable(
         self, tmp_path, monkeypatch
     ):

@@ -15,7 +15,8 @@ A second generated differential pins hook-free least-loaded serving on
 the same event fold against the general loop, and a third pins
 governed runs — every governor, warm-ups a whole number of ticks long
 so re-armed wakes tie with a tick, cut at random horizons with a
-pickle round trip of the execution at each cut.
+pickle round trip of the execution at each cut.  A governor sees the
+same queues, as the same ``int`` arena rows, on both paths.
 """
 
 import pickle
@@ -25,7 +26,7 @@ from arena_rows import arena_of
 from general_loop import force_general
 from hypothesis import given, settings, strategies as st
 
-from repro.control import ControlScenario, SLOClass
+from repro.control import ControlScenario, SLOClass, autoscale
 from repro.control.hetero import parse_fleet_spec
 from repro.control.simulator import (
     _control_inputs,
@@ -56,10 +57,6 @@ _INSTANCE_COUNTERS = (
 )
 
 
-def _order_key(request):
-    return (request.priority, request.i)
-
-
 def test_overtaking_arrival_lands_after_its_priority_ties():
     priorities = [2, 0, 1, 1, 0, 3, 1, 2]
     arena = arena_of(
@@ -71,7 +68,7 @@ def test_overtaking_arrival_lands_after_its_priority_ties():
     instance = Instance(index=0)
     for request in arena:
         instance.enqueue(request)
-    assert [r.i for r in instance.queue] == [1, 4, 2, 3, 6, 0, 7, 5]
+    assert list(instance.queue) == [1, 4, 2, 3, 6, 0, 7, 5]
 
 
 @st.composite
@@ -114,7 +111,7 @@ def test_queue_is_always_priority_row_sorted(case):
     for op in ops + ["arrive"] * len(rows):
         if op == "launch":
             if instance.queue:
-                now = instance.launch_head(max_batch, now)
+                now = instance.launch_head(arena, max_batch, now)
         elif nxt < len(arena):
             request = arena[nxt]
             nxt += 1
@@ -122,7 +119,9 @@ def test_queue_is_always_priority_row_sorted(case):
             if admitted:
                 instance.enqueue(request)
         queue = list(instance.queue)
-        assert queue == sorted(queue, key=_order_key)
+        assert queue == sorted(
+            queue, key=lambda row: (arena.priority[row], row)
+        )
         assert len(instance.queue) <= threshold
 
 
@@ -337,3 +336,39 @@ def test_governed_sliced_fold_matches_general_loop(case):
     assert fold_log.dvfs == general_log.dvfs
     assert fold_log.samples == general_log.samples
     assert finalize_controlled(fold) == finalize_controlled(general)
+
+
+class _QueueLogGovernor(autoscale.UtilizationBandGovernor):
+    """The utilization governor, logging every queue at each tick."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.queues = []
+
+    def tick(self, fleet, now):
+        self.queues.append([list(instance.queue) for instance in fleet])
+        return super().tick(fleet, now)
+
+
+def test_governor_sees_row_queues_on_every_path(monkeypatch):
+    """``on_tick`` reads the same queues of ``int`` arena rows whether
+    the fold or the general loop steps the run."""
+    monkeypatch.setattr(
+        autoscale, "UtilizationBandGovernor", _QueueLogGovernor
+    )
+    scenario = ControlScenario(
+        requests=2_000, qps=9_000.0, instances=3,
+        autoscale="utilization", tick_ms=1.0, seed=5,
+    )
+    _, fold = _control_detailed(scenario)
+    with force_general():
+        _, general = _control_detailed(scenario)
+    assert fold.engine.last_run.dispatch == "fold"
+    assert general.engine.last_run.dispatch == "general"
+    fold_log = fold.engine.hooks.governor.queues
+    general_log = general.engine.hooks.governor.queues
+    assert fold_log == general_log
+    rows = [row for tick in fold_log for queue in tick for row in queue]
+    assert rows, "no tick saw a queued request"
+    assert all(type(row) is int for tick in general_log
+               for queue in tick for row in queue)

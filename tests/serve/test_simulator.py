@@ -200,20 +200,21 @@ class TestIncrementalBacklog:
         v1 = service_profile("mobilenet-v1-224")
         fleet = Fleet(1)
         inst = fleet[0]
-        for request in arena_of(
+        arena = arena_of(
             dict(model="edge-tiny", profile=edge),
             dict(model="edge-tiny", profile=edge),
             dict(model="mobilenet-v1-224", profile=v1),
-        ):
+        )
+        for request in arena:
             inst.enqueue(request)
         expected = 2 * edge.per_image_seconds + v1.per_image_seconds
         assert inst.pending_seconds(0.0) == pytest.approx(expected)
-        inst.launch_head(max_batch=8, now=0.0)  # both edge
+        inst.launch_head(arena, max_batch=8, now=0.0)  # both edge
         assert inst.queued_seconds == pytest.approx(
             v1.per_image_seconds
         )
-        assert [r.model for r in inst.queue] == ["mobilenet-v1-224"]
-        inst.launch_head(max_batch=8, now=inst.busy_until)
+        assert list(inst.queue) == [2]  # the mobilenet-v1-224 row
+        inst.launch_head(arena, max_batch=8, now=inst.busy_until)
         assert inst.queued_seconds == 0.0
         assert not inst.queue
 
