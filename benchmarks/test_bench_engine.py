@@ -23,10 +23,11 @@ the same physics, not a relaxation of it.
 (via ``conftest.py``) the process's peak RSS.
 """
 
+import sys
 import time
 import tracemalloc
 from contextlib import nullcontext
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ CTL_SPEEDUP_FLOOR = 3.0
 #: utilization-governed shape (2-vCPU Xeon host).
 GOV_SPEEDUP_FLOOR = 2.0
 
+#: Priority-shedding bar: least-loaded routing with priority-preemptive
+#: shedding, a rule the event fold inlines since the general loop left
+#: the package, must reach at least this multiple of the general
+#: loop's kernel speed on :data:`PRIO_SCENARIO`.  Measured 3.25x
+#: (2-vCPU Xeon host).
+PRIO_SPEEDUP_FLOOR = 2.0
+
 #: Kernel-time scaling bar: 4x the requests may cost at most this
 #: multiple of the kernel time.  Measured 3.4-5.4x on the shapes of
 #: :func:`test_bench_control_kernel_scaling` (2-vCPU Xeon host); the
@@ -109,11 +117,30 @@ GOV_SCENARIO = ControlScenario(
 )
 
 
-def _force_general_loop():
-    """Disable fast-path dispatch, forcing the general event loop."""
-    return mock.patch.object(
-        Engine, "_fast_mode", lambda self, arena: None
-    )
+#: The priority-shedding shape: :data:`CTL_SCENARIO`'s overload under
+#: least-loaded routing, the default three SLO classes and a queue
+#: bound at which preemption and arrival sheds both happen.
+PRIO_SCENARIO = ControlScenario(
+    requests=50_000,
+    qps=12_000.0,
+    instances=4,
+    shedding="priority",
+    seed=42,
+)
+
+#: A deadline-aware routing shape, recorded beside the priority bar.
+DEADLINE_AWARE_SCENARIO = ControlScenario(
+    requests=50_000,
+    qps=12_000.0,
+    instances=4,
+    policy="deadline-aware",
+    shedding="deadline",
+    seed=42,
+)
+
+# The general loop is the test oracle in tests/general_loop.py.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from general_loop import force_general  # noqa: E402
 
 
 def _scenario_inputs():
@@ -463,7 +490,7 @@ def test_bench_control_fastpath_vs_general(benchmark):
     a pure wall-clock speedup on identical work.
     """
     fast = simulate_controlled(CTL_SCENARIO)
-    with _force_general_loop():
+    with force_general():
         general = simulate_controlled(CTL_SCENARIO)
     assert fast.engine_dispatch == "fold"
     assert general.engine_dispatch == "general"
@@ -479,7 +506,7 @@ def test_bench_control_fastpath_vs_general(benchmark):
                 lambda: simulate_controlled(CTL_SCENARIO), repeats=1
             ),
         )
-        with _force_general_loop():
+        with force_general():
             gen_s = min(
                 gen_s,
                 _best_seconds(
@@ -518,7 +545,7 @@ def _kernel_seconds(scenario, repeats=3, general=False):
             scenario, fleet, mix, capacity, qps, requests,
             dvfs_model=dvfs_model,
         ).engine
-        with _force_general_loop() if general else nullcontext():
+        with force_general() if general else nullcontext():
             start = time.perf_counter()
             run = engine.run_until(float("inf"))
         best = min(best, time.perf_counter() - start)
@@ -527,25 +554,20 @@ def _kernel_seconds(scenario, repeats=3, general=False):
 
 @pytest.mark.benchmark(group="engine")
 @pytest.mark.parametrize(
-    "policy, dispatch",
-    [
-        ("least-loaded", "general"),
-        ("least-loaded", "fold"),
-        ("round-robin", "fold"),
-    ],
-    ids=["default-general", "default-fold", "round-robin-fold"],
+    "policy",
+    ["least-loaded", "round-robin"],
+    ids=["default-fold", "round-robin-fold"],
 )
-def test_bench_control_kernel_scaling(benchmark, policy, dispatch):
+def test_bench_control_kernel_scaling(benchmark, policy):
     """Priority queues stay cheap as the backlog grows: the default
     ``repro control`` shape (three SLO priorities, no shedding, so the
     queues grow without bound) costs at most ``SCALING_CEILING`` times
-    the kernel time at 4x the requests, on the event fold and on the
-    general loop (forced) alike."""
-    general = dispatch == "general"
+    the kernel time at 4x the requests on the event fold."""
+    dispatch = "fold"
     small = ControlScenario(requests=5_000, policy=policy)
     large = ControlScenario(requests=20_000, policy=policy)
-    small_s, small_dispatch = _kernel_seconds(small, general=general)
-    large_s, large_dispatch = _kernel_seconds(large, general=general)
+    small_s, small_dispatch = _kernel_seconds(small)
+    large_s, large_dispatch = _kernel_seconds(large)
     assert small_dispatch == large_dispatch == dispatch
     growth = large_s / small_s
     assert growth <= SCALING_CEILING, (
@@ -556,8 +578,7 @@ def test_bench_control_kernel_scaling(benchmark, policy, dispatch):
     benchmark.extra_info["kernel_20k_s"] = round(large_s, 4)
     benchmark.extra_info["growth"] = round(growth, 2)
     benchmark.pedantic(
-        lambda: _kernel_seconds(small, repeats=1, general=general),
-        rounds=1,
+        lambda: _kernel_seconds(small, repeats=1), rounds=1
     )
 
 
@@ -585,7 +606,7 @@ def test_bench_control_frontier_sweep_speedup(benchmark):
 
     fast = static_frontier_sweep(base, voltages, fleet_sizes)
     assert [r.engine_dispatch for r in fast] == ["fold"] * 6
-    with _force_general_loop():
+    with force_general():
         general = static_frontier_sweep(base, voltages, fleet_sizes)
     assert fast == general
 
@@ -601,7 +622,7 @@ def test_bench_control_frontier_sweep_speedup(benchmark):
                 repeats=1,
             ),
         )
-        with _force_general_loop():
+        with force_general():
             gen_s = min(
                 gen_s,
                 _best_seconds(
@@ -632,7 +653,7 @@ def test_bench_governed_fold_vs_general(benchmark):
     events/sec on identical work (interleaved best-of-N kernel times,
     both over the general loop's event count)."""
     fast = simulate_controlled(GOV_SCENARIO)
-    with _force_general_loop():
+    with force_general():
         general = simulate_controlled(GOV_SCENARIO)
     assert fast.engine_dispatch == "fold"
     assert general.engine_dispatch == "general"
@@ -660,4 +681,47 @@ def test_bench_governed_fold_vs_general(benchmark):
     benchmark.extra_info["speedup"] = round(ratio, 1)
     benchmark.pedantic(
         lambda: _kernel_seconds(GOV_SCENARIO, repeats=1), rounds=3
+    )
+
+
+@pytest.mark.benchmark(group="engine")
+def test_bench_priority_fold_vs_general(benchmark):
+    """Priority bar: least-loaded routing with priority shedding takes
+    the event fold and holds ``PRIO_SPEEDUP_FLOOR`` times the general
+    loop's events/sec on identical work (interleaved best-of-N kernel
+    times, both over the general loop's event count).  The
+    deadline-aware ratio is recorded in ``extra_info`` only."""
+    ratios = {}
+    for name, scenario in (
+        ("priority", PRIO_SCENARIO),
+        ("deadline_aware", DEADLINE_AWARE_SCENARIO),
+    ):
+        fast = simulate_controlled(scenario)
+        with force_general():
+            general = simulate_controlled(scenario)
+        assert fast.engine_dispatch == "fold"
+        assert general.engine_dispatch == "general"
+        assert fast.shed_requests > 10_000, "scenario must shed heavily"
+        assert fast == general
+        fast_s = float("inf")
+        gen_s = float("inf")
+        for _ in range(3):
+            fast_s = min(fast_s, _kernel_seconds(scenario, repeats=1)[0])
+            gen_s = min(
+                gen_s,
+                _kernel_seconds(scenario, repeats=1, general=True)[0],
+            )
+        ratios[name] = gen_s / fast_s
+        benchmark.extra_info[f"{name}_general_events"] = (
+            general.engine_events
+        )
+        benchmark.extra_info[f"{name}_fold_s"] = round(fast_s, 4)
+        benchmark.extra_info[f"{name}_general_s"] = round(gen_s, 4)
+        benchmark.extra_info[f"{name}_speedup"] = round(ratios[name], 2)
+    assert ratios["priority"] >= PRIO_SPEEDUP_FLOOR, (
+        f"priority-shedding fold only {ratios['priority']:.2f}x the "
+        "general loop"
+    )
+    benchmark.pedantic(
+        lambda: _kernel_seconds(PRIO_SCENARIO, repeats=1), rounds=3
     )

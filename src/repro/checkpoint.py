@@ -23,9 +23,8 @@ slice after a resume).
 
 Checkpointed execution steps the engine in bounded
 :meth:`~repro.serve.engine.Engine.run_until` slices on the path the
-one-shot run takes (the event fold or the general loop; only the
-whole-stream ``"rr"`` kernel gives way to the fold) — bit-for-bit the
-one-shot run — and converges on the same ``finalize_*`` report
+one-shot run takes (the event fold; only the whole-stream ``"rr"``
+kernel gives way to it) — bit-for-bit the one-shot run — and converges on the same ``finalize_*`` report
 builders as the one-shot simulators.
 Serve scenarios with ``stats="sketch"`` are the one caveat: plain
 :func:`repro.serve.simulate` may take the chunk-interleaved streaming
@@ -87,7 +86,10 @@ __all__ = [
 #: offered requests from the engine's cursor.
 #: Schema 7: instance queues hold arena rows (no custom ``Instance``
 #: pickle) and ``EngineState`` drops its static-fleet flag.
-CHECKPOINT_SCHEMA = 7
+#: Schema 8: the engine has no general loop: ``Engine`` drops its
+#: fallback-reason slot and ``EngineState`` its sequence counter and
+#: peak-heap count.
+CHECKPOINT_SCHEMA = 8
 
 _INF = float("inf")
 

@@ -227,15 +227,16 @@ class ControlHooks(EngineHooks):
         return admitted
 
     def fast_admission(self):
-        """Declare the admission rule for the engine's ``"fold"``
-        kernel, under round-robin or least-loaded routing (see
-        :meth:`repro.serve.engine.EngineHooks.fast_admission`):
+        """Declare the admission rule the engine's event fold inlines
+        (see :meth:`repro.serve.engine.EngineHooks.fast_admission`):
         ``on_arrival`` is the shedder alone, ``on_complete`` closes
         the powered interval of a retired instance once it drains, and
         ``on_tick`` runs the governor over the instances' counters, the
         queue lengths and the engine's cursor.  The shedder's *exact*
         type maps to the rule its ``admit`` implements
-        (:data:`repro.control.slo.KERNEL_ADMISSION`)."""
+        (:data:`repro.control.slo.KERNEL_ADMISSION`); any other
+        shedder is undeclared, and the fold calls the hooks at
+        barriers."""
         kind = KERNEL_ADMISSION.get(type(self.shedder))
         if kind is None:
             return None

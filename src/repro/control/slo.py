@@ -345,15 +345,16 @@ SHEDDING_POLICIES = {
 }
 
 
-#: Exact shedder type -> the admission rule the engine's ``"fold"``
-#: kernel fuses under either routing rule (see
+#: Exact shedder type -> the admission rule the engine's event fold
+#: inlines (see
 #: :meth:`repro.serve.engine.EngineHooks.fast_admission`).
 #: Keyed on the exact type, never inherited: a subclass that overrides
-#: ``admit`` (``PriorityShedding``, or a user's) must keep its own rule.
+#: ``admit`` keeps its own rule, called at a barrier.
 KERNEL_ADMISSION = {
     NoShedding: "none",
     DeadlineShedding: "deadline",
     QueueDepthShedding: "queue-depth",
+    PriorityShedding: "priority",
 }
 
 

@@ -1,8 +1,8 @@
 """Text/JSON views of engine telemetry.
 
 Two small surfaces kept out of the report dataclass's JSON form on
-purpose: engine execution counters (events processed, peak heap,
-dispatch path) and the windowed metrics timeline derived by
+purpose: engine execution counters (events processed, dispatch
+path) and the windowed metrics timeline derived by
 :mod:`repro.obs.metrics`.  Both are *execution* telemetry —
 how a run was carried out, not what it computed — so they ride next to
 the report payload rather than inside it, keeping cached and golden
@@ -32,17 +32,10 @@ def engine_counters_dict(report) -> dict | None:
     entry written before the counters existed)."""
     if not report.engine_dispatch:
         return None
-    counters = {
+    return {
         "events": report.engine_events,
-        "peak_heap": report.engine_peak_heap,
         "dispatch": report.engine_dispatch,
     }
-    # Only general-loop runs carry a fallback diagnosis; the key is
-    # conditional so fast-path payloads keep their historical shape.
-    fallback = getattr(report, "engine_fallback", "")
-    if fallback and report.engine_dispatch == "general":
-        counters["fallback"] = fallback
-    return counters
 
 
 def render_engine_counters(report) -> str:
@@ -50,17 +43,13 @@ def render_engine_counters(report) -> str:
     counters = engine_counters_dict(report)
     if counters is None:
         return ""
-    rows = [
-        ["events processed", counters["events"]],
-        ["peak event-heap size", counters["peak_heap"]],
-        ["dispatch path", counters["dispatch"]],
-    ]
-    if "fallback" in counters:
-        rows.append(["fast-path fallback", counters["fallback"]])
     return render_table(
         "Engine execution",
         ["Metric", "Value"],
-        rows,
+        [
+            ["events processed", counters["events"]],
+            ["dispatch path", counters["dispatch"]],
+        ],
     )
 
 

@@ -1,14 +1,14 @@
 """Telemetry derived from a drained run's arena columns.
 
-Every execution path — the general loop, the vectorized ``rr`` kernel
-and the event ``fold`` — writes the same ``start``/``finish``/
-``shed``/``instance`` columns, bit for bit.  This module turns those
+Both engine kernels — the vectorized ``rr`` kernel and the event
+``fold`` — write the same ``start``/``finish``/``shed``/``instance``
+columns, bit for bit.  This module turns those
 columns (plus the few control-side facts a governed run's
 :class:`~repro.obs.governor.ControlLog` recorded at its ticks) into the
 trace spans and the metrics timeline *after* the engine drained, so
 observing a run never changes how it executes.
 
-Reconstruction rules (the general loop's semantics, exactly):
+Reconstruction rules (the engine's event semantics, exactly):
 
 * a *batch* is the set of rows sharing ``(instance, start)``; its
   members are listed in stream order and batches are numbered in

@@ -18,83 +18,70 @@ Routing is a policy, not a hook: policies receive the *active* slice of
 the fleet as a plain indexed sequence and return a position in it, so
 the same policy objects serve both planes without adapter shims.
 
-Three execution paths share one physics
----------------------------------------
+Two kernels share one physics
+-----------------------------
 
 Requests live in a columnar :class:`~repro.serve.arena.RequestArena`
-(see that module) and the engine picks the fastest path that preserves
-the event loop's observable behaviour *bit-for-bit*.  The choice is
+(see that module) and the engine serves every run with one of two
+kernels that produce the same schedule *bit-for-bit*.  The choice is
 made in one place, :meth:`Engine.run_until`, by one rule for fresh,
-bounded and resumed calls alike: the kernel :meth:`Engine._fast_mode`
-picks for the engine, else the general loop.  :meth:`Engine.run` is
-exactly ``begin`` + ``run_until(inf)``.
+bounded and resumed calls alike (:meth:`Engine._fast_mode`):
+:meth:`Engine.run` is exactly ``begin`` + ``run_until(inf)``.
 
-One eligibility rule, on the configuration only, admits an engine to
-the columnar kernels: an admission rule that is absent (no hook
-overridden) or declared by :meth:`EngineHooks.fast_admission` (ticks
-and governors included), no per-instance profiles, and round-robin or
-least-loaded routing.  Every such run takes the event fold; the
-vectorized round-robin kernel is the faster choice for a call that
-drains a hook-free, tick-free, single-priority, unscaled, unpowered
-stream whole from a pristine fleet, when it resolves the wait exactly
-(below).
-
-1. **General path** — the ``(time, seq)`` event loop below, processing
-   one arrival/completion/wake/tick at a time.  Runs whatever the
-   eligibility rule turns away (priority preemption, the other routing
-   policies, per-instance profiles, undeclared hooks); hands hooks
-   arena views, so hook clients still see ``Request`` objects.  Every
-   request stream is a
-   :class:`~repro.serve.arena.RequestArena` — multi-fleet receivers
-   included, which merge their spill-ins as rows — so the stream's
-   type never decides the path.
+1. **Event fold** — one scalar event loop over plain Python lists and
+   a single event slot per instance (no heap, no objects), dispatched
+   as ``"fold"``.  It serves every configuration: it routes by
+   round-robin striping or an inlined least-loaded scan and calls any
+   other policy's ``choose`` over the active instances; it folds in
+   the declared admission rule (:meth:`EngineHooks.fast_admission`),
+   several priorities, per-instance service profiles and DVFS scales,
+   busy-power energy and governor ticks; and it resumes from the
+   state a bounded slice or a checkpoint left.  A tick, a routing
+   call and an undeclared hook are barriers: the fold writes its
+   per-instance lists back to the :class:`~repro.serve.fleet.Instance`
+   objects before the call and, after a hook, reloads them.  Every
+   request stream is an arena — multi-fleet receivers included, which
+   merge their spill-ins as rows — so the stream's type never decides
+   the path.
 2. **Round-robin fast path** — round-robin striping makes each
    instance's request stream a predetermined slice ``arena[j::K]``, so
    the per-instance timeline is computed with vectorized batch
    partitioning plus a lean Python fold over *batches* (not events),
    with an exact scalar repair pass for batches that launch before
-   they fill.  ~10-30x the PR-4 events/sec.  Dispatched as ``"rr"``.
-3. **Event fold** — one scalar event loop over plain Python lists
-   and a single event slot per instance (no heap, no objects),
-   dispatched as ``"fold"`` for every other eligible run.  It routes
-   by round-robin striping or an inlined least-loaded scan (the
-   report's ``policy`` says which), and folds in the declared
-   admission rule, several priorities, per-instance DVFS scales,
-   busy-power energy and governor ticks; it resumes from the state a
-   bounded slice or a checkpoint left.  The hook set opts in through
-   :meth:`EngineHooks.fast_admission` rather than the engine
-   importing the control plane.
+   they fill.  Dispatched as ``"rr"`` for a call that drains a
+   hook-free, tick-free, single-priority, unscaled, unpowered,
+   uniform-profile stream whole from a pristine fleet, when it
+   resolves the wait exactly (below).
 
-Every instance queue is a deque of arena rows on every path, kept in
-``(priority, row)`` order — FIFO within a priority, so a
-single-priority stream is plain FIFO.
-Rows are consumed in increasing order, so an arrival appends unless
-the queue's tail is strictly lower priority, and otherwise bisects in
-on priority alone (:meth:`Instance.enqueue`; the event fold inlines
-the same rule).  The ``"rr"`` kernel keeps FIFO queues, so it serves
-single-priority streams only.
+Every instance queue is a deque of arena rows, kept in ``(priority,
+row)`` order — FIFO within a priority, so a single-priority stream is
+plain FIFO.  Rows are consumed in increasing order, so an arrival
+appends unless the queue's tail is strictly lower priority, and
+otherwise bisects in on priority alone.  The ``"rr"`` kernel keeps
+FIFO queues, so it serves single-priority streams only.
 
-Every path writes the same outcome columns — ``start``, ``finish``,
+Both kernels write the same outcome columns — ``start``, ``finish``,
 ``shed``, and the routed ``instance`` — so telemetry is derived from
 the drained arena (:mod:`repro.obs.derive`) instead of observing the
 loop, and observing a run never changes which path serves it.
 
-The fast paths are *exact*: they reproduce the general loop's floats
-bit-for-bit (same operations in the same order), which
-``tests/serve/test_engine_parity.py`` and the benchmark's equality
-assertions pin.  The vectorized round-robin path assumes no arrival
-timestamp coincides bit-exactly with a batching-timeout instant
-(``a_head + max_wait_s``) — guaranteed for continuous arrival
-processes, and degenerate cases (``max_wait_s == 0`` with tied trace
-timestamps, sub-nanosecond waits) take the event fold, which has no
-such restriction.
+Both kernels are *exact*: they reproduce the general ``(time, seq)``
+heap loop they were derived from — kept as the test oracle in
+``tests/general_loop.py`` — float for float (same operations in the
+same order), which ``tests/serve/test_engine_parity.py``, the
+generated differentials and the benchmark's equality assertions pin.
+The vectorized round-robin path assumes no arrival timestamp
+coincides bit-exactly with a batching-timeout instant (``a_head +
+max_wait_s``) — guaranteed for continuous arrival processes, and
+degenerate cases (``max_wait_s == 0`` with tied trace timestamps,
+sub-nanosecond waits) take the event fold, which has no such
+restriction.
 
-Event ordering is the ``(time, seq)`` heap order: at equal
-timestamps arrivals precede every scheduled event (their sequence
-numbers were seeded first), instance events pop in push order, and
-the tick comes last (:data:`_TICK_SEQ`), so a governor sees
-everything due at its instant and the fold can treat a tick as a
-barrier.
+Event ordering is the heap loop's ``(time, seq)`` order: at equal
+timestamps arrivals precede every scheduled event and the tick comes
+last (:data:`_TICK_SEQ`), so a governor sees everything due at its
+instant.  Instance events due at one instant each touch only their
+own instance, so the fold takes them in instance order.
 
 Statistics modes
 ----------------
@@ -113,7 +100,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import islice
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify
 from sys import float_info
 
 import numpy as np
@@ -141,7 +128,7 @@ __all__ = [
     "run_streaming_round_robin",
 ]
 
-_COMPLETE, _WAKE, _TICK = 1, 2, 3
+_WAKE, _TICK = 2, 3
 _EPS = 1e-12
 _INF = float("inf")
 _FINITE_MAX = float_info.max
@@ -164,6 +151,17 @@ class EngineHooks:
     :class:`~repro.serve.arena.Request` *views*: mutating one (e.g.
     ``request.shed = True``) writes through to the arena column every
     other reader sees.
+
+    A hook set that does not declare its rule
+    (:meth:`fast_admission` returns ``None``) has each overridden hook
+    called at a barrier of the event fold: the fold writes its
+    per-instance state back to the :class:`~repro.serve.fleet.Instance`
+    objects, calls the hook, then reloads every per-instance field
+    (activity, horizons, queues and ``queued_seconds``, counters,
+    operating point and profiles), re-arms an event at every grown
+    ``busy_until`` and re-stripes round-robin routing over the active
+    instances.  The arena's outcome columns (``start``, ``finish``,
+    ``shed``, ``instance``) are written when the slice returns.
     """
 
     def on_arrival(
@@ -176,30 +174,36 @@ class EngineHooks:
         """Admission decision at the instance the policy chose.
 
         Return ``False`` to shed ``request`` (the engine marks it);
-        preempting a queued victim is the hook's own business.  The
-        view's ``request.arena``/``request.i`` give hooks the whole
+        preempting a queued victim is the hook's own business
+        (:meth:`Instance.remove` keeps ``queued_seconds`` in step).
+        The view's ``request.arena``/``request.i`` give hooks the whole
         stream's columns, which is also how they read the rows queued
         on ``instance`` (``request.arena.priority[row]``).
         """
         return True
 
     def fast_admission(self) -> tuple[str, int] | None:
-        """Declare this hook set's admission rule for the event fold.
+        """Declare this hook set's admission rule, fused into the
+        event fold.
 
-        Return ``None`` (the default) to keep the general loop whenever
-        a hook is overridden, or a ``(shedding_kind, queue_threshold)``
-        pair with ``shedding_kind`` in ``{"none", "deadline",
-        "queue-depth"}`` to let :meth:`Engine._fast_mode` fuse
-        admission into the ``"fold"`` kernel under round-robin or
-        least-loaded routing.  A hook set may only opt in when (a) its
-        ``on_arrival`` is exactly the declared shedding rule against
-        the chosen instance, (b) its ``on_complete`` at most closes the
-        powered interval of an inactive instance with an empty queue
-        that is idle, and (c) its ``on_tick`` reads the instances'
-        counters, operating points, activity and queues (arena rows,
-        as on every path) plus the state's cursor, and changes only
-        activity, warm-up horizons, resident models, operating points
-        and busy counters — never a queue.
+        Return ``None`` (the default) to have every overridden hook
+        called at a barrier (see the class docstring), or a
+        ``(shedding_kind, queue_threshold)`` pair naming one of four
+        declared kinds, which the fold inlines instead of calling
+        ``on_arrival``: ``"none"`` (admit everything), ``"deadline"``
+        (shed an arrival whose first-order completion estimate misses
+        its deadline), ``"queue-depth"`` (shed an arrival that finds
+        ``queue_threshold`` or more rows queued) and ``"priority"``
+        (at that depth, preempt the queue's tail if it is strictly
+        less urgent than the arrival, else shed the arrival).  A hook
+        set may only declare a kind when (a) its ``on_arrival`` is
+        exactly that rule against the chosen instance, (b) its
+        ``on_complete`` at most closes the powered interval of an
+        inactive instance with an empty queue that is idle, and (c)
+        its ``on_tick`` reads the instances' counters, operating
+        points, activity and queues (arena rows) plus the state's
+        cursor, and changes only activity, warm-up horizons, resident
+        models, operating points and busy counters — never a queue.
         """
         return None
 
@@ -210,7 +214,17 @@ class EngineHooks:
     def on_complete(
         self, instance: Instance, now: float, engine: "Engine"
     ) -> None:
-        """Accounting after ``instance``'s queue was re-examined."""
+        """Accounting after ``instance``'s queue was re-examined.
+
+        Called once per instance event — a batch completion, or the
+        wake of a head batch whose fill window ran out — and never for
+        a superseded wake (an instance holds one pending event).
+        """
+
+
+#: The admission kinds a hook set may declare (see
+#: :meth:`EngineHooks.fast_admission`).
+_DECLARED = ("none", "deadline", "queue-depth", "priority")
 
 
 @dataclass(slots=True)
@@ -219,28 +233,22 @@ class EngineRun:
 
     Attributes:
         events: Events processed — the numerator of the events/sec
-            kernel benchmark.  The general path counts arrivals +
-            completions + wakes + ticks; the fast paths count the
-            logically equivalent arrivals + batch launches (they
-            process the same work without materializing wake events).
+            kernel benchmark: arrivals, instance events (batch
+            completions and head-batch wakes) and ticks.  The
+            ``"rr"`` kernel counts the logically equivalent arrivals +
+            batch launches (it processes the same work without
+            materializing wake events).
         tick_actions: Sum of the ``on_tick`` hook's action counts.
-        peak_heap: Largest pending-event heap observed at an event
-            boundary (general loop only; the fast paths never build a
-            heap and report 0).
-        dispatch: Which execution path served the run — ``"general"``,
-            ``"rr"`` (vectorized round-robin), ``"fold"`` (the event
-            fold, under either routing rule), or ``"streaming"``.
-        fallback: When ``dispatch == "general"``, the *first failing*
-            fast-path precondition (empty when a fast path ran, or
-            when nothing recorded a reason) — what makes a fallback
-            to the general loop diagnosable from ``--json``.
+        dispatch: Which kernel served the run — ``"fold"`` (the event
+            fold, which serves every configuration), ``"rr"``
+            (vectorized round-robin, for a pristine hook-free stream it
+            resolves exactly) or ``"streaming"`` (the round-robin
+            kernel fed chunk by chunk).
     """
 
     events: int
     tick_actions: int
-    peak_heap: int = 0
-    dispatch: str = "general"
-    fallback: str = ""
+    dispatch: str
 
 
 @dataclass(slots=True)
@@ -249,31 +257,27 @@ class EngineState:
 
     Everything :meth:`Engine.run_until` needs to continue a paused run
     lives here rather than in loop locals: the pending ``(time, seq,
-    kind, payload)`` event heap (the event fold keeps one entry per
-    busy or waiting instance, plus the tick), the next sequence
-    number, the arena
-    cursor (arrivals consumed so far) and the cumulative event
-    counters.  Per-instance queues (arena rows) and in-flight batches
-    live on the :class:`~repro.serve.fleet.Instance` objects
-    themselves; a checkpoint pickles the engine with both
-    (:mod:`repro.checkpoint`).
+    kind, payload)`` events (one per busy or waiting instance, plus
+    the tick, kept as a heap), the arena cursor (arrivals consumed so
+    far) and the cumulative event counters.  Per-instance queues
+    (arena rows) and in-flight batches live on the
+    :class:`~repro.serve.fleet.Instance` objects themselves; a
+    checkpoint pickles the engine with both (:mod:`repro.checkpoint`).
     """
 
     heap: list
-    seq: int
     clock: float
     cursor: int
     events: int
     tick_actions: int
-    peak_heap: int
 
 
 class _FoldRows:
     """The event fold's per-row lists over one arena, built once per
     run: the inputs it reads (arrival, model, priority, and the
     shedding deadline) and the outputs it writes (start, finish, and
-    the least-loaded route).  A slice writes back only the rows it
-    consumed or carried, so the ``-1`` seeds never reach the arena.
+    the scanned or chosen route).  A slice writes back only the rows
+    it consumed or carried, so the ``-1`` seeds never reach the arena.
     """
 
     __slots__ = (
@@ -301,6 +305,154 @@ class _FoldRows:
         self.instance = None if striped else [-1] * n
 
 
+#: The per-instance lists of :class:`_FleetLists`.
+_FLEET_COLUMNS = (
+    "on",
+    "bu",
+    "qs",
+    "busy",
+    "busyw",
+    "energy",
+    "served",
+    "batches",
+    "setups",
+    "loaded",
+    "bpw",
+    "wend",
+    "queues",
+    "scale",
+    "profiles",
+    "per",
+    "setup",
+)
+
+
+class _FleetLists:
+    """The event fold's per-instance state as plain lists, one entry
+    per instance, with :meth:`load` and :meth:`store` moving it between
+    the lists and the :class:`~repro.serve.fleet.Instance` objects.
+
+    The fold binds each list to a local once; both methods fill the
+    lists in place, so those locals stay valid across every barrier.
+    ``per[j]``/``setup[j]`` are instance ``j``'s service tables indexed
+    by the arena's model index: its own profile of each model when it
+    has per-instance profiles, else the request's, with per-image
+    times stretched by its DVFS ``latency_scale`` (the same IEEE
+    products as ``profile.per_image_seconds * latency_scale``).  They
+    are rebuilt when the scale or the ``profiles`` object changes.
+    """
+
+    __slots__ = (
+        "instances",
+        "arena",
+        "model_index",
+        "act",
+        "act_instances",
+        "scaled",
+    ) + _FLEET_COLUMNS
+
+    def __init__(self, instances: list, arena: RequestArena) -> None:
+        K = len(instances)
+        self.instances = instances
+        self.arena = arena
+        self.model_index = {
+            name: k for k, name in enumerate(arena.model_names)
+        }
+        for name in _FLEET_COLUMNS:
+            setattr(self, name, [None] * K)
+        # A unique stand-in, so the first load builds every table.
+        self.profiles = [_FleetLists] * K
+        self.load()
+
+    def load(self) -> None:
+        """Read every instance into the lists."""
+        arena = self.arena
+        model_index = self.model_index
+        scales = self.scale
+        profiles_l = self.profiles
+        act = []
+        for j, inst in enumerate(self.instances):
+            self.on[j] = inst.active
+            if inst.active:
+                act.append(j)
+            self.bu[j] = inst.busy_until
+            self.qs[j] = inst.queued_seconds
+            self.busy[j] = inst.busy_seconds
+            self.busyw[j] = inst.busy_seconds_window
+            self.energy[j] = inst.energy_joules
+            self.served[j] = inst.served
+            self.batches[j] = inst.batches
+            self.setups[j] = inst.setups
+            self.loaded[j] = model_index.get(inst.loaded_model, -1)
+            self.bpw[j] = inst.busy_power_w
+            self.wend[j] = inst.window_end
+            self.queues[j] = inst.queue
+            scale = inst.latency_scale
+            profiles = inst.profiles
+            if scale != scales[j] or profiles is not profiles_l[j]:
+                scales[j] = scale
+                profiles_l[j] = profiles
+                own = [
+                    p if profiles is None else profiles.get(name) or p
+                    for name, p in zip(arena.model_names, arena.profiles)
+                ]
+                # ``x * 1.0 == x``: an unscaled table keeps its floats.
+                self.per[j] = (
+                    np.array(
+                        [0.0 if p is None else p.per_image_seconds
+                         for p in own]
+                    )
+                    * scale
+                ).tolist()
+                self.setup[j] = [
+                    0.0 if p is None else p.setup_seconds for p in own
+                ]
+        self.act = act
+        self.act_instances = [self.instances[j] for j in act]
+        self.scaled = any(scale != 1.0 for scale in scales)
+
+    def store(self) -> None:
+        """Write the lists back to the instances (the queues are the
+        instances' own deques)."""
+        names = self.arena.model_names
+        for inst, bu, qs, busy, busyw, energy, served, batches, setups, m in zip(
+            self.instances,
+            self.bu,
+            self.qs,
+            self.busy,
+            self.busyw,
+            self.energy,
+            self.served,
+            self.batches,
+            self.setups,
+            self.loaded,
+        ):
+            inst.busy_until = bu
+            inst.queued_seconds = qs
+            inst.busy_seconds = busy
+            inst.busy_seconds_window = busyw
+            inst.energy_joules = energy
+            inst.served = served
+            inst.batches = batches
+            inst.setups = setups
+            if m >= 0:
+                inst.loaded_model = names[m]
+
+    def call(self, ev: list, now: float, hook, *args):
+        """A barrier: store, call ``hook(*args)``, load, and re-arm
+        instance ``j``'s event slot ``ev[j]`` at a ``busy_until`` the
+        hook grew past ``now`` (a warm-up extends it without
+        launching).  Returns the hook's result."""
+        self.store()
+        before = self.bu[:]
+        result = hook(*args)
+        self.load()
+        for j, grown in enumerate(self.bu):
+            if grown > before[j] and grown > now:
+                ev[j] = grown
+        return result
+
+
 class Engine:
     """One discrete-event loop over a fleet.
 
@@ -313,8 +465,8 @@ class Engine:
         hooks: Decision points (admission, ticks, accounting).
         tick_s: ``on_tick`` interval; ``None`` schedules no ticks.
 
-    Instance queues are always in ``(priority, arena row)`` order
-    (:meth:`Instance.enqueue`), so a single-priority stream is FIFO.
+    Instance queues are always in ``(priority, arena row)`` order, so
+    a single-priority stream is FIFO.
     """
 
     __slots__ = (
@@ -328,7 +480,6 @@ class Engine:
         "_on_complete",
         "_on_tick_overridden",
         "_ctl_spec",
-        "_fast_reason",
         "state",
         "last_run",
         "_requests",
@@ -379,17 +530,12 @@ class Engine:
             cls.on_tick is not EngineHooks.on_tick
         )
         # A hook set that declares its admission rule (see
-        # EngineHooks.fast_admission) stays eligible for the event
-        # fold; unknown kinds are ignored rather than trusted.
+        # EngineHooks.fast_admission) has it inlined; unknown kinds
+        # are ignored rather than trusted, so the hooks are called.
         spec = self.hooks.fast_admission()
-        if spec is not None and spec[0] not in (
-            "none",
-            "deadline",
-            "queue-depth",
-        ):
+        if spec is not None and spec[0] not in _DECLARED:
             spec = None
         self._ctl_spec = spec
-        self._fast_reason = ""
         self.state: EngineState | None = None
         self.last_run: EngineRun | None = None
         self._requests: RequestArena | None = None
@@ -411,58 +557,31 @@ class Engine:
             setattr(self, name, value)
 
     # ------------------------------------------------------------------
-    # Fast-path dispatch
+    # Dispatch
     # ------------------------------------------------------------------
 
-    def _fall_back(self, reason: str) -> None:
-        """Record the first failing fast-path precondition; the
-        general loop surfaces it as :attr:`EngineRun.fallback`."""
-        self._fast_reason = reason
-        return None
-
-    def _fast_mode(self, arena: RequestArena) -> str | None:
-        """Which columnar kernel (if any) serves this engine under the
-        module's one eligibility rule: ``"rr"`` where
-        :meth:`_vectorizes` holds, else ``"fold"``, or ``None``
-        (general loop).  Kernel or general loop depends on the
+    def _fast_mode(self, arena: RequestArena) -> str:
+        """Which kernel serves this engine: ``"rr"`` where
+        :meth:`_vectorizes` holds, else the event fold (``"fold"``),
+        which serves every configuration.  The choice depends on the
         configuration alone, so fresh, sliced and resumed runs of one
-        engine never change sides.
-
-        As a side effect the *first failing precondition* is recorded
-        and surfaced as :attr:`EngineRun.fallback`, so a fallback to
-        the general loop is diagnosable from ``--json``.
-        """
-        self._fast_reason = ""
-        if self._ctl_spec is None:
-            if self._admit is not None:
-                return self._fall_back("on_arrival hook overridden")
-            if self._on_complete is not None:
-                return self._fall_back("on_complete hook overridden")
-            if self._on_tick_overridden:
-                return self._fall_back("on_tick hook overridden")
-        for inst in self.fleet.instances:
-            if inst.profiles is not None:
-                return self._fall_back(
-                    f"instance {inst.index} has per-instance profiles"
-                )
-        policy = self.policy
-        if type(policy) is RoundRobinPolicy:
-            return "rr" if self._vectorizes(arena) else "fold"
-        if type(policy) is LeastLoadedPolicy:
-            return "fold"
-        return self._fall_back(
-            f"policy {type(policy).__name__} has no columnar path"
-        )
+        engine never change kernels."""
+        return "rr" if self._vectorizes(arena) else "fold"
 
     def _vectorizes(self, arena: RequestArena) -> bool:
-        """Whether ``"rr"`` serves this round-robin run: hook-free and
-        tick-free, striping from the first row over an always-active
-        fleet that is idle, cold, empty and uncounted; one priority
-        (FIFO queues), unscaled unpowered instances, and a
-        ``max_wait`` its partition resolves — zero only with strictly
-        increasing arrivals, else above a nanosecond."""
+        """Whether ``"rr"`` serves this run: exact round-robin
+        routing, no hook overridden or declared and no tick, striping
+        from the first row over an always-active fleet that is idle,
+        cold, empty and uncounted; one priority (FIFO queues),
+        unscaled unpowered instances without per-instance profiles,
+        and a ``max_wait`` its partition resolves — zero only with
+        strictly increasing arrivals, else above a nanosecond."""
         if (
-            self._ctl_spec is not None
+            type(self.policy) is not RoundRobinPolicy
+            or self._ctl_spec is not None
+            or self._admit is not None
+            or self._on_complete is not None
+            or self._on_tick_overridden
             or self.tick_s is not None
             or self.policy._next
         ):
@@ -477,6 +596,7 @@ class Engine:
                 or inst.busy_seconds_window != 0.0
                 or inst.latency_scale != 1.0
                 or inst.busy_power_w != 0.0
+                or inst.profiles is not None
             ):
                 return False
         priority = arena.priority
@@ -524,7 +644,7 @@ class Engine:
             arena.finish[j::K] = fins_m
             arena.instance[j::K] = j
             # builtins.sum over a float list is the same sequential
-            # left fold as the general loop's per-batch ``+=`` chain,
+            # left fold as the event fold's per-batch ``+=`` chain,
             # bit-for-bit (np.sum is pairwise: close but not
             # identical); window contributions are never negative, and
             # adding 0.0 is a bitwise no-op, so the unfiltered sum
@@ -551,7 +671,7 @@ class Engine:
         state = self.state
         state.cursor = n
         state.events = events
-        # Where the general loop's clock ends: the last arrival or
+        # Where the event fold's clock ends: the last arrival or
         # completion.
         state.clock = max(
             [float(arr[-1]) if n else 0.0]
@@ -561,12 +681,13 @@ class Engine:
 
     def _run_event_fold(self, arena: RequestArena, t: float) -> EngineRun:
         """The exact ``"fold"`` kernel: one scalar event fold that
-        resumes where the state left off.
+        serves every configuration and resumes where the state left
+        off.
 
-        Per-instance state lives in flat lists with one event slot per
-        instance instead of a heap (a launch overwrites the slot, so
-        the general loop's stale-wake pops — provably no-ops — never
-        exist).  The lists are seeded from the instances and the
+        Per-instance state lives in flat lists (:class:`_FleetLists`)
+        with one event slot per instance instead of a heap: a launch
+        or a new head wake overwrites the slot, so superseded wakes
+        never exist.  The lists are seeded from the instances and the
         state's pending events on entry and written back on exit, so
         one call drains a run, or a bounded ``run_until(t)`` stops at
         ``t`` and a later call (in this process or, via a checkpoint,
@@ -574,34 +695,50 @@ class Engine:
         (:class:`_FoldRows`).
 
         An arrival is routed over the active instances by round-robin
-        striping or an inlined least-loaded scan, passes the declared
-        :meth:`EngineHooks.fast_admission` rule (which reads only the
-        chosen instance), and takes :meth:`Instance.enqueue`'s
-        position.  Examine and launch follow the general loop in
-        :meth:`Instance.launch_head`'s float order.  A hook-free run
-        admits everything, and an instance at scale 1.0 with zero busy
-        power reduces bit-for-bit to the plain serve-plane operations
-        (``x * 1.0`` and ``e + 0.0 * s`` are exact).
+        striping, an inlined least-loaded scan, or — for any other
+        policy — ``policy.choose`` after the lists are written back
+        (policies only read).  It then passes the declared
+        :meth:`EngineHooks.fast_admission` rule, inlined against the
+        chosen instance, or an undeclared ``on_arrival`` at a barrier,
+        and joins the queue at its ``(priority, row)`` position.  An
+        idle instance's queue is then examined: its head batch
+        launches when the head has waited out ``max_wait`` or a full
+        same-model batch is queued, else the slot holds the head's
+        wake.  Service times come from the instance's own tables
+        (per-instance profiles, DVFS scale); the queued-seconds ledger
+        that least-loaded routing and deadline shedding read stays on
+        the request's profile.  A hook-free run admits everything,
+        and an instance at scale 1.0 with zero busy power reduces
+        bit-for-bit to the plain serve-plane operations (``x * 1.0``
+        and ``e + 0.0 * s`` are exact).
 
         A tick is a barrier: the fold runs every arrival and instance
         event at or before it, writes the instances back, calls
-        ``on_tick``, then reloads what a governor may change (activity,
-        warm-up horizons, resident model, operating point, busy
-        counters), re-arms grown horizons and reschedules the tick as
-        the general loop's tick handler does.  A retired instance
-        closes its powered interval at its first event that finds it
-        drained, which is the declared ``on_complete``.
+        ``on_tick``, reloads them, re-arms grown horizons and
+        reschedules the tick.  An undeclared ``on_complete`` is the
+        same barrier after each instance event.  Under a declared rule
+        a retired instance closes its powered interval at its first
+        event that finds it drained, which is the declared
+        ``on_complete``.
         """
-        kind, threshold = self._ctl_spec or ("none", 0)
+        spec = self._ctl_spec
+        kind, threshold = spec or ("none", 0)
+        admit = None if spec else self._admit
+        complete = None if spec else self._on_complete
+        closes = spec is not None and self._on_complete is not None
         state = self.state
         instances = self.fleet.instances
         K = len(instances)
         mb = self.max_batch
         mw = self.max_wait_s
         n = len(arena)
-        striped = type(self.policy) is RoundRobinPolicy
+        policy = self.policy
+        striped = type(policy) is RoundRobinPolicy
+        scan = type(policy) is LeastLoadedPolicy
+        choose = policy.choose
         deadline_shed = kind == "deadline"
-        depth_shed = kind == "queue-depth"
+        bounded = kind in ("queue-depth", "priority")
+        preempt = kind == "priority"
         rows = self._rows
         if rows is None:
             rows = self._rows = _FoldRows(arena, deadline_shed, striped)
@@ -613,34 +750,38 @@ class Engine:
         start_l = rows.start
         fin_l = rows.finish
         inst_l = rows.instance
-        per_arr = arena.per_image
-        per_tab = per_arr.tolist()
-        setup_tab = arena.setup.tolist()
-        names = arena.model_names
-        model_index = {name: k for k, name in enumerate(names)}
-        closes = self._on_complete is not None
+        # The queued-seconds ledger: each request's own profile.
+        per_tab = arena.per_image.tolist()
         tick_s = self.tick_s
         on_tick = self.hooks.on_tick
 
-        queues = [inst.queue for inst in instances]
+        fl = _FleetLists(instances, arena)
+        on = fl.on
+        bu = fl.bu
+        qs = fl.qs
+        busy = fl.busy
+        busyw = fl.busyw
+        energy = fl.energy
+        served = fl.served
+        nbatches = fl.batches
+        setups = fl.setups
+        loaded = fl.loaded
+        bpw_l = fl.bpw
+        wend_l = fl.wend
+        queues = fl.queues
+        scale_l = fl.scale
+        per_s = fl.per
+        setup_s = fl.setup
+        act = fl.act
+        act_inst = fl.act_instances
+        na = len(act)
+        # ``qj * 1.0 == qj``: an unscaled fleet's scan skips the
+        # product.
+        scaled = fl.scaled
+        retired = closes and na < K
         # Rows queued on entry launch in this slice or stay queued;
         # either way they are written back with the consumed rows.
         carried = [r for q in queues for r in q]
-        qs = [inst.queued_seconds for inst in instances]
-        served = [inst.served for inst in instances]
-        nbatches = [inst.batches for inst in instances]
-        setups = [inst.setups for inst in instances]
-        wend_l = [inst.window_end for inst in instances]
-        # What a tick may change, (re)loaded at the top of each round.
-        bu = [0.0] * K
-        busy = [0.0] * K
-        busyw = [0.0] * K
-        energy = [0.0] * K
-        loaded = [-1] * K
-        bpw_l = [0.0] * K
-        scale_l = [None] * K
-        per_s = [None] * K
-        on = [True] * K
         # The pending events: one slot per instance plus the tick.
         ev = [_INF] * K
         tick_t = _INF
@@ -655,55 +796,14 @@ class Engine:
         # Striping: row ``rid`` goes to active position ``(rid +
         # rr_off) % na`` (the policy counter moves with the cursor),
         # and ``segments`` holds the active list from each row on.
-        rr_off = self.policy._next - i0 if striped else 0
-        segments: list[tuple[int, list[int]]] = []
+        rr_off = policy._next - i0 if striped else 0
+        segments = [(i0, act)]
         events = state.events
         tick_actions = state.tick_actions
         now = state.clock
-        before = None
         # No comprehension below may name a hot local: in a nested
         # scope it would turn that local into a slower cell variable.
         while True:
-            act = []
-            for j, inst in enumerate(instances):
-                on[j] = inst.active
-                if on[j]:
-                    act.append(j)
-                bu[j] = inst.busy_until
-                busy[j] = inst.busy_seconds
-                busyw[j] = inst.busy_seconds_window
-                energy[j] = inst.energy_joules
-                loaded[j] = model_index.get(inst.loaded_model, -1)
-                bpw_l[j] = inst.busy_power_w
-                scale = inst.latency_scale
-                if scale != scale_l[j]:
-                    scale_l[j] = scale
-                    # Scaled per-image table: the same IEEE products
-                    # as launch_head's `per_image_seconds *
-                    # latency_scale`.
-                    per_s[j] = (
-                        (per_arr * scale).tolist()
-                        if scale != 1.0
-                        else per_tab
-                    )
-            # ``qj * 1.0 == qj``: an unscaled fleet's scan skips the
-            # product.
-            scaled = any(scale != 1.0 for scale in scale_l)
-            na = len(act)
-            retired = closes and na < K
-            if striped and (not segments or segments[-1][1] != act):
-                segments.append((i, act))
-            if before is not None:
-                # The general loop's tick tail: a warm-up may extend
-                # busy_until without launching, so re-arm the slot at
-                # every grown horizon, then reschedule the tick.
-                tick_t = _INF
-                for j in range(K):
-                    grown = bu[j]
-                    if grown > before[j] and grown > now:
-                        ev[j] = grown
-                    if i < n or queues[j] or grown > now + _EPS:
-                        tick_t = now + tick_s
             # ``tmin`` is always ``min(ev)``, maintained where the
             # examine below writes a slot; ``ev.index(tmin)`` (first
             # minimum) picks the instance of a non-arrival event.
@@ -725,19 +825,37 @@ class Engine:
                     if striped:
                         j = act[(rid + rr_off) % na]
                     else:
-                        # Inlined LeastLoadedPolicy._least_loaded +
-                        # Instance.pending_seconds.
-                        best_load = _INF
-                        for jj in act:
-                            dj = bu[jj] - now
-                            load = dj if dj > 0.0 else 0.0
-                            qj = qs[jj]
-                            if qj > 0.0:
-                                load += qj * scale_l[jj] if scaled else qj
-                            if load < best_load:
-                                best_load = load
-                                j = jj
+                        if scan:
+                            # Inlined LeastLoadedPolicy._least_loaded +
+                            # Instance.pending_seconds.
+                            best_load = _INF
+                            for jj in act:
+                                dj = bu[jj] - now
+                                load = dj if dj > 0.0 else 0.0
+                                qj = qs[jj]
+                                if qj > 0.0:
+                                    load += qj * scale_l[jj] if scaled else qj
+                                if load < best_load:
+                                    best_load = load
+                                    j = jj
+                        else:
+                            fl.store()
+                            j = act[choose(arena[rid], act_inst, now)]
                         inst_l[rid] = j
+                    if admit is not None:
+                        admitted = fl.call(
+                            ev, now, admit, arena[rid], instances[j], now,
+                            self,
+                        )
+                        act, act_inst = fl.act, fl.act_instances
+                        na, scaled = len(act), fl.scaled
+                        if striped and segments[-1][1] != act:
+                            segments.append((i, act))
+                        tmin = min(ev)
+                        if not admitted:
+                            shed_ids.append(rid)
+                            continue
+                    q = queues[j]
                     if deadline_shed:
                         # Inlined DeadlineShedding.admit (estimated
                         # completion = now + pending_seconds + own
@@ -752,13 +870,20 @@ class Engine:
                         if (now + pending) + cost > dl_eps_l[rid]:
                             shed_ids.append(rid)
                             continue
-                    elif depth_shed and len(queues[j]) >= threshold:
-                        shed_ids.append(rid)
-                        continue
-                    q = queues[j]
-                    # Instance.enqueue's rule: rows strictly increase,
-                    # so bisecting on priority alone gives the
-                    # (priority, row) position.
+                    elif bounded and len(q) >= threshold:
+                        # Inlined QueueDepthShedding.admit, and
+                        # PriorityShedding.admit's preemption of a
+                        # strictly less urgent tail (Instance.remove).
+                        victim = q[-1]
+                        if not preempt or prio_l[victim] <= prio_l[rid]:
+                            shed_ids.append(rid)
+                            continue
+                        q.pop()
+                        qsj = qs[j] - per_tab[m_l[victim]]
+                        qs[j] = qsj if q else 0.0
+                        shed_ids.append(victim)
+                    # Rows strictly increase, so bisecting on priority
+                    # alone gives the (priority, row) position.
                     p = prio_l[rid]
                     if q and prio_l[q[-1]] > p:
                         q.insert(bisect_right(q, p, key=prio_key), rid)
@@ -777,14 +902,13 @@ class Engine:
                     events += 1
                     q = queues[j]
                     at_min = True
-                # Inlined ``examine`` (the general loop's rule): launch
-                # if the head batch is due — wake deadline passed, or a
-                # full same-model batch — else the slot holds the
-                # head's wake.
+                    rid = -1  # an instance event
+                # Examine: launch if the head batch is due — wake
+                # deadline passed, or a full same-model batch — else
+                # the slot holds the head's wake.
                 x = _INF
                 if q:
                     head = q[0]
-                    # The general loop's wake deadline and due test.
                     dl = a_l[head] + mw
                     due = now >= dl - _EPS
                     if not due and len(q) >= mb:
@@ -800,12 +924,12 @@ class Engine:
                     if not due:
                         x = dl
                     else:
-                        # Inlined ``launch_head``: scaled per-image for
-                        # timing, unscaled for the queued-seconds
-                        # ledger.
+                        # Launch: the instance's own (scaled) service
+                        # times for timing, the request's unscaled
+                        # per-image for the queued-seconds ledger.
                         model = m_l[head]
                         if loaded[j] != model:
-                            setup = setup_tab[model]
+                            setup = setup_s[j][model]
                             setups[j] += 1
                         else:
                             setup = 0.0
@@ -857,26 +981,32 @@ class Engine:
                     for y in ev:
                         if y < tmin:
                             tmin = y
-            # Write the instances back: the tick reads them (the
-            # queues are the instances' own deques).
-            for j, inst in enumerate(instances):
-                inst.busy_until = bu[j]
-                inst.queued_seconds = qs[j]
-                inst.busy_seconds = busy[j]
-                inst.busy_seconds_window = busyw[j]
-                inst.energy_joules = energy[j]
-                inst.served = served[j]
-                inst.batches = nbatches[j]
-                inst.setups = setups[j]
-                if loaded[j] >= 0:
-                    inst.loaded_model = names[loaded[j]]
+                if complete is not None and rid < 0:
+                    fl.call(ev, now, complete, instances[j], now, self)
+                    act, act_inst = fl.act, fl.act_instances
+                    na, scaled = len(act), fl.scaled
+                    if striped and segments[-1][1] != act:
+                        segments.append((i, act))
+                    tmin = min(ev)
             if lim != tick_t:
                 break
             now = tick_t
             events += 1
+            # The cursor is current at a tick (a forecasting governor
+            # counts the arrivals since the last one).
             state.cursor = i
-            before = bu[:]
-            tick_actions += on_tick(now, self)
+            tick_actions += fl.call(ev, now, on_tick, now, self)
+            act, act_inst = fl.act, fl.act_instances
+            na, scaled = len(act), fl.scaled
+            retired = closes and na < K
+            if striped and segments[-1][1] != act:
+                segments.append((i, act))
+            tick_t = _INF
+            for j in range(K):
+                if i < n or queues[j] or bu[j] > now + _EPS:
+                    tick_t = now + tick_s
+                    break
+        fl.store()
 
         arena.start[i0:i] = start_l[i0:i]
         arena.finish[i0:i] = fin_l[i0:i]
@@ -891,7 +1021,7 @@ class Engine:
                     arena.instance[s:e] = np.asarray(a)[
                         (np.arange(s, e) + rr_off) % len(a)
                     ]
-            self.policy._next += i - i0
+            policy._next += i - i0
         else:
             arena.instance[i0:i] = inst_l[i0:i]
         if shed_ids:
@@ -907,89 +1037,31 @@ class Engine:
         state.clock = now if t == _INF else t
         if i >= n and not heap:
             self._rows = None  # drained: free the per-row lists
-        return EngineRun(events, tick_actions, state.peak_heap, "fold")
+        return EngineRun(events, tick_actions, "fold")
 
-    #: Fast-path name (see :meth:`_fast_mode`) -> its kernel.
+    #: Kernel name (see :meth:`_fast_mode`) -> its kernel.
     _kernels = {"rr": _run_round_robin, "fold": _run_event_fold}
 
-    # ------------------------------------------------------------------
-    # General event loop
-    # ------------------------------------------------------------------
-
-    def _maybe_launch(self, instance: Instance, now: float) -> None:
-        """Launch the head batch if it is due, else schedule its
-        timeout.  A batch is due when the head request has waited out
-        the fill window or a full same-model run is queued behind it."""
-        if instance.busy_until > now or not instance.queue:
-            return
-        queue = instance.queue
-        requests = self._requests
-        head = queue[0]
-        max_batch = self.max_batch
-        deadline = requests.arrival.item(head) + self.max_wait_s
-        if now >= deadline - _EPS:
-            due = True
-        elif len(queue) >= max_batch:
-            model_idx = requests.model_idx
-            model = model_idx[head]
-            count = 0
-            for row in queue:
-                if model_idx[row] != model:
-                    break
-                count += 1
-                if count == max_batch:
-                    break
-            due = count == max_batch
-        else:
-            due = False
-        state = self.state
-        state.seq += 1
-        if due:
-            finish = instance.launch_head(requests, max_batch, now)
-            heappush(
-                state.heap,
-                (finish, state.seq, _COMPLETE, instance.index),
-            )
-        else:
-            heappush(
-                state.heap,
-                (deadline, state.seq, _WAKE, instance.index),
-            )
-
     def begin(self, requests: RequestArena) -> EngineState:
-        """Arm the general loop over ``requests`` without running it.
+        """Arm a run over ``requests`` without running it.
 
-        Seeds a fresh :class:`EngineState` (tick scheduled, sequence
-        counter past the arrivals' implicit numbers, cursor at zero)
-        and remembers the request stream so repeated
+        Seeds a fresh :class:`EngineState` (tick scheduled, cursor at
+        zero) and remembers the request stream so repeated
         :meth:`run_until` calls can step the run in bounded slices.
         """
-        n = len(requests)
-        heap: list = []
-        # Arrivals implicitly own sequence numbers 1..n, so at equal
-        # timestamps they order before every scheduled event, exactly
-        # as when the legacy loops seeded them into the heap first.
-        seq = n
         tick_s = self.tick_s
-        if tick_s is not None:
-            heappush(heap, (tick_s, _TICK_SEQ, _TICK, None))
+        heap = [] if tick_s is None else [(tick_s, _TICK_SEQ, _TICK, None)]
         self._requests = requests
         self._rows = None
         self.state = EngineState(
-            heap=heap,
-            seq=seq,
-            clock=0.0,
-            cursor=0,
-            events=0,
-            tick_actions=0,
-            peak_heap=0,
+            heap=heap, clock=0.0, cursor=0, events=0, tick_actions=0
         )
         return self.state
 
     @property
     def finished(self) -> bool:
         """True once a begun run has consumed every arrival and
-        drained its event heap (nothing left for ``run_until``)."""
+        drained its pending events (nothing left for ``run_until``)."""
         state = self.state
         return (
             state is not None
@@ -1001,149 +1073,25 @@ class Engine:
         """Advance the begun run through every event at time <= ``t``.
 
         This is the engine's one dispatch point, and it applies one
-        rule to fresh, bounded and resumed calls alike: an engine
-        :meth:`_fast_mode` admits runs :meth:`_run_event_fold`
-        (``"fold"``), or :meth:`_run_round_robin` (``"rr"``) when the
-        call drains a pristine stream whole; anything else steps
-        :meth:`_run_general`.  Every path continues from :attr:`state`
-        and the instances and writes them back, and all three agree
-        bit-for-bit (the parity pins).  Returns the *cumulative*
-        counters of the run so far.
+        rule to fresh, bounded and resumed calls alike:
+        :meth:`_run_round_robin` (``"rr"``) when :meth:`_fast_mode`
+        picks it and the call drains the stream whole, else
+        :meth:`_run_event_fold` (``"fold"``).  Both continue from
+        :attr:`state` and the instances and write them back.  Returns
+        the *cumulative* counters of the run so far.
         """
         requests = self._requests
         mode = self._fast_mode(requests)
         if mode == "rr" and t != _INF:
             mode = "fold"
-        if mode is None:
-            run = self._run_general(t)
-        else:
-            run = self._kernels[mode](self, requests, t)
+        run = self._kernels[mode](self, requests, t)
         self.last_run = run
         return run
 
-    def _run_general(self, t: float) -> EngineRun:
-        """The general event loop over :attr:`state`, through time
-        ``t``.
-
-        The loop body is the legacy general event loop verbatim, with
-        execution state loaded from :attr:`state` on entry and written
-        back on exit; the only additions are the two horizon checks,
-        which compare against ``t`` before consuming an arrival or
-        popping a scheduled event and are no-ops at ``t = inf`` — so
-        ``run_until(inf)`` is bit-for-bit the legacy ``run()``.
-        """
-        state = self.state
-        requests = self._requests
-        instances = self.fleet.instances
-        policy = self.policy
-        admit = self._admit
-        on_complete = self._on_complete
-        hooks = self.hooks
-        tick_s = self.tick_s
-        heap = state.heap
-        n = len(requests)
-        i = state.cursor
-        first = i
-        # Routed instance per consumed arrival, written back to the
-        # ``instance`` column when the slice returns (one list append
-        # per arrival instead of a view write).
-        routed: list[int] = []
-        route = routed.append
-        events = state.events
-        tick_actions = state.tick_actions
-        peak_heap = state.peak_heap
-        now = state.clock
-        next_arrival = requests[i].arrival if i < n else _INF
-        while True:
-            # Peak sampled at event boundaries only, so it is invariant
-            # under run_until slicing (a boundary re-sample is a max
-            # no-op) — resumed runs report the identical peak.
-            if len(heap) > peak_heap:
-                peak_heap = len(heap)
-            if i < n and (
-                not heap or next_arrival <= heap[0][0]
-            ):
-                if next_arrival > t:
-                    break
-                request = requests[i]
-                i += 1
-                next_arrival = (
-                    requests[i].arrival if i < n else _INF
-                )
-                events += 1
-                now = request.arrival
-                active = [
-                    instance for instance in instances if instance.active
-                ]
-                instance = active[policy.choose(request, active, now)]
-                route(instance.index)
-                if admit is not None and not admit(
-                    request, instance, now, self
-                ):
-                    request.shed = True
-                    continue
-                instance.enqueue(request)
-                self._maybe_launch(instance, now)
-                continue
-            if not heap:
-                break
-            if heap[0][0] > t:
-                break
-            now, _, kind, payload = heappop(heap)
-            events += 1
-            if kind == _TICK:
-                before = [
-                    instance.busy_until for instance in instances
-                ]
-                # The cursor is current at a tick (a forecasting
-                # governor counts the arrivals since the last one).
-                state.cursor = i
-                tick_actions += hooks.on_tick(now, self)
-                # A tick may extend busy_until (e.g. a power-up warm-up)
-                # without launching a batch, which would swallow the
-                # instance's pending completion; re-arm a wake at any
-                # grown horizon so its queue is re-examined (the loop
-                # invariant is "busy implies an event at busy_until").
-                for instance in instances:
-                    grown = instance.busy_until
-                    if grown > before[instance.index] and grown > now:
-                        state.seq += 1
-                        heappush(
-                            heap,
-                            (grown, state.seq, _WAKE, instance.index),
-                        )
-                if i < n or any(
-                    instance.queue or instance.busy_until > now + _EPS
-                    for instance in instances
-                ):
-                    heappush(
-                        heap, (now + tick_s, _TICK_SEQ, _TICK, None)
-                    )
-            else:  # _COMPLETE and _WAKE both just re-examine the queue
-                instance = instances[payload]
-                self._maybe_launch(instance, now)
-                if on_complete is not None:
-                    on_complete(instance, now, self)
-        requests.instance[first:i] = routed
-        state.cursor = i
-        state.events = events
-        state.tick_actions = tick_actions
-        state.peak_heap = peak_heap
-        state.clock = now if t == _INF else t
-        return EngineRun(
-            events=events,
-            tick_actions=tick_actions,
-            peak_heap=peak_heap,
-            dispatch="general",
-            fallback=self._fast_reason,
-        )
-
     def run(self, requests: RequestArena) -> EngineRun:
         """Play ``requests`` (non-decreasing arrival order) to drain:
-        exactly :meth:`begin` + ``run_until(inf)``, so a columnar fast
-        path runs when the configuration allows (see
-        :meth:`_fast_mode`).  Outcomes are written to the arena's
-        columns in place.
+        exactly :meth:`begin` + ``run_until(inf)``.  Outcomes are
+        written to the arena's columns in place.
         """
         self.begin(requests)
         return self.run_until(_INF)
@@ -1185,7 +1133,7 @@ def _rr_feed(
        deadline, full-batch trigger, cold-start flag, and service time
        are computed as numpy arrays.
     2. *Launch fold* (Python, per batch): ``L = max(F, due)`` with the
-       general loop's epsilon rule; a canonical batch is accepted when
+       event fold's epsilon rule; a canonical batch is accepted when
        its last member arrived by its launch (``lasta <= L``).
     3. *Split repair* (scalar, only when 2 rejects): an idle instance
        launched a partial batch — replay exact batches with
@@ -1290,7 +1238,7 @@ def _rr_feed(
                     continue
                 L = F_
             else:
-                # The general loop launches at a completion F when the
+                # The event fold launches at a completion F when the
                 # head's wake deadline (head arrival + max-wait) is
                 # within _EPS at or below F and the head has arrived.
                 hd = heada_l[i]

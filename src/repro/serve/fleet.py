@@ -11,12 +11,11 @@ fleet is just the indexed collection a scheduling policy chooses from.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
-from .arena import Request, RequestArena
+from .arena import Request
 from .profile import ServiceProfile
 
 __all__ = ["Instance", "Fleet"]
@@ -33,9 +32,9 @@ class Instance:
             idle).
         loaded_model: Model whose weights are resident (None when cold).
         queue: The waiting requests' arena rows (``int``), in
-            ``(priority, row)`` order — FIFO within a priority (see
-            :meth:`enqueue`).  Every execution path and a checkpoint
-            hold the same rows; ``arena.view(row)`` gives a request.
+            ``(priority, row)`` order — FIFO within a priority.  Both
+            engine kernels and a checkpoint hold the same rows;
+            ``arena.view(row)`` gives a request.
         busy_seconds: Accumulated service time (utilization numerator).
         served: Completed request count.
         batches: Launched batch count.
@@ -83,28 +82,6 @@ class Instance:
     window_end: float | None = None
     busy_seconds_window: float = 0.0
     profiles: dict[str, ServiceProfile] | None = None
-
-    def enqueue(self, request: Request) -> None:
-        """Queue ``request``'s row, keeping the queue in ``(priority,
-        row)`` order: urgent classes batch first, FIFO within a
-        priority (so a single-priority stream is plain FIFO).
-
-        Arrivals carry the largest row so far, so bisecting on
-        priority alone lands on the ``(priority, row)`` position.  A
-        same-or-lower-priority arrival (the common case) appends in
-        O(1); only an overtaking one pays a bisection and an insert.
-        """
-        queue = self.queue
-        priority = request.arena.priority
-        p = priority[request.i]
-        if queue and priority[queue[-1]] > p:
-            queue.insert(
-                bisect_right(queue, p, key=priority.__getitem__),
-                request.i,
-            )
-        else:
-            queue.append(request.i)
-        self.queued_seconds += request.profile.per_image_seconds
 
     def remove(self, request: Request) -> None:
         """Drop a queued request (priority-preemptive shedding)."""
@@ -170,63 +147,6 @@ class Instance:
         if self.powered_since is not None:
             self.powered_seconds += now - self.powered_since
             self.powered_since = None
-
-    def launch_head(
-        self, arena: RequestArena, max_batch: int, now: float
-    ) -> float:
-        """Launch the due head batch of ``arena`` rows; returns its
-        completion time.
-
-        The batch is the longest same-model run at the queue head,
-        capped at ``max_batch`` (queue order is never violated — a
-        different model behind the head waits its turn).  Images
-        stream sequentially, so the i-th request of the batch finishes
-        after ``setup + (i+1) * per_image`` — completion times inside a
-        batch are staggered, not simultaneous; they are written to the
-        arena's ``start``/``finish`` columns.  Service times come from
-        the instance's own profile (heterogeneous fleets) when one is
-        set, stretched by its DVFS ``latency_scale``.
-        """
-        queue = self.queue
-        if not queue:
-            raise ConfigError("no queued requests to batch")
-        model_idx = arena.model_idx
-        m = model_idx[queue[0]]
-        members = [queue.popleft()]
-        while (
-            len(members) < max_batch
-            and queue
-            and model_idx[queue[0]] == m
-        ):
-            members.append(queue.popleft())
-        request_profile = arena.profiles[m]
-        queued_seconds = self.queued_seconds
-        # One subtraction per member, as each enqueue added one.
-        for _ in members:
-            queued_seconds -= request_profile.per_image_seconds
-        self.queued_seconds = queued_seconds if queue else 0.0
-        model = arena.model_names[m]
-        cold = self.loaded_model != model
-        profile = self.profile_for(model) or request_profile
-        setup = profile.setup_seconds if cold else 0.0
-        per_image = profile.per_image_seconds * self.latency_scale
-        base = now + setup
-        start = arena.start
-        finish = arena.finish
-        count = 0
-        for row in members:
-            count += 1
-            start[row] = now
-            finish[row] = base + count * per_image
-        service = setup + count * per_image
-        self.busy_until = now + service
-        self._accrue_busy(now, service)
-        self.served += count
-        self.batches += 1
-        if cold:
-            self.setups += 1
-        self.loaded_model = model
-        return self.busy_until
 
 
 class Fleet:

@@ -194,11 +194,10 @@ class ServingReport:
     #: ``report_to_dict`` drops them so the JSON report payloads stay
     #: byte-stable; the CLI surfaces them in a separate section.
     engine_events: int = field(default=0, compare=False)
-    engine_peak_heap: int = field(default=0, compare=False)
     engine_dispatch: str = field(default="", compare=False)
-    #: First failing fast-path precondition when the general loop ran
-    #: (empty when a fast path served the run) — makes a fallback to
-    #: the general loop diagnosable from ``--json``.
+    #: Always at their defaults since the engine lost its heap loop;
+    #: kept because the end-to-end benchmark's traced child reads them.
+    engine_peak_heap: int = field(default=0, compare=False)
     engine_fallback: str = field(default="", compare=False)
 
     def __setstate__(self, state: dict) -> None:
@@ -471,9 +470,7 @@ def _serving_report(
         offered_requests=offered,
         shed_requests=offered - completed,
         engine_events=run.events,
-        engine_peak_heap=run.peak_heap,
         engine_dispatch=run.dispatch,
-        engine_fallback=run.fallback,
         **control_fields,
     )
 

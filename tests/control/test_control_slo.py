@@ -2,6 +2,7 @@
 
 import pytest
 from arena_rows import arena_of
+from general_loop import enqueue
 
 from repro.control import (
     DEFAULT_SLO_CLASSES,
@@ -149,7 +150,7 @@ class TestShedders:
         assert admitted
         # Backlog pushes the estimate past the deadline.
         for request in backlog:
-            instance.enqueue(request)
+            enqueue(instance, request)
         admitted, _ = shedder.admit(feasible, instance, 0.0)
         assert not admitted
 
@@ -160,7 +161,7 @@ class TestShedders:
         for request in queued:
             admitted, _ = shedder.admit(request, instance, 0.0)
             assert admitted
-            instance.enqueue(request)
+            enqueue(instance, request)
         admitted, _ = shedder.admit(last, instance, 0.0)
         assert not admitted
 
@@ -170,8 +171,8 @@ class TestShedders:
         low_a, low_b, urgent = arena_of(
             _row(priority=2), _row(priority=2), _row(priority=0)
         )
-        instance.enqueue(low_a)
-        instance.enqueue(low_b)
+        enqueue(instance, low_a)
+        enqueue(instance, low_b)
         admitted, victim = shedder.admit(urgent, instance, 0.0)
         assert admitted
         assert victim.i == low_b.i  # newest lowest-priority pays
@@ -184,7 +185,7 @@ class TestShedders:
         queued, arriving = arena_of(
             _row(priority=1), _row(priority=1)
         )
-        instance.enqueue(queued)
+        enqueue(instance, queued)
         admitted, victim = shedder.admit(arriving, instance, 0.0)
         assert not admitted and victim is None
 

@@ -381,10 +381,43 @@ class TestCheckpointFormat:
         path = Path(__file__).parents[1] / "data" / "schema6_control.pickle"
         with pytest.raises(
             ReproError,
-            match="uses schema 6, this build expects 7; "
-            "re-run without --resume",
+            match="uses schema 6, this build expects "
+            f"{CHECKPOINT_SCHEMA}; re-run without --resume",
         ):
             load_checkpoint(path)
+
+    def test_schema7_checkpoint_is_rejected(self, tmp_path, monkeypatch):
+        """A schema-7 checkpoint, written here with that schema's
+        ``Engine`` shape (its fallback-reason slot), fails with the
+        schema message; the same state under the current tag is not
+        readable, so the file really has the old shape."""
+        from repro.serve.engine import Engine
+
+        current = Engine.__getstate__
+
+        def schema7_state(engine):
+            _, slots = current(engine)
+            return None, {**slots, "_fast_reason": ""}
+
+        scenario = ControlScenario(
+            mix="mixed", qps=1500, requests=600, instances=3,
+            shedding="deadline", autoscale="utilization", seed=9,
+        )
+        paths = {7: tmp_path / "schema7.ckpt", 8: tmp_path / "tag8.ckpt"}
+        with monkeypatch.context() as patch:
+            patch.setattr(Engine, "__getstate__", schema7_state)
+            for schema, path in paths.items():
+                patch.setattr(cp, "CHECKPOINT_SCHEMA", schema)
+                _cut_and_save("control", scenario, 0.5, path)
+        assert CHECKPOINT_SCHEMA == 8
+        with pytest.raises(
+            ReproError,
+            match="uses schema 7, this build expects 8; "
+            "re-run without --resume",
+        ):
+            load_checkpoint(paths[7])
+        with pytest.raises(ReproError, match="not readable"):
+            load_checkpoint(paths[8])
 
     def test_current_schema_with_vanished_class_is_unreadable(
         self, tmp_path, monkeypatch

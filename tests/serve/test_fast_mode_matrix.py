@@ -1,18 +1,17 @@
-"""Dispatch decision matrix for the engine's columnar fast paths.
+"""Dispatch decision matrix for the engine's two kernels.
 
-Each case starts from a configuration eligible for one of the kernels
-(the vectorized ``"rr"`` or the event ``"fold"``) and flips exactly
-one precondition: ``_fast_mode`` must land on the expected path and
-record the *first failing precondition* (surfaced to ``--json`` as
-``EngineRun.fallback``).  One eligibility rule covers hook-free and
-controlled runs alike; what ``"rr"`` cannot vectorize (several
-priorities, DVFS scales, busy power, degenerate waits, a fleet that
-already ran) takes the fold, not the general loop.  Governed runs —
+Each case starts from a configuration and flips exactly one
+precondition: ``_fast_mode`` must land on the expected kernel.  The
+rule is ``"rr"`` where the vectorized round-robin kernel resolves the
+run exactly, else the event ``"fold"``, which serves every
+configuration: several priorities, DVFS scales, busy power, degenerate
+waits, a fleet that already ran, overridden or declared hooks, ticks,
+per-instance profiles and every routing policy.  Governed runs —
 ticks, autoscaling, DVFS ladders — take the fold whether they drain in
-one call, in bounded slices or after a resume; priority-preemptive
-shedding must take the general loop and still produce reports
-identical to a forced-general run.  Telemetry is derived from the
-drained columns, so it never moves a run off its fast path.
+one call, in bounded slices or after a resume, and every migrated
+configuration reports identically to the general loop (the oracle in
+``tests/general_loop.py``).  Telemetry is derived from the drained
+columns, so it never moves a run off its kernel.
 """
 
 import pickle
@@ -22,6 +21,7 @@ import pytest
 from general_loop import force_general
 
 from repro.control import ControlScenario, simulate_controlled
+from repro.control.hetero import parse_fleet_spec
 from repro.control.simulator import ControlHooks
 from repro.control.slo import (
     DeadlineShedding,
@@ -77,14 +77,12 @@ class TestServePlaneMatrix:
         it; only ``"rr"`` (which has no ticks) gives way."""
         engine = _engine(tick_s=0.5)
         assert engine._fast_mode(_arena()) == "fold"
-        assert engine._fast_reason == ""
 
     def test_sub_nanosecond_wait_takes_the_fold(self):
         """Below the "rr" partition's resolution; the scalar fold is
         exact for any max_wait."""
         engine = _engine(max_wait_s=1e-10)
         assert engine._fast_mode(_arena()) == "fold"
-        assert engine._fast_reason == ""
 
     @pytest.mark.parametrize("policy", ["round-robin", "least-loaded"])
     def test_several_priority_levels_take_the_fold(self, policy):
@@ -94,16 +92,23 @@ class TestServePlaneMatrix:
         arena.priority[::3] = 1
         engine = _engine(policy=policy)
         assert engine._fast_mode(arena) == "fold"
-        assert engine._fast_reason == ""
 
-    def test_overridden_hook_disqualifies(self):
-        class Admit(EngineHooks):
-            def on_arrival(self, request, instance, now, engine):
-                return True
-
-        engine = _engine(hooks=Admit())
-        assert engine._fast_mode(_arena()) is None
-        assert "on_arrival" in engine._fast_reason
+    @pytest.mark.parametrize(
+        "hook, override",
+        [
+            ("on_arrival", lambda self, request, instance, now, engine: True),
+            ("on_complete", lambda self, instance, now, engine: None),
+            ("on_tick", lambda self, now, engine: 0),
+        ],
+        ids=["on_arrival", "on_complete", "on_tick"],
+    )
+    def test_overridden_hook_takes_the_fold(self, hook, override):
+        """An undeclared hook is called at a barrier of the fold; only
+        ``"rr"`` (which calls no hook) gives way."""
+        hooks = type("Overridden", (EngineHooks,), {hook: override})()
+        engine = _engine(hooks=hooks)
+        assert engine._fast_mode(_arena()) == "fold"
+        assert _engine()._fast_mode(_arena()) == "rr"
 
     def test_dirty_instance_takes_the_fold(self):
         """The fold seeds itself from the instances — a warm, busy,
@@ -120,7 +125,6 @@ class TestServePlaneMatrix:
 
         engine, arena, run = warm_run()
         assert run.dispatch == "fold"
-        assert engine._fast_reason == ""
         with force_general():
             general, general_arena, _ = warm_run()
         for column in ("start", "finish", "instance"):
@@ -136,7 +140,11 @@ class TestServePlaneMatrix:
         engine = _engine()
         engine.fleet[1].latency_scale = 1.2
         assert engine._fast_mode(_arena()) == "fold"
-        assert engine._fast_reason == ""
+
+    def test_instance_profiles_take_the_fold(self):
+        engine = _engine()
+        engine.fleet[0].profiles = {}
+        assert engine._fast_mode(_arena()) == "fold"
 
     def test_zero_wait_coincident_arrivals(self):
         """max_wait=0 vectorizes only for strictly increasing times;
@@ -145,38 +153,42 @@ class TestServePlaneMatrix:
         assert engine._fast_mode(_arena()) == "rr"
         engine = _engine(max_wait_s=0.0)
         assert engine._fast_mode(_arena(tied=True)) == "fold"
-        assert engine._fast_reason == ""
 
     def test_accumulated_counters_take_the_fold(self):
         engine = _engine(policy="least-loaded")
         engine.fleet[2].energy_joules = 1.0
         assert engine._fast_mode(_arena()) == "fold"
-        assert engine._fast_reason == ""
 
 
 class TestControlPlaneMatrix:
-    """Controlled runs on the ``"fold"`` kernel: what opts in, what
-    falls back."""
+    """Controlled runs on the ``"fold"`` kernel: which rules are
+    declared, and what is called at a barrier."""
 
     @pytest.mark.parametrize(
-        "shedder",
-        [NoShedding(), DeadlineShedding(), QueueDepthShedding(16)],
-        ids=["none", "deadline", "queue-depth"],
+        "shedder, kind",
+        [
+            (NoShedding(), "none"),
+            (DeadlineShedding(), "deadline"),
+            (QueueDepthShedding(16), "queue-depth"),
+            (PriorityShedding(16), "priority"),
+        ],
+        ids=["none", "deadline", "queue-depth", "priority"],
     )
-    def test_vectorizable_shedding_opts_in(self, shedder):
-        assert _ctl_engine(shedder)._fast_mode(_arena()) == "fold"
+    def test_builtin_shedding_is_declared(self, shedder, kind):
+        engine = _ctl_engine(shedder)
+        assert engine.hooks.fast_admission()[0] == kind
+        assert engine._fast_mode(_arena()) == "fold"
 
     def test_dvfs_instance_state_stays_eligible(self):
-        """Latency scales and busy power fold into the kernel — only
-        per-instance *profiles* force the general loop."""
+        """Latency scales, busy power and per-instance profiles all
+        fold into the kernel."""
         engine = _ctl_engine()
         engine.fleet[0].latency_scale = 1.3
         engine.fleet[0].busy_power_w = 2.0
         assert engine._fast_mode(_arena()) == "fold"
         engine = _ctl_engine()
         engine.fleet[0].profiles = {}
-        assert engine._fast_mode(_arena()) is None
-        assert "profiles" in engine._fast_reason
+        assert engine._fast_mode(_arena()) == "fold"
 
     def test_governor_takes_the_fold(self):
         from repro.control.autoscale import make_governor
@@ -185,20 +197,20 @@ class TestControlPlaneMatrix:
         engine = _ctl_engine(governor=governor, tick_s=0.01)
         assert engine.hooks.fast_admission() == ("deadline", 0)
         assert engine._fast_mode(_arena()) == "fold"
-        assert engine._fast_reason == ""
 
-    def test_priority_shedding_keeps_generic_path(self):
+    def test_priority_shedding_declares_its_own_rule(self):
         """PriorityShedding subclasses QueueDepthShedding but preempts
-        queued victims: it must not inherit the vectorized kernel."""
+        queued victims: it declares ``"priority"``, never inheriting
+        the queue-depth rule."""
         engine = _ctl_engine(PriorityShedding(16))
-        assert engine.hooks.fast_admission() is None
-        assert engine._fast_mode(_arena()) is None
+        assert engine.hooks.fast_admission() == ("priority", 16)
+        assert engine._fast_mode(_arena()) == "fold"
 
     def test_overriding_deadline_subclass_keeps_its_own_rule(self):
         """Kernel eligibility is keyed on the shedder's exact type: a
         DeadlineShedding subclass that overrides ``admit`` must not
-        inherit the parent's fused rule, and the general loop it takes
-        must carry out the subclass's own decisions."""
+        inherit the parent's fused rule; the fold calls the subclass's
+        own ``admit`` at a barrier and carries out its decisions."""
 
         class ShedOddRows(DeadlineShedding):
             def admit(self, request, instance, now):
@@ -210,8 +222,7 @@ class TestControlPlaneMatrix:
         assert engine.hooks.fast_admission() is None
         arena = _arena()
         run = engine.run(arena)
-        assert run.dispatch == "general"
-        assert "on_arrival" in run.fallback
+        assert run.dispatch == "fold"
         odd = np.arange(len(arena)) % 2 == 1
         # Odd rows shed by the override; even rows reach the parent's
         # deadline rule, which admits them (deadlines are unbounded).
@@ -221,17 +232,17 @@ class TestControlPlaneMatrix:
     def test_least_loaded_routing_takes_the_fold(self):
         engine = _ctl_engine(policy="least-loaded")
         assert engine._fast_mode(_arena()) == "fold"
-        assert engine._fast_reason == ""
 
-    def test_other_routing_disqualifies(self):
-        engine = _ctl_engine(policy="affinity")
-        assert engine._fast_mode(_arena()) is None
-        assert "AffinityPolicy has no columnar path" in engine._fast_reason
+    @pytest.mark.parametrize(
+        "policy", ["affinity", "deadline-aware", "energy-aware"]
+    )
+    def test_other_routing_takes_the_fold(self, policy):
+        engine = _ctl_engine(policy=policy)
+        assert engine._fast_mode(_arena()) == "fold"
 
     def test_tick_takes_the_fold(self):
         engine = _ctl_engine(tick_s=0.01)
         assert engine._fast_mode(_arena()) == "fold"
-        assert engine._fast_reason == ""
 
     def test_telemetry_keeps_the_fold_bit_for_bit(self):
         from repro.obs import Observability
@@ -251,26 +262,36 @@ class TestControlPlaneMatrix:
             obs=Observability(trace=True, metrics_every_s=0.05),
         )
         assert traced.engine_dispatch == "fold"
-        assert traced.engine_fallback == ""
         assert traced == reference
 
 
-class TestUnsupportedConfigsMatchGeneral:
-    """Configs outside the kernel's envelope take the general loop and
-    must report identically to a run with dispatch disabled."""
+class TestMigratedConfigsMatchGeneral:
+    """Configurations the general loop used to serve alone take the
+    fold and report identically to the oracle."""
 
-    def test_general_loop_bit_for_bit(self):
+    @pytest.mark.parametrize(
+        "policy, shedding",
+        [
+            ("round-robin", "priority"),
+            ("least-loaded", "priority"),
+            ("affinity", "deadline"),
+            ("deadline-aware", "priority"),
+            ("energy-aware", "queue-depth"),
+        ],
+    )
+    def test_general_loop_bit_for_bit(self, policy, shedding):
         scenario = ControlScenario(
             requests=1_500,
             qps=2_500.0,
             instances=2,
-            policy="round-robin",
+            fleet=parse_fleet_spec("0.8,0.6"),
+            policy=policy,
             seed=7,
-            shedding="priority",
+            shedding=shedding,
+            queue_threshold=8,
         )
         report = simulate_controlled(scenario)
-        assert report.engine_dispatch == "general"
-        assert report.engine_fallback
+        assert report.engine_dispatch == "fold"
         with force_general():
             forced = simulate_controlled(scenario)
         assert forced.engine_dispatch == "general"
@@ -319,7 +340,6 @@ class TestGovernedRunsTakeTheFold:
         scenario = _governed(name)
         report = simulate_controlled(scenario)
         assert report.engine_dispatch == "fold"
-        assert report.engine_fallback == ""
         assert report.autoscale_events > 0
         with force_general():
             forced = simulate_controlled(scenario)
@@ -402,7 +422,6 @@ class TestOneDispatchPoint:
         report = run_serve_checkpointed(scenario)
         expected = "rr" if policy == "round-robin" else "fold"
         assert report.engine_dispatch == expected
-        assert report.engine_fallback == ""
         reference = simulate(scenario)
         assert report == reference
         assert report.engine_events == reference.engine_events

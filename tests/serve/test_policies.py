@@ -2,6 +2,7 @@
 
 import pytest
 from arena_rows import arena_of
+from general_loop import enqueue
 
 from repro.errors import ConfigError
 from repro.serve import (
@@ -44,9 +45,9 @@ class TestLeastLoaded:
     def test_counts_queued_work_in_seconds(self):
         """One queued heavyweight request outweighs two light ones."""
         fleet = Fleet(2)
-        fleet[0].enqueue(req("mobilenet-v1-224", V1))
-        fleet[1].enqueue(req("edge-tiny", EDGE))
-        fleet[1].enqueue(req("edge-tiny", EDGE))
+        enqueue(fleet[0], req("mobilenet-v1-224", V1))
+        enqueue(fleet[1], req("edge-tiny", EDGE))
+        enqueue(fleet[1], req("edge-tiny", EDGE))
         policy = make_policy("least-loaded")
         assert policy.choose(req(), fleet, now=0.0) == 1
 

@@ -1,33 +1,40 @@
-"""Instance queues stay in ``(priority, arena row)`` order.
+"""Instance queues stay in ``(priority, arena row)`` order, and the
+event fold schedules exactly what the general loop does.
 
 Two checks of the one insertion rule (append unless the tail is
 strictly lower priority, otherwise bisect on priority):
 
-* a property over :meth:`Instance.enqueue` interleaved with
-  :meth:`Instance.launch_head` pops and :class:`PriorityShedding`
-  preemptions — mid-queue inserts and priority ties included;
+* a property over the oracle's ``enqueue`` interleaved with its
+  ``launch_head`` pops and :class:`PriorityShedding` preemptions —
+  mid-queue inserts and priority ties included;
 * a generated differential: on multi-priority controlled scenarios
-  under both routing rules, DVFS fleets included, the ``"fold"``
-  kernel's inlined copy of the rule schedules exactly what the general
-  loop's :meth:`Instance.enqueue` does.
+  under every routing policy and shedding rule (priority preemption
+  included), DVFS fleets and fleets with per-instance architectures
+  (service profiles) included, the ``"fold"`` kernel's inlined copy of
+  the rule schedules exactly what the general loop does.
 
 A second generated differential pins hook-free least-loaded serving on
-the same event fold against the general loop, and a third pins
-governed runs — every governor, warm-ups a whole number of ticks long
-so re-armed wakes tie with a tick, cut at random horizons with a
-pickle round trip of the execution at each cut.  A governor sees the
-same queues, as the same ``int`` arena rows, on both paths.
+the same event fold against the general loop; a third pins governed
+runs — every governor, policy and shedding rule, warm-ups a whole
+number of ticks long so re-armed wakes tie with a tick, cut at random
+horizons with a pickle round trip of the execution at each cut; a
+fourth pins undeclared hooks, called at the fold's barriers, that shed
+rows and retire an instance mid-run without ticks, sliced the same
+way.  A governor sees the same queues, as the same ``int`` arena rows,
+on both paths.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
 from arena_rows import arena_of
-from general_loop import force_general
+from general_loop import enqueue, force_general, launch_head
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.params import EDEA_CONFIG
 from repro.control import ControlScenario, SLOClass, autoscale
-from repro.control.hetero import parse_fleet_spec
+from repro.control.hetero import InstanceSpec, parse_fleet_spec
 from repro.control.simulator import (
     _control_inputs,
     finalize_controlled,
@@ -36,11 +43,43 @@ from repro.control.simulator import (
 from repro.control.slo import PriorityShedding
 from repro.obs import Observability
 from repro.power.dvfs import DVFSModel
-from repro.serve import ServingScenario, build_mix
+from repro.serve import (
+    POLICIES,
+    Engine,
+    EngineHooks,
+    Fleet,
+    ServingScenario,
+    build_mix,
+    make_policy,
+)
+from repro.serve.arrival import PoissonArrivals
+from repro.serve.engine import build_requests
 from repro.serve.fleet import Instance
 from repro.serve.simulator import finalize_serving, prepare_serving
 
 PROFILES = build_mix("mixed").profiles[:2]
+
+#: Every routing policy, and every shedding rule.
+_POLICIES = sorted(POLICIES)
+_SHEDDING = ["none", "deadline", "queue-depth", "priority"]
+
+#: A fleet with per-instance architectures: the slower tiling gives
+#: those instances their own service profiles.
+_SLOW_ARCH = dataclasses.replace(EDEA_CONFIG, td=4, tk=8)
+_FLEETS = {
+    "uniform": None,
+    "dvfs": "0.8,0.6x2",
+    "arch": (
+        InstanceSpec(voltage_v=0.8),
+        InstanceSpec(config=_SLOW_ARCH),
+        InstanceSpec(voltage_v=0.6, config=_SLOW_ARCH),
+    ),
+}
+
+
+def _fleet(name):
+    spec = _FLEETS[name]
+    return parse_fleet_spec(spec) if isinstance(spec, str) else spec
 
 #: Per-instance counters a kernel writes back; each must equal the
 #: general loop's after the drain.
@@ -67,7 +106,7 @@ def test_overtaking_arrival_lands_after_its_priority_ties():
     )
     instance = Instance(index=0)
     for request in arena:
-        instance.enqueue(request)
+        enqueue(instance, request)
     assert list(instance.queue) == [1, 4, 2, 3, 6, 0, 7, 5]
 
 
@@ -111,13 +150,13 @@ def test_queue_is_always_priority_row_sorted(case):
     for op in ops + ["arrive"] * len(rows):
         if op == "launch":
             if instance.queue:
-                now = instance.launch_head(arena, max_batch, now)
+                now = launch_head(instance, arena, max_batch, now)
         elif nxt < len(arena):
             request = arena[nxt]
             nxt += 1
             admitted, _ = shedder.admit(request, instance, now)
             if admitted:
-                instance.enqueue(request)
+                enqueue(instance, request)
         queue = list(instance.queue)
         assert queue == sorted(
             queue, key=lambda row: (arena.priority[row], row)
@@ -149,21 +188,21 @@ def _slo_classes(draw):
 def _multi_priority_scenario(draw):
     classes = _slo_classes(draw)
     tied = draw(st.booleans())
-    shedding = draw(st.sampled_from(["none", "deadline", "queue-depth"]))
-    fleet = draw(st.sampled_from([None, "0.8,0.6x2"]))
+    shedding = draw(st.sampled_from(_SHEDDING))
+    fleet = draw(st.sampled_from(sorted(_FLEETS)))
     return ControlScenario(
         requests=len(_TIED_TRACE) if tied else 400,
         arrival="trace" if tied else "poisson",
         trace=_TIED_TRACE if tied else None,
         qps=None if tied else draw(st.sampled_from([3_000.0, 9_000.0])),
         instances=draw(st.integers(1, 3)),
-        fleet=None if fleet is None else parse_fleet_spec(fleet),
-        policy=draw(st.sampled_from(["round-robin", "least-loaded"])),
+        fleet=_fleet(fleet),
+        policy=draw(st.sampled_from(_POLICIES)),
         max_batch=draw(st.sampled_from([1, 2, 8])),
         max_wait_ms=0.0 if tied else draw(st.sampled_from([0.0, 2.0])),
         slo_classes=classes,
         shedding=shedding,
-        queue_threshold=draw(st.integers(2, 16)),
+        queue_threshold=draw(st.integers(1, 16)),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -191,7 +230,7 @@ def _control_detailed(scenario):
     return finalize_controlled(execution), execution
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_multi_priority_scenario())
 def test_fold_queue_order_matches_general_loop(scenario):
     fast, fast_run = _control_detailed(scenario)
@@ -261,6 +300,14 @@ def _governed_case(draw):
     arrival = "trace" if tied else draw(
         st.sampled_from(["poisson", "diurnal"])
     )
+    governor = draw(
+        st.sampled_from(["utilization", "queue-delay", "predictive", "dvfs"])
+    )
+    # The dvfs governor re-points the whole fleet, so it runs on a
+    # homogeneous one.
+    fleet = "uniform" if governor == "dvfs" else draw(
+        st.sampled_from(sorted(_FLEETS))
+    )
     scenario = ControlScenario(
         requests=len(_TIED_TRACE) if tied else 400,
         arrival=arrival,
@@ -268,17 +315,14 @@ def _governed_case(draw):
         qps=None if tied else draw(st.sampled_from([3_000.0, 9_000.0])),
         diurnal_period_s=0.05,
         instances=draw(st.integers(2, 3)),
-        policy=draw(st.sampled_from(["round-robin", "least-loaded"])),
+        fleet=_fleet(fleet),
+        policy=draw(st.sampled_from(_POLICIES)),
         max_batch=draw(st.sampled_from([1, 2, 8])),
         max_wait_ms=0.0 if tied else draw(st.sampled_from([0.0, 2.0])),
         slo_classes=_slo_classes(draw),
-        shedding=draw(st.sampled_from(["none", "deadline", "queue-depth"])),
-        queue_threshold=draw(st.integers(2, 16)),
-        autoscale=draw(
-            st.sampled_from(
-                ["utilization", "queue-delay", "predictive", "dvfs"]
-            )
-        ),
+        shedding=draw(st.sampled_from(_SHEDDING)),
+        queue_threshold=draw(st.integers(1, 16)),
+        autoscale=governor,
         min_instances=1,
         tick_ms=draw(st.sampled_from([1.0, 2.0, 5.0])),
         seed=draw(st.integers(0, 2**16)),
@@ -311,7 +355,7 @@ def _governed_run(scenario, warmup_ticks, cuts=()):
     return execution
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_governed_case())
 def test_governed_sliced_fold_matches_general_loop(case):
     scenario, warmup_ticks, cuts = case
@@ -372,3 +416,104 @@ def test_governor_sees_row_queues_on_every_path(monkeypatch):
     assert rows, "no tick saw a queued request"
     assert all(type(row) is int for tick in general_log
                for queue in tick for row in queue)
+
+
+class RetireAndShed(EngineHooks):
+    """An undeclared hook set (no ``fast_admission``), so the fold
+    calls it at barriers: ``on_arrival`` sheds every
+    ``shed_every``-th row and retires instance 0 at row ``retire_at``
+    (no ticks anywhere), and ``on_complete`` closes the powered
+    interval of a retired, drained instance."""
+
+    def __init__(self, shed_every: int, retire_at: int) -> None:
+        self.shed_every = shed_every
+        self.retire_at = retire_at
+
+    def on_arrival(self, request, instance, now, engine):
+        if request.i == self.retire_at:
+            engine.fleet[0].active = False
+        return request.i % self.shed_every != 0
+
+    def on_complete(self, instance, now, engine):
+        if (
+            not instance.active
+            and not instance.queue
+            and instance.is_idle(now)
+        ):
+            instance.close_power_interval(now)
+
+
+@st.composite
+def _hooked_case(draw):
+    """An undeclared-hook run's knobs, and its cut points as fractions
+    of its last arrival."""
+    requests = 300
+    return dict(
+        requests=requests,
+        instances=draw(st.integers(2, 4)),
+        policy=draw(st.sampled_from(_POLICIES)),
+        qps=draw(st.sampled_from([3_000.0, 9_000.0])),
+        max_batch=draw(st.sampled_from([1, 2, 8])),
+        max_wait_s=draw(st.sampled_from([0.0, 2e-3])),
+        classes=_slo_classes(draw),
+        profiled=draw(st.booleans()),
+        shed_every=draw(st.integers(2, 9)),
+        retire_at=draw(st.integers(0, requests - 1)),
+        seed=draw(st.integers(0, 2**16)),
+    ), sorted(draw(st.lists(st.floats(0.0, 1.3), max_size=3)))
+
+
+def _hooked_run(case, cuts=()):
+    """Drain an undeclared-hook run, pickling the engine (with its
+    arena) at every cut."""
+    mix = build_mix("mixed")
+    times = PoissonArrivals(case["qps"]).times(
+        case["requests"], np.random.default_rng(case["seed"])
+    )
+    arena = build_requests(
+        mix, times, np.random.default_rng(case["seed"] + 1),
+        case["classes"],
+    )
+    fleet = Fleet(case["instances"])
+    if case["profiled"]:
+        # Slower compute and a slower weight stream: every service
+        # time and setup of instance 1 is its own.
+        fleet[1].profiles = {
+            p.name: dataclasses.replace(p, weight_bandwidth=2e9)
+            for p in build_mix("mixed", _SLOW_ARCH).profiles
+        }
+    policy = make_policy(case["policy"])
+    policy.reset()
+    engine = Engine(
+        fleet, policy, case["max_batch"], case["max_wait_s"],
+        hooks=RetireAndShed(case["shed_every"], case["retire_at"]),
+    )
+    engine.begin(arena)
+    for cut in cuts:
+        engine.run_until(cut * float(times[-1]))
+        engine = pickle.loads(pickle.dumps(engine))
+    engine.run_until(float("inf"))
+    return engine
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hooked_case())
+def test_undeclared_hooks_fold_matches_general_loop(case_and_cuts):
+    """The fold's barriers (write back, call, reload, re-stripe)
+    schedule exactly what the general loop does with the same hooks.
+    Power intervals are not compared: the fold calls ``on_complete``
+    once per instance event, the general loop also on superseded
+    wakes."""
+    case, cuts = case_and_cuts
+    fold = _hooked_run(case, cuts)
+    with force_general():
+        general = _hooked_run(case)
+    assert fold.last_run.dispatch == "fold"
+    assert general.last_run.dispatch == "general"
+    a, b = fold._requests, general._requests
+    for column in ("start", "finish", "shed", "instance"):
+        assert np.array_equal(getattr(a, column), getattr(b, column))
+    assert a.shed.any()
+    for fi, gi in zip(fold.fleet, general.fleet, strict=True):
+        for counter in _INSTANCE_COUNTERS + ("active",):
+            assert getattr(fi, counter) == getattr(gi, counter), counter

@@ -224,7 +224,6 @@ class TestTelemetryOnDegenerateRuns:
         counters = engine_counters_dict(report)
         assert counters == {
             "events": report.engine_events,
-            "peak_heap": report.engine_peak_heap,
             "dispatch": "fold",
         }
 

@@ -193,6 +193,7 @@ class TestScenarioValidation:
 class TestIncrementalBacklog:
     def test_queued_seconds_tracks_queue_contents(self):
         from arena_rows import arena_of
+        from general_loop import enqueue, launch_head
 
         from repro.serve import Fleet, service_profile
 
@@ -206,15 +207,15 @@ class TestIncrementalBacklog:
             dict(model="mobilenet-v1-224", profile=v1),
         )
         for request in arena:
-            inst.enqueue(request)
+            enqueue(inst, request)
         expected = 2 * edge.per_image_seconds + v1.per_image_seconds
         assert inst.pending_seconds(0.0) == pytest.approx(expected)
-        inst.launch_head(arena, max_batch=8, now=0.0)  # both edge
+        launch_head(inst, arena, max_batch=8, now=0.0)  # both edge
         assert inst.queued_seconds == pytest.approx(
             v1.per_image_seconds
         )
         assert list(inst.queue) == [2]  # the mobilenet-v1-224 row
-        inst.launch_head(arena, max_batch=8, now=inst.busy_until)
+        launch_head(inst, arena, max_batch=8, now=inst.busy_until)
         assert inst.queued_seconds == 0.0
         assert not inst.queue
 

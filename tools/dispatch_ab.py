@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""A/B the engine's columnar kernels against its general loop, end to end.
+"""A/B the engine's kernels against the general loop, end to end.
 
 Runs each CLI shape below twice in one process — as dispatched, and
-with :meth:`repro.serve.engine.Engine._fast_mode` declining every
-kernel so the general event loop serves the same work — and checks:
+with ``force_general()`` from ``tests/general_loop.py`` (the general
+``(time, seq)`` heap loop, kept there as the test oracle) serving the
+same work — and checks:
 
 * every engine of the dispatched run reports the expected path;
-* every engine of the forced run reports ``general`` with a non-empty
-  ``fallback``;
+* every engine of the forced run reports ``general``;
 * the physics payload (``reports``, or ``multi_fleet`` for a
   multi-fleet run) of the two ``--json`` files is identical.
 
 The shapes cover round-robin deadline shedding, the default
 least-loaded ``repro control`` and ``repro serve``, a governed
-two-fleet diurnal run with spillover, and a governed run stepped in
-checkpoint slices.
+two-fleet diurnal run with spillover, a governed run stepped in
+checkpoint slices, and the configurations only the general loop used
+to serve: deadline-aware, affinity and energy-aware routing, and
+priority shedding under autoscaling.
 
 Exits 0 and prints one line per shape when every check passes; exits
 1 with the first failure otherwise.
@@ -33,7 +35,9 @@ import sys
 import tempfile
 from contextlib import nullcontext
 from pathlib import Path
-from unittest import mock
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from general_loop import force_general  # noqa: E402
 
 #: Shape name -> (CLI arguments, expected dispatch of every engine).
 #: ``{dir}`` is the working directory.
@@ -57,24 +61,32 @@ SHAPES = {
         "--checkpoint {dir}/ckpt.pkl --checkpoint-every 0.2",
         "fold",
     ),
+    "deadline-aware": (
+        "control --requests 5000 --qps 9000 --shedding deadline "
+        "--policy deadline-aware --seed 3",
+        "fold",
+    ),
+    "affinity": (
+        "control --requests 5000 --qps 9000 --policy affinity --seed 3",
+        "fold",
+    ),
+    "energy-aware": (
+        "control --requests 5000 --qps 6000 --fleet 0.8x2,0.6x2 "
+        "--policy energy-aware --seed 3",
+        "fold",
+    ),
+    "priority-autoscale": (
+        "control --requests 5000 --qps 9000 --shedding priority "
+        "--queue-threshold 8 --autoscale utilization --seed 3",
+        "fold",
+    ),
 }
-
-_FORCED = "forced general loop"
-
-
-def _decline(engine, arena):
-    """``Engine._fast_mode`` that turns every kernel down, recording
-    why (so the forced run's ``fallback`` is diagnosable)."""
-    engine._fast_reason = _FORCED
-    return None
 
 
 def _run(args: list[str], json_path: Path, forced: bool) -> dict:
     from repro.cli import main
-    from repro.serve.engine import Engine
 
-    patch = mock.patch.object(Engine, "_fast_mode", _decline)
-    with patch if forced else nullcontext():
+    with force_general() if forced else nullcontext():
         code = main([*args, "--json", str(json_path)], out=io.StringIO())
     if code != 0:
         raise AssertionError(f"exit {code}: repro {' '.join(args)}")
@@ -92,7 +104,6 @@ def check_shape(name: str, workdir: Path) -> str:
         assert entry["dispatch"] == expected, (name, native["engine"])
     for entry in general["engine"]:
         assert entry["dispatch"] == "general", (name, general["engine"])
-        assert entry.get("fallback"), (name, general["engine"])
     physics = "multi_fleet" if "multi_fleet" in native else "reports"
     assert native[physics] == general[physics], f"{name}: physics diverged"
     return (
