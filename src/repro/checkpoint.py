@@ -89,7 +89,9 @@ __all__ = [
 #: Schema 8: the engine has no general loop: ``Engine`` drops its
 #: fallback-reason slot and ``EngineState`` its sequence counter and
 #: peak-heap count.
-CHECKPOINT_SCHEMA = 8
+#: Schema 9: ``Fleet`` holds one list per per-instance field and
+#: ``Instance`` is a ``(fleet, index)`` view of them.
+CHECKPOINT_SCHEMA = 9
 
 _INF = float("inf")
 

@@ -75,7 +75,7 @@ class Governor:
 
     def reset(self, fleet: Fleet) -> None:
         """Snapshot per-instance busy time before the first tick."""
-        self._busy_snapshot = [i.busy_seconds for i in fleet]
+        self._busy_snapshot = list(fleet.busy_seconds)
 
     def _window_utilization(self, fleet: Fleet) -> float:
         """Mean busy fraction of the active instances over the last
@@ -88,8 +88,7 @@ class Governor:
         for index in active:
             delta = fleet[index].busy_seconds - self._busy_snapshot[index]
             total += min(1.0, max(0.0, delta / self.tick_s))
-        for instance in fleet:
-            self._busy_snapshot[instance.index] = instance.busy_seconds
+        self._busy_snapshot = list(fleet.busy_seconds)
         return total / len(active)
 
     def _scale_up(self, fleet: Fleet, now: float) -> bool:

@@ -449,9 +449,7 @@ def prepare_controlled(
     names the trace process, the fleet index on multi-fleet runs).
     """
     dvfs_model = dvfs_model if dvfs_model is not None else DVFSModel()
-    window_end = float(requests.arrival[-1])
-    for instance in fleet:
-        instance.window_end = window_end
+    fleet.window_end[:] = [float(requests.arrival[-1])] * len(fleet)
 
     tick_s = scenario.tick_ms * 1e-3
     governor = _build_governor(
@@ -519,7 +517,7 @@ def finalize_controlled(execution: Execution) -> ServingReport:
     end_time = max(
         window_end,
         summary.max_finish,
-        max(i.busy_until for i in fleet),
+        max(fleet.busy_until),
     )
     for instance in fleet:
         if instance.powered_since is not None:
@@ -561,7 +559,7 @@ def finalize_controlled(execution: Execution) -> ServingReport:
         ),
         autoscale_events=run.tick_actions,
         mean_active_instances=(
-            sum(i.powered_seconds for i in fleet) / end_time
+            sum(fleet.powered_seconds) / end_time
             if end_time > 0
             else 0.0
         ),

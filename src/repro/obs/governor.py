@@ -128,7 +128,7 @@ class GovernorObserver:
             log.samples.append(
                 (
                     now,
-                    sum(1 for instance in instances if instance.active),
+                    sum(fleet.active),
                     (
                         (forecaster.level, forecaster.trend)
                         if forecaster is not None

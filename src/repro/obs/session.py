@@ -36,13 +36,8 @@ class _Observed:
         self.requests = requests
         # Operating points and the active count before the run: the
         # governor log records every later change.
-        self.initial = [
-            (instance.latency_scale, instance.busy_power_w)
-            for instance in fleet.instances
-        ]
-        self.active = sum(
-            1 for instance in fleet.instances if instance.active
-        )
+        self.initial = list(zip(fleet.latency_scale, fleet.busy_power_w))
+        self.active = sum(fleet.active)
         self.log = log
 
 

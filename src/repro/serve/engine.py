@@ -36,13 +36,17 @@ bounded and resumed calls alike (:meth:`Engine._fast_mode`):
    the declared admission rule (:meth:`EngineHooks.fast_admission`),
    several priorities, per-instance service profiles and DVFS scales,
    busy-power energy and governor ticks; and it resumes from the
-   state a bounded slice or a checkpoint left.  A tick, a routing
-   call and an undeclared hook are barriers: the fold writes its
-   per-instance lists back to the :class:`~repro.serve.fleet.Instance`
-   objects before the call and, after a hook, reloads them.  Every
-   request stream is an arena — multi-fleet receivers included, which
-   merge their spill-ins as rows — so the stream's type never decides
-   the path.
+   state a bounded slice or a checkpoint left.  Its per-instance
+   lists are the fleet's own (:class:`~repro.serve.fleet.Fleet` is
+   the one store of instance state, each
+   :class:`~repro.serve.fleet.Instance` a write-through view of it),
+   so a policy, a tick or an undeclared hook reads and writes what
+   the fold does; after a tick or a hook the fold only refreshes
+   what it derives from the lists (the active instances, the scaled
+   flag and the service tables), re-arms grown horizons and
+   re-stripes.  Every request stream is an arena — multi-fleet
+   receivers included, which merge their spill-ins as rows — so the
+   stream's type never decides the path.
 2. **Round-robin fast path** — round-robin striping makes each
    instance's request stream a predetermined slice ``arena[j::K]``, so
    the per-instance timeline is computed with vectorized batch
@@ -152,16 +156,20 @@ class EngineHooks:
     ``request.shed = True``) writes through to the arena column every
     other reader sees.
 
+    :class:`~repro.serve.fleet.Instance` arguments are views of the
+    fleet's lists, the store the event fold itself reads and writes,
+    so a hook sees the run's current per-instance state and its
+    writes are the run's.
+
     A hook set that does not declare its rule
     (:meth:`fast_admission` returns ``None``) has each overridden hook
-    called at a barrier of the event fold: the fold writes its
-    per-instance state back to the :class:`~repro.serve.fleet.Instance`
-    objects, calls the hook, then reloads every per-instance field
-    (activity, horizons, queues and ``queued_seconds``, counters,
-    operating point and profiles), re-arms an event at every grown
-    ``busy_until`` and re-stripes round-robin routing over the active
-    instances.  The arena's outcome columns (``start``, ``finish``,
-    ``shed``, ``instance``) are written when the slice returns.
+    called at a barrier of the event fold: after the call the fold
+    re-derives the active instances, the scaled flag and the service
+    tables of any instance whose operating point or profiles changed,
+    re-arms an event at every grown ``busy_until`` and re-stripes
+    round-robin routing over the active instances.  The arena's
+    outcome columns (``start``, ``finish``, ``shed``, ``instance``)
+    are written when the slice returns.
     """
 
     def on_arrival(
@@ -260,9 +268,9 @@ class EngineState:
     kind, payload)`` events (one per busy or waiting instance, plus
     the tick, kept as a heap), the arena cursor (arrivals consumed so
     far) and the cumulative event counters.  Per-instance queues
-    (arena rows) and in-flight batches live on the
-    :class:`~repro.serve.fleet.Instance` objects themselves; a
-    checkpoint pickles the engine with both (:mod:`repro.checkpoint`).
+    (arena rows) and in-flight batches live in the
+    :class:`~repro.serve.fleet.Fleet`'s lists; a checkpoint pickles
+    the engine with both (:mod:`repro.checkpoint`).
     """
 
     heap: list
@@ -305,151 +313,78 @@ class _FoldRows:
         self.instance = None if striped else [-1] * n
 
 
-#: The per-instance lists of :class:`_FleetLists`.
-_FLEET_COLUMNS = (
-    "on",
-    "bu",
-    "qs",
-    "busy",
-    "busyw",
-    "energy",
-    "served",
-    "batches",
-    "setups",
-    "loaded",
-    "bpw",
-    "wend",
-    "queues",
-    "scale",
-    "profiles",
-    "per",
-    "setup",
-)
+class _Derived:
+    """What the event fold derives from the fleet's lists, refreshed
+    by :meth:`refresh` after every barrier: the active indices and
+    their views, whether any instance is DVFS-scaled, and each
+    instance's service tables.
 
-
-class _FleetLists:
-    """The event fold's per-instance state as plain lists, one entry
-    per instance, with :meth:`load` and :meth:`store` moving it between
-    the lists and the :class:`~repro.serve.fleet.Instance` objects.
-
-    The fold binds each list to a local once; both methods fill the
-    lists in place, so those locals stay valid across every barrier.
-    ``per[j]``/``setup[j]`` are instance ``j``'s service tables indexed
-    by the arena's model index: its own profile of each model when it
-    has per-instance profiles, else the request's, with per-image
-    times stretched by its DVFS ``latency_scale`` (the same IEEE
-    products as ``profile.per_image_seconds * latency_scale``).  They
-    are rebuilt when the scale or the ``profiles`` object changes.
+    ``per[j]``/``setup[j]`` are instance ``j``'s tables indexed by the
+    arena's model index: its own profile of each model when it has
+    per-instance profiles, else the request's, with per-image times
+    stretched by its DVFS ``latency_scale`` (the same IEEE products as
+    ``profile.per_image_seconds * latency_scale``).  Entry ``j`` is
+    rebuilt only when that instance's scale or ``profiles`` object
+    changed, and always in place, so the fold's bound lists stay
+    current.
     """
 
     __slots__ = (
-        "instances",
-        "arena",
-        "model_index",
-        "act",
-        "act_instances",
+        "fleet", "arena", "built", "per", "setup", "act", "act_instances",
         "scaled",
-    ) + _FLEET_COLUMNS
+    )
 
-    def __init__(self, instances: list, arena: RequestArena) -> None:
-        K = len(instances)
-        self.instances = instances
+    def __init__(self, fleet: Fleet, arena: RequestArena) -> None:
+        K = len(fleet)
+        self.fleet = fleet
         self.arena = arena
-        self.model_index = {
-            name: k for k, name in enumerate(arena.model_names)
-        }
-        for name in _FLEET_COLUMNS:
-            setattr(self, name, [None] * K)
-        # A unique stand-in, so the first load builds every table.
-        self.profiles = [_FleetLists] * K
-        self.load()
+        # The (scale, profiles) each table was built for.
+        self.built = [(None, None)] * K
+        self.per = [None] * K
+        self.setup = [None] * K
+        self.refresh()
 
-    def load(self) -> None:
-        """Read every instance into the lists."""
+    def refresh(self) -> None:
+        """Re-derive everything from the fleet's lists."""
+        fleet = self.fleet
         arena = self.arena
-        model_index = self.model_index
-        scales = self.scale
-        profiles_l = self.profiles
-        act = []
-        for j, inst in enumerate(self.instances):
-            self.on[j] = inst.active
-            if inst.active:
-                act.append(j)
-            self.bu[j] = inst.busy_until
-            self.qs[j] = inst.queued_seconds
-            self.busy[j] = inst.busy_seconds
-            self.busyw[j] = inst.busy_seconds_window
-            self.energy[j] = inst.energy_joules
-            self.served[j] = inst.served
-            self.batches[j] = inst.batches
-            self.setups[j] = inst.setups
-            self.loaded[j] = model_index.get(inst.loaded_model, -1)
-            self.bpw[j] = inst.busy_power_w
-            self.wend[j] = inst.window_end
-            self.queues[j] = inst.queue
-            scale = inst.latency_scale
-            profiles = inst.profiles
-            if scale != scales[j] or profiles is not profiles_l[j]:
-                scales[j] = scale
-                profiles_l[j] = profiles
-                own = [
-                    p if profiles is None else profiles.get(name) or p
-                    for name, p in zip(arena.model_names, arena.profiles)
-                ]
-                # ``x * 1.0 == x``: an unscaled table keeps its floats.
-                self.per[j] = (
-                    np.array(
-                        [0.0 if p is None else p.per_image_seconds
-                         for p in own]
-                    )
-                    * scale
-                ).tolist()
-                self.setup[j] = [
-                    0.0 if p is None else p.setup_seconds for p in own
-                ]
-        self.act = act
-        self.act_instances = [self.instances[j] for j in act]
+        built = self.built
+        scales = fleet.latency_scale
+        for j, (scale, profiles) in enumerate(zip(scales, fleet.profiles)):
+            built_scale, built_profiles = built[j]
+            if scale == built_scale and profiles is built_profiles:
+                continue
+            built[j] = scale, profiles
+            own = [
+                p if profiles is None else profiles.get(name) or p
+                for name, p in zip(arena.model_names, arena.profiles)
+            ]
+            # ``x * 1.0 == x``: an unscaled table keeps its floats.
+            self.per[j] = (
+                np.array(
+                    [0.0 if p is None else p.per_image_seconds for p in own]
+                )
+                * scale
+            ).tolist()
+            self.setup[j] = [
+                0.0 if p is None else p.setup_seconds for p in own
+            ]
+        self.act = fleet.active_indices()
+        self.act_instances = [fleet.instances[j] for j in self.act]
         self.scaled = any(scale != 1.0 for scale in scales)
 
-    def store(self) -> None:
-        """Write the lists back to the instances (the queues are the
-        instances' own deques)."""
-        names = self.arena.model_names
-        for inst, bu, qs, busy, busyw, energy, served, batches, setups, m in zip(
-            self.instances,
-            self.bu,
-            self.qs,
-            self.busy,
-            self.busyw,
-            self.energy,
-            self.served,
-            self.batches,
-            self.setups,
-            self.loaded,
-        ):
-            inst.busy_until = bu
-            inst.queued_seconds = qs
-            inst.busy_seconds = busy
-            inst.busy_seconds_window = busyw
-            inst.energy_joules = energy
-            inst.served = served
-            inst.batches = batches
-            inst.setups = setups
-            if m >= 0:
-                inst.loaded_model = names[m]
-
     def call(self, ev: list, now: float, hook, *args):
-        """A barrier: store, call ``hook(*args)``, load, and re-arm
-        instance ``j``'s event slot ``ev[j]`` at a ``busy_until`` the
-        hook grew past ``now`` (a warm-up extends it without
-        launching).  Returns the hook's result."""
-        self.store()
-        before = self.bu[:]
+        """A barrier: call ``hook(*args)``, re-arm instance ``j``'s
+        event slot ``ev[j]`` at a ``busy_until`` the hook grew past
+        ``now`` (a warm-up extends it without launching), and
+        refresh.  Returns the hook's result."""
+        bu = self.fleet.busy_until
+        before = bu[:]
         result = hook(*args)
-        self.load()
-        for j, grown in enumerate(self.bu):
+        for j, grown in enumerate(bu):
             if grown > before[j] and grown > now:
                 ev[j] = grown
+        self.refresh()
         return result
 
 
@@ -586,19 +521,20 @@ class Engine:
             or self.policy._next
         ):
             return False
-        for inst in self.fleet.instances:
-            if (
-                not inst.active
-                or inst.busy_until != 0.0
-                or inst.queue
-                or inst.loaded_model is not None
-                or inst.busy_seconds != 0.0
-                or inst.busy_seconds_window != 0.0
-                or inst.latency_scale != 1.0
-                or inst.busy_power_w != 0.0
-                or inst.profiles is not None
-            ):
-                return False
+        fleet = self.fleet
+        # ``any`` over floats is ``!= 0.0`` for each.
+        if (
+            not all(fleet.active)
+            or any(fleet.busy_until)
+            or any(fleet.queue)
+            or any(m is not None for m in fleet.loaded_model)
+            or any(fleet.busy_seconds)
+            or any(fleet.busy_seconds_window)
+            or any(scale != 1.0 for scale in fleet.latency_scale)
+            or any(fleet.busy_power_w)
+            or any(p is not None for p in fleet.profiles)
+        ):
+            return False
         priority = arena.priority
         if len(priority) and bool(np.any(priority != priority[0])):
             return False
@@ -613,8 +549,8 @@ class Engine:
         instance ``j``'s stream to ``arena[j::K]``, so each timeline is
         computed independently by :func:`_rr_feed`.  Drains the whole
         stream (``t`` is infinite) and leaves the state drained."""
-        instances = self.fleet.instances
-        K = len(instances)
+        fleet = self.fleet
+        K = len(fleet)
         mb = self.max_batch
         mw = self.max_wait_s
         per_tab = arena.per_image
@@ -623,7 +559,7 @@ class Engine:
         arr = arena.arrival
         midx = arena.model_idx
         events = n
-        for j, inst in enumerate(instances):
+        for j in range(K):
             a = np.ascontiguousarray(arr[j::K])
             m = np.ascontiguousarray(midx[j::K])
             (
@@ -650,22 +586,22 @@ class Engine:
             # adding 0.0 is a bitwise no-op, so the unfiltered sum
             # matches the loop that skipped empty contributions.
             busy = sum(svc_f.tolist())
-            wend = inst.window_end
+            wend = fleet.window_end[j]
             if wend is not None and nb:
                 fin_b = L_arr + svc_f
                 contrib = np.minimum(fin_b, wend) - np.minimum(
                     L_arr, wend
                 )
-                inst.busy_seconds_window += sum(contrib.tolist())
-            inst.busy_seconds += busy
-            inst.busy_until = F_j
-            inst.loaded_model = (
+                fleet.busy_seconds_window[j] += sum(contrib.tolist())
+            fleet.busy_seconds[j] += busy
+            fleet.busy_until[j] = F_j
+            fleet.loaded_model[j] = (
                 arena.model_names[loaded_j] if loaded_j >= 0 else None
             )
-            inst.served += consumed
-            inst.batches += nb
-            inst.setups += setups_count
-            inst.queued_seconds = 0.0
+            fleet.served[j] += consumed
+            fleet.batches[j] += nb
+            fleet.setups[j] += setups_count
+            fleet.queued_seconds[j] = 0.0
             events += nb
         self.policy._next += n
         state = self.state
@@ -674,8 +610,7 @@ class Engine:
         # Where the event fold's clock ends: the last arrival or
         # completion.
         state.clock = max(
-            [float(arr[-1]) if n else 0.0]
-            + [inst.busy_until for inst in instances]
+            [float(arr[-1]) if n else 0.0] + fleet.busy_until
         )
         return EngineRun(events=events, tick_actions=0, dispatch="rr")
 
@@ -684,23 +619,27 @@ class Engine:
         serves every configuration and resumes where the state left
         off.
 
-        Per-instance state lives in flat lists (:class:`_FleetLists`)
+        Per-instance state is the fleet's own lists (the one store;
+        see :class:`~repro.serve.fleet.Fleet`), bound to locals once,
         with one event slot per instance instead of a heap: a launch
         or a new head wake overwrites the slot, so superseded wakes
-        never exist.  The lists are seeded from the instances and the
-        state's pending events on entry and written back on exit, so
-        one call drains a run, or a bounded ``run_until(t)`` stops at
-        ``t`` and a later call (in this process or, via a checkpoint,
-        another) carries on; the per-row lists are built once per run
-        (:class:`_FoldRows`).
+        never exist.  The slots are seeded from the state's pending
+        events on entry and written back on exit, so one call drains
+        a run, or a bounded ``run_until(t)`` stops at ``t`` and a
+        later call (in this process or, via a checkpoint, another)
+        carries on; the per-row lists are built once per run
+        (:class:`_FoldRows`) and what the fold derives from the
+        fleet's lists — the active list, the scaled flag and the
+        service tables — by :class:`_Derived`.
 
         An arrival is routed over the active instances by round-robin
         striping, an inlined least-loaded scan, or — for any other
-        policy — ``policy.choose`` after the lists are written back
-        (policies only read).  It then passes the declared
-        :meth:`EngineHooks.fast_admission` rule, inlined against the
-        chosen instance, or an undeclared ``on_arrival`` at a barrier,
-        and joins the queue at its ``(priority, row)`` position.  An
+        policy — ``policy.choose``, whose views read the same lists
+        the fold writes (policies only read).  It then passes the
+        declared :meth:`EngineHooks.fast_admission` rule, inlined
+        against the chosen instance, or an undeclared ``on_arrival``
+        at a barrier, and joins the queue at its ``(priority, row)``
+        position.  An
         idle instance's queue is then examined: its head batch
         launches when the head has waited out ``max_wait`` or a full
         same-model batch is queued, else the slot holds the head's
@@ -713,12 +652,12 @@ class Engine:
         and ``e + 0.0 * s`` are exact).
 
         A tick is a barrier: the fold runs every arrival and instance
-        event at or before it, writes the instances back, calls
-        ``on_tick``, reloads them, re-arms grown horizons and
-        reschedules the tick.  An undeclared ``on_complete`` is the
-        same barrier after each instance event.  Under a declared rule
-        a retired instance closes its powered interval at its first
-        event that finds it drained, which is the declared
+        event at or before it, calls ``on_tick``, re-arms grown
+        horizons, refreshes the derived state (:meth:`_Derived.call`)
+        and reschedules the tick.  An undeclared ``on_complete`` is
+        the same barrier after each instance event.  Under a declared
+        rule a retired instance closes its powered interval at its
+        first event that finds it drained, which is the declared
         ``on_complete``.
         """
         spec = self._ctl_spec
@@ -727,8 +666,9 @@ class Engine:
         complete = None if spec else self._on_complete
         closes = spec is not None and self._on_complete is not None
         state = self.state
-        instances = self.fleet.instances
-        K = len(instances)
+        fleet = self.fleet
+        instances = fleet.instances
+        K = len(fleet)
         mb = self.max_batch
         mw = self.max_wait_s
         n = len(arena)
@@ -752,32 +692,33 @@ class Engine:
         inst_l = rows.instance
         # The queued-seconds ledger: each request's own profile.
         per_tab = arena.per_image.tolist()
+        names = arena.model_names
         tick_s = self.tick_s
         on_tick = self.hooks.on_tick
 
-        fl = _FleetLists(instances, arena)
-        on = fl.on
-        bu = fl.bu
-        qs = fl.qs
-        busy = fl.busy
-        busyw = fl.busyw
-        energy = fl.energy
-        served = fl.served
-        nbatches = fl.batches
-        setups = fl.setups
-        loaded = fl.loaded
-        bpw_l = fl.bpw
-        wend_l = fl.wend
-        queues = fl.queues
-        scale_l = fl.scale
-        per_s = fl.per
-        setup_s = fl.setup
-        act = fl.act
-        act_inst = fl.act_instances
+        on = fleet.active
+        bu = fleet.busy_until
+        qs = fleet.queued_seconds
+        busy = fleet.busy_seconds
+        busyw = fleet.busy_seconds_window
+        energy = fleet.energy_joules
+        served = fleet.served
+        nbatches = fleet.batches
+        setups = fleet.setups
+        loaded = fleet.loaded_model
+        bpw_l = fleet.busy_power_w
+        wend_l = fleet.window_end
+        queues = fleet.queue
+        scale_l = fleet.latency_scale
+        derived = _Derived(fleet, arena)
+        per_s = derived.per
+        setup_s = derived.setup
+        act = derived.act
+        act_inst = derived.act_instances
         na = len(act)
         # ``qj * 1.0 == qj``: an unscaled fleet's scan skips the
         # product.
-        scaled = fl.scaled
+        scaled = derived.scaled
         retired = closes and na < K
         # Rows queued on entry launch in this slice or stay queued;
         # either way they are written back with the consumed rows.
@@ -839,16 +780,15 @@ class Engine:
                                     best_load = load
                                     j = jj
                         else:
-                            fl.store()
                             j = act[choose(arena[rid], act_inst, now)]
                         inst_l[rid] = j
                     if admit is not None:
-                        admitted = fl.call(
+                        admitted = derived.call(
                             ev, now, admit, arena[rid], instances[j], now,
                             self,
                         )
-                        act, act_inst = fl.act, fl.act_instances
-                        na, scaled = len(act), fl.scaled
+                        act, act_inst = derived.act, derived.act_instances
+                        na, scaled = len(act), derived.scaled
                         if striped and segments[-1][1] != act:
                             segments.append((i, act))
                         tmin = min(ev)
@@ -928,7 +868,8 @@ class Engine:
                         # times for timing, the request's unscaled
                         # per-image for the queued-seconds ledger.
                         model = m_l[head]
-                        if loaded[j] != model:
+                        name = names[model]
+                        if loaded[j] != name:
                             setup = setup_s[j][model]
                             setups[j] += 1
                         else:
@@ -964,7 +905,7 @@ class Engine:
                         energy[j] += bpw_l[j] * service
                         served[j] += count
                         nbatches[j] += 1
-                        loaded[j] = model
+                        loaded[j] = name
                 elif retired and not on[j] and bu[j] <= now:
                     # Retired and drained (arrivals only reach active
                     # instances, so this is an instance event).
@@ -982,9 +923,9 @@ class Engine:
                         if y < tmin:
                             tmin = y
                 if complete is not None and rid < 0:
-                    fl.call(ev, now, complete, instances[j], now, self)
-                    act, act_inst = fl.act, fl.act_instances
-                    na, scaled = len(act), fl.scaled
+                    derived.call(ev, now, complete, instances[j], now, self)
+                    act, act_inst = derived.act, derived.act_instances
+                    na, scaled = len(act), derived.scaled
                     if striped and segments[-1][1] != act:
                         segments.append((i, act))
                     tmin = min(ev)
@@ -995,9 +936,9 @@ class Engine:
             # The cursor is current at a tick (a forecasting governor
             # counts the arrivals since the last one).
             state.cursor = i
-            tick_actions += fl.call(ev, now, on_tick, now, self)
-            act, act_inst = fl.act, fl.act_instances
-            na, scaled = len(act), fl.scaled
+            tick_actions += derived.call(ev, now, on_tick, now, self)
+            act, act_inst = derived.act, derived.act_instances
+            na, scaled = len(act), derived.scaled
             retired = closes and na < K
             if striped and segments[-1][1] != act:
                 segments.append((i, act))
@@ -1006,7 +947,6 @@ class Engine:
                 if i < n or queues[j] or bu[j] > now + _EPS:
                     tick_t = now + tick_s
                     break
-        fl.store()
 
         arena.start[i0:i] = start_l[i0:i]
         arena.finish[i0:i] = fin_l[i0:i]
@@ -1077,8 +1017,8 @@ class Engine:
         :meth:`_run_round_robin` (``"rr"``) when :meth:`_fast_mode`
         picks it and the call drains the stream whole, else
         :meth:`_run_event_fold` (``"fold"``).  Both continue from
-        :attr:`state` and the instances and write them back.  Returns
-        the *cumulative* counters of the run so far.
+        :attr:`state` and the fleet's lists, and advance them in
+        place.  Returns the *cumulative* counters of the run so far.
         """
         requests = self._requests
         mode = self._fast_mode(requests)
@@ -1636,7 +1576,7 @@ class StreamingSummary(RequestSummary):
     a sketch-mode :class:`RequestSummary` (same latency reads) plus the
     stream's busy-window end and kernel event count.  Fleet counters
     (busy seconds, served, batches, setups, window busy time) were
-    written to the instances in place, exactly like an engine run.
+    written to the fleet's lists in place, exactly like an engine run.
     """
 
     window_end: float = 0.0
@@ -1670,8 +1610,7 @@ def run_streaming_round_robin(
     RNG (documented in ``ServingScenario.stats``), so sketch-mode
     scenarios carry a distinct cache key.
     """
-    instances = fleet.instances
-    K = len(instances)
+    K = len(fleet)
     per_tab = np.array(
         [p.per_image_seconds for p in mix.profiles], dtype=np.float64
     )
@@ -1800,23 +1739,23 @@ def run_streaming_round_robin(
     for j in range(K):
         absorb(j, final=True)
     window_end = last_arrival
-    for j, inst in enumerate(instances):
+    for j in range(K):
         for L_val, fin_val, svc_val in pend[j]:
             s0 = L_val if L_val < window_end else window_end
             e0 = fin_val if fin_val < window_end else window_end
             d0 = e0 - s0
             if d0 > 0.0:
                 busyw[j] += d0
-        inst.busy_until = F[j]
-        inst.loaded_model = (
+        fleet.busy_until[j] = F[j]
+        fleet.loaded_model[j] = (
             mix.profiles[loaded[j]].name if loaded[j] >= 0 else None
         )
-        inst.busy_seconds += busy[j]
-        inst.busy_seconds_window += busyw[j]
-        inst.served += served[j]
-        inst.batches += nbatches[j]
-        inst.setups += setups[j]
-        inst.window_end = window_end
+        fleet.busy_seconds[j] += busy[j]
+        fleet.busy_seconds_window[j] += busyw[j]
+        fleet.served[j] += served[j]
+        fleet.batches[j] += nbatches[j]
+        fleet.setups[j] += setups[j]
+        fleet.window_end[j] = window_end
     model_counts = tuple(
         sorted(
             (p.name, int(c))

@@ -364,9 +364,7 @@ def prepare_serving(
     mix, capacity, qps, arrivals, n, rng = _serve_inputs(scenario)
     requests = build_requests(mix, arrivals.times(n, rng), rng)
     fleet = Fleet(scenario.instances)
-    window_end = float(requests.arrival[-1])
-    for instance in fleet:
-        instance.window_end = window_end
+    fleet.window_end[:] = [float(requests.arrival[-1])] * len(fleet)
     policy = make_policy(scenario.policy)
     policy.reset()
 
@@ -424,7 +422,7 @@ def _serving_report(
         )
     else:
         offered_qps = float(qps)
-    total_batches = sum(i.batches for i in fleet)
+    total_batches = sum(fleet.batches)
     # An all-shed run (a shedding hook under heavy overload) completes
     # nothing: report explicit zeros instead of feeding empty arrays to
     # mean/percentile (NaN + RuntimeWarning).
@@ -455,12 +453,12 @@ def _serving_report(
         mean_batch_size=(
             completed / total_batches if total_batches else 0.0
         ),
-        setups=sum(i.setups for i in fleet),
+        setups=sum(fleet.setups),
         utilization=tuple(
             i.busy_seconds / makespan if makespan > 0 else 0.0
             for i in fleet
         ),
-        served_per_instance=tuple(i.served for i in fleet),
+        served_per_instance=tuple(fleet.served),
         per_model_counts=summary.model_counts,
         busy_window_s=window_end,
         utilization_busy=tuple(

@@ -15,7 +15,7 @@ from repro.control import (
 )
 from repro.errors import ConfigError
 from repro.serve import build_mix
-from repro.serve.fleet import Instance
+from repro.serve.fleet import Fleet
 
 MIX = build_mix("v1-224")
 PROFILE = MIX.profiles[0]
@@ -132,7 +132,7 @@ class TestShedders:
             make_shedder("nope")
 
     def test_none_always_admits(self):
-        instance = Instance(index=0)
+        instance = Fleet(1)[0]
         shedder = make_shedder("none")
         admitted, victim = shedder.admit(
             arena_of(_row())[0], instance, 0.0
@@ -140,7 +140,7 @@ class TestShedders:
         assert admitted and victim is None
 
     def test_deadline_sheds_infeasible(self):
-        instance = Instance(index=0)
+        instance = Fleet(1)[0]
         shedder = make_shedder("deadline")
         feasible, *backlog = arena_of(
             _row(deadline=10 * PROFILE.per_image_seconds),
@@ -155,7 +155,7 @@ class TestShedders:
         assert not admitted
 
     def test_queue_depth_bounds_admission(self):
-        instance = Instance(index=0)
+        instance = Fleet(1)[0]
         shedder = make_shedder("queue-depth", queue_threshold=3)
         *queued, last = arena_of(*(_row() for _ in range(4)))
         for request in queued:
@@ -166,7 +166,7 @@ class TestShedders:
         assert not admitted
 
     def test_priority_preempts_lower_class(self):
-        instance = Instance(index=0)
+        instance = Fleet(1)[0]
         shedder = make_shedder("priority", queue_threshold=2)
         low_a, low_b, urgent = arena_of(
             _row(priority=2), _row(priority=2), _row(priority=0)
@@ -180,7 +180,7 @@ class TestShedders:
         assert list(instance.queue) == [low_a.i]
 
     def test_priority_sheds_equal_class_arrival(self):
-        instance = Instance(index=0)
+        instance = Fleet(1)[0]
         shedder = make_shedder("priority", queue_threshold=1)
         queued, arriving = arena_of(
             _row(priority=1), _row(priority=1)

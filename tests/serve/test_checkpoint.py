@@ -403,21 +403,64 @@ class TestCheckpointFormat:
             mix="mixed", qps=1500, requests=600, instances=3,
             shedding="deadline", autoscale="utilization", seed=9,
         )
-        paths = {7: tmp_path / "schema7.ckpt", 8: tmp_path / "tag8.ckpt"}
+        paths = {
+            7: tmp_path / "schema7.ckpt",
+            CHECKPOINT_SCHEMA: tmp_path / "tag-current.ckpt",
+        }
         with monkeypatch.context() as patch:
             patch.setattr(Engine, "__getstate__", schema7_state)
             for schema, path in paths.items():
                 patch.setattr(cp, "CHECKPOINT_SCHEMA", schema)
                 _cut_and_save("control", scenario, 0.5, path)
-        assert CHECKPOINT_SCHEMA == 8
         with pytest.raises(
             ReproError,
-            match="uses schema 7, this build expects 8; "
-            "re-run without --resume",
+            match="uses schema 7, this build expects "
+            f"{CHECKPOINT_SCHEMA}; re-run without --resume",
         ):
             load_checkpoint(paths[7])
         with pytest.raises(ReproError, match="not readable"):
+            load_checkpoint(paths[CHECKPOINT_SCHEMA])
+
+    def test_schema8_checkpoint_is_rejected(self, tmp_path, monkeypatch):
+        """A schema-8 checkpoint, written here with that schema's fleet
+        shape (a ``Fleet`` holding its instances, each ``Instance``
+        carrying its own fields), fails with the schema message; the
+        same state under the current tag is not readable, so the file
+        really has the old shape."""
+        from repro.serve.fleet import _FIELDS, Fleet, Instance
+
+        def schema8_fleet(fleet):
+            return {"instances": fleet.instances}
+
+        def schema8_instance(instance):
+            return None, {
+                name: getattr(instance, name)
+                for name in ("index", "queue", *_FIELDS)
+            }
+
+        scenario = ControlScenario(
+            mix="mixed", qps=1500, requests=600, instances=3,
+            shedding="priority", autoscale="utilization", seed=9,
+        )
+        paths = {
+            8: tmp_path / "schema8.ckpt",
+            CHECKPOINT_SCHEMA: tmp_path / "tag-current.ckpt",
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(Fleet, "__getstate__", schema8_fleet)
+            patch.setattr(Instance, "__getstate__", schema8_instance)
+            for schema, path in paths.items():
+                patch.setattr(cp, "CHECKPOINT_SCHEMA", schema)
+                _cut_and_save("control", scenario, 0.5, path)
+        assert CHECKPOINT_SCHEMA == 9
+        with pytest.raises(
+            ReproError,
+            match="uses schema 8, this build expects 9; "
+            "re-run without --resume",
+        ):
             load_checkpoint(paths[8])
+        with pytest.raises(ReproError, match="not readable"):
+            load_checkpoint(paths[CHECKPOINT_SCHEMA])
 
     def test_current_schema_with_vanished_class_is_unreadable(
         self, tmp_path, monkeypatch

@@ -21,13 +21,16 @@ horizons with a pickle round trip of the execution at each cut; a
 fourth pins undeclared hooks, called at the fold's barriers, that shed
 rows and retire an instance mid-run without ticks, sliced the same
 way.  A governor sees the same queues, as the same ``int`` arena rows,
-on both paths.
+and the same per-instance state on both paths, at every tick, and so
+does a routing policy at every ``choose``.
 """
 
 import dataclasses
+import functools
 import pickle
 
 import numpy as np
+import pytest
 from arena_rows import arena_of
 from general_loop import enqueue, force_general, launch_head
 from hypothesis import given, settings, strategies as st
@@ -54,7 +57,7 @@ from repro.serve import (
 )
 from repro.serve.arrival import PoissonArrivals
 from repro.serve.engine import build_requests
-from repro.serve.fleet import Instance
+from repro.serve.policies import DeadlineAwarePolicy
 from repro.serve.simulator import finalize_serving, prepare_serving
 
 PROFILES = build_mix("mixed").profiles[:2]
@@ -104,7 +107,7 @@ def test_overtaking_arrival_lands_after_its_priority_ties():
             for p in priorities
         )
     )
-    instance = Instance(index=0)
+    instance = Fleet(1)[0]
     for request in arena:
         enqueue(instance, request)
     assert list(instance.queue) == [1, 4, 2, 3, 6, 0, 7, 5]
@@ -143,7 +146,7 @@ def _queue_ops(draw):
 def test_queue_is_always_priority_row_sorted(case):
     rows, ops, threshold, max_batch = case
     arena = arena_of(*rows)
-    instance = Instance(index=0)
+    instance = Fleet(1)[0]
     shedder = PriorityShedding(threshold)
     nxt = 0
     now = 0.0
@@ -382,40 +385,105 @@ def test_governed_sliced_fold_matches_general_loop(case):
     assert finalize_controlled(fold) == finalize_controlled(general)
 
 
+#: What a hook or a policy reads of an instance besides its queue.
+_SEEN_FIELDS = (
+    "busy_until",
+    "queued_seconds",
+    "served",
+    "busy_seconds",
+    "energy_joules",
+    "loaded_model",
+    "latency_scale",
+)
+
+
+def _seen(instances):
+    """Each instance's index, queue rows and :data:`_SEEN_FIELDS`."""
+    return [
+        {
+            "index": instance.index,
+            "queue": list(instance.queue),
+            **{name: getattr(instance, name) for name in _SEEN_FIELDS},
+        }
+        for instance in instances
+    ]
+
+
 class _QueueLogGovernor(autoscale.UtilizationBandGovernor):
-    """The utilization governor, logging every queue at each tick."""
+    """The utilization governor, logging every instance's queue and
+    :data:`_SEEN_FIELDS` at each tick."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.queues = []
+        self.log = []
 
     def tick(self, fleet, now):
-        self.queues.append([list(instance.queue) for instance in fleet])
+        self.log.append((now, _seen(fleet)))
         return super().tick(fleet, now)
 
 
-def test_governor_sees_row_queues_on_every_path(monkeypatch):
-    """``on_tick`` reads the same queues of ``int`` arena rows whether
-    the fold or the general loop steps the run."""
-    monkeypatch.setattr(
-        autoscale, "UtilizationBandGovernor", _QueueLogGovernor
-    )
+class _LoggingPolicy(DeadlineAwarePolicy):
+    """Deadline-aware routing, logging what it sees of every active
+    instance at each ``choose``."""
+
+    def __init__(self) -> None:
+        self.log = []
+
+    def choose(self, request, fleet, now):
+        self.log.append((request.i, now, _seen(fleet)))
+        return super().choose(request, fleet, now)
+
+
+@functools.cache
+def _logged_runs():
+    """A governed deadline-aware run on a DVFS fleet, on the fold and
+    on the general loop, with the governor and the policy logging."""
     scenario = ControlScenario(
-        requests=2_000, qps=9_000.0, instances=3,
+        requests=2_000, qps=9_000.0, fleet=parse_fleet_spec("0.8,0.6x2"),
+        policy="deadline-aware", shedding="deadline",
         autoscale="utilization", tick_ms=1.0, seed=5,
     )
-    _, fold = _control_detailed(scenario)
-    with force_general():
-        _, general = _control_detailed(scenario)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            autoscale, "UtilizationBandGovernor", _QueueLogGovernor
+        )
+        patch.setitem(POLICIES, "deadline-aware", _LoggingPolicy)
+        _, fold = _control_detailed(scenario)
+        with force_general():
+            _, general = _control_detailed(scenario)
     assert fold.engine.last_run.dispatch == "fold"
     assert general.engine.last_run.dispatch == "general"
-    fold_log = fold.engine.hooks.governor.queues
-    general_log = general.engine.hooks.governor.queues
+    return fold.engine, general.engine
+
+
+def test_governor_sees_row_queues_on_every_path():
+    """``on_tick`` reads the same queues of ``int`` arena rows, and the
+    same per-instance state, whether the fold or the general loop
+    steps the run: the fold's lists are the fleet's, so a tick needs
+    no write-back."""
+    fold, general = _logged_runs()
+    fold_log = fold.hooks.governor.log
+    general_log = general.hooks.governor.log
     assert fold_log == general_log
-    rows = [row for tick in fold_log for queue in tick for row in queue]
+    seen = [instance for _, tick in fold_log for instance in tick]
+    rows = [row for instance in seen for row in instance["queue"]]
     assert rows, "no tick saw a queued request"
-    assert all(type(row) is int for tick in general_log
-               for queue in tick for row in queue)
+    assert all(type(row) is int for row in rows)
+    assert len({instance["latency_scale"] for instance in seen}) > 1
+
+
+def test_policy_sees_the_general_loops_state():
+    """A routing policy's ``choose`` sees, through the instance views,
+    exactly the state the general loop shows it, at every arrival."""
+    fold, general = _logged_runs()
+    fold_log = fold.policy.log
+    assert len(fold_log) == len(fold._requests)
+    assert fold_log == general.policy.log
+    assert any(
+        instance["loaded_model"] is not None
+        for _, _, call in fold_log
+        for instance in call
+    ), "no instance ever loaded a model"
 
 
 class RetireAndShed(EngineHooks):
@@ -499,7 +567,7 @@ def _hooked_run(case, cuts=()):
 @settings(max_examples=100, deadline=None)
 @given(_hooked_case())
 def test_undeclared_hooks_fold_matches_general_loop(case_and_cuts):
-    """The fold's barriers (write back, call, reload, re-stripe)
+    """The fold's barriers (call, refresh what it derives, re-stripe)
     schedule exactly what the general loop does with the same hooks.
     Power intervals are not compared: the fold calls ``on_complete``
     once per instance event, the general loop also on superseded
