@@ -9,16 +9,19 @@ Every benchmark's ``extra_info`` additionally records the process's
 peak RSS, so memory claims (like the engine's flat-arena scaling) are
 machine-checkable from the emitted benchmark JSON alongside wall-clock.
 
-A session that asks pytest-benchmark to save its results
-(``--benchmark-json PATH``, ``--benchmark-save NAME`` or
-``--benchmark-autosave``) also appends one record per benchmark —
+A session that asks pytest-benchmark to save its results into this
+checkout (``--benchmark-json PATH`` with ``PATH`` inside it,
+``--benchmark-save NAME`` or ``--benchmark-autosave``) also appends one
+record per benchmark —
 wall-clock, events/sec where the benchmark reports one, and the full
 ``extra_info`` — to ``BENCH_engine.json`` next to this file, building
 a machine-readable perf trajectory across runs.  Each session record
 carries a ``host`` block (git SHA, Python/numpy versions, machine and
 CPU count) so records from different commits and hosts stay
 distinguishable.  Plain test runs
-(tier-1 included) record nothing and leave the file untouched.
+(tier-1 included) and sessions whose only output is a JSON file outside
+the checkout (a scratch parent-vs-change comparison) record nothing and
+leave the file untouched.
 """
 
 import json
@@ -37,11 +40,13 @@ from repro.eval.workloads import prepare_workload
 #: Perf-trajectory log: one JSON array of session records, appended
 #: per measured session so regressions are diffable in-repo.
 BENCH_LOG = Path(__file__).with_name("BENCH_engine.json")
+#: The checkout the log belongs to.
+CHECKOUT = Path(__file__).resolve().parent.parent
 
 _session_records = []
 
 
-def host_identity(root: Path = BENCH_LOG.parent.parent) -> dict:
+def host_identity(root: Path = CHECKOUT) -> dict:
     """Commit, toolchain and machine that produced a session record.
 
     The SHA is read only when ``root`` has its own ``.git``: a checkout
@@ -132,15 +137,19 @@ def _record_benchmark_telemetry(request):
 
 
 def _saving_results(config) -> bool:
-    """Whether pytest-benchmark was asked to save this session."""
-    return any(
-        config.getoption(name, default=None)
-        for name in (
-            "benchmark_json",
-            "benchmark_save",
-            "benchmark_autosave",
-        )
-    )
+    """Whether pytest-benchmark was asked to save this session into
+    this checkout: ``--benchmark-save``/``--benchmark-autosave``, or a
+    ``--benchmark-json`` path inside it (pytest-benchmark hands the
+    option over as an open file; its ``name`` is the path given)."""
+    if config.getoption("benchmark_save", default=None) or config.getoption(
+        "benchmark_autosave", default=None
+    ):
+        return True
+    target = config.getoption("benchmark_json", default=None)
+    if not target:
+        return False
+    path = Path(os.fsdecode(getattr(target, "name", target))).resolve()
+    return path.is_relative_to(CHECKOUT)
 
 
 def pytest_sessionfinish(session, exitstatus):

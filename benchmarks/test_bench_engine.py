@@ -298,6 +298,32 @@ def test_bench_sketch_memory_flat(benchmark):
     benchmark.pedantic(lambda: peak_mib(50_000), rounds=1)
 
 
+#: The chunked streaming mode's recorded shape: 200k requests span
+#: four arrival chunks.
+STREAM_SCENARIO = ServingScenario(
+    requests=200_000, seed=42, policy="round-robin", stats="sketch"
+)
+
+
+@pytest.mark.benchmark(group="engine")
+def test_bench_streaming_round_robin(benchmark):
+    """Info only, no floor: events/sec of a whole sketch-mode
+    round-robin ``simulate`` (arrival chunks, the ``_rr_feed`` kernel
+    and the t-digest), best of 3."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        report = simulate(STREAM_SCENARIO)
+        best = min(best, time.perf_counter() - t0)
+    assert report.engine_dispatch == "streaming"
+    benchmark.extra_info["streaming_events"] = report.engine_events
+    benchmark.extra_info["streaming_s"] = round(best, 4)
+    benchmark.extra_info["streaming_events_per_sec"] = round(
+        report.engine_events / best
+    )
+    benchmark.pedantic(simulate, args=(STREAM_SCENARIO,), rounds=1)
+
+
 @pytest.mark.benchmark(group="engine")
 def test_bench_50k_simulation_wall_clock(benchmark):
     """End-to-end wall-clock of the 50k-request scenario (setup +

@@ -74,12 +74,12 @@ heap loop they were derived from — kept as the test oracle in
 ``tests/general_loop.py`` — float for float (same operations in the
 same order), which ``tests/serve/test_engine_parity.py``, the
 generated differentials and the benchmark's equality assertions pin.
-The vectorized round-robin path assumes no arrival timestamp
-coincides bit-exactly with a batching-timeout instant (``a_head +
-max_wait_s``) — guaranteed for continuous arrival processes, and
-degenerate cases (``max_wait_s == 0`` with tied trace timestamps,
-sub-nanosecond waits) take the event fold, which has no such
-restriction.
+That holds for traces too, whose timestamps can tie with a
+batching-timeout instant (``a_head + max_wait_s``, within ``_EPS``) or
+with a completion: the round-robin kernel replays such batches event
+by event (``tests/serve/test_rr_feed.py``).  Degenerate waits
+(``max_wait_s == 0`` with tied timestamps, sub-nanosecond waits) take
+the event fold.
 
 Event ordering is the heap loop's ``(time, seq)`` order: at equal
 timestamps arrivals precede every scheduled event and the tick comes
@@ -101,7 +101,7 @@ request count (the million-request mode).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from dataclasses import dataclass
 from heapq import heapify
@@ -1045,6 +1045,27 @@ _EMPTY_F = np.empty(0, dtype=np.float64)
 _EMPTY_I = np.empty(0, dtype=np.int64)
 
 
+def _near_deadline(
+    a: np.ndarray,
+    ahead: np.ndarray,
+    unknown_from: float,
+    wake: np.ndarray,
+    trip: np.ndarray,
+) -> np.ndarray:
+    """Which deadlines ``wake`` (``trip = wake - _EPS``) have an arrival
+    in ``[trip, wake]``, among ``a`` and then ``ahead``, or lie past
+    ``unknown_from``, where arrivals not yet known may land."""
+    at = np.searchsorted(a, trip)
+    near = a[np.minimum(at, len(a) - 1)]
+    hit = (near >= trip) & (near <= wake)
+    beyond = np.flatnonzero(at == len(a))
+    if beyond.size and (len(ahead) or unknown_from < _INF):
+        w = wake[beyond]
+        later = np.append(ahead, _INF)[np.searchsorted(ahead, trip[beyond])]
+        hit[beyond] = (later <= w) | (w > unknown_from)
+    return hit
+
+
 def _rr_feed(
     a: np.ndarray,
     m: np.ndarray,
@@ -1055,6 +1076,8 @@ def _rr_feed(
     F: float,
     loaded: int,
     final: bool,
+    ahead: np.ndarray = _EMPTY_F,
+    unknown_from: float = _INF,
 ):
     """Advance one instance's timeline over a buffered stream stretch.
 
@@ -1064,9 +1087,13 @@ def _rr_feed(
     With ``final=False`` (streaming) the feed stops before any batch
     whose membership could still change with future arrivals (an open
     trailing run shorter than ``mb``), deferring at most ``mb - 1``
-    positions to the next feed.
+    positions to the next feed.  ``ahead`` holds the instance's next
+    arrivals (events that can trigger a launch, never members of this
+    feed's batches), and every arrival after them comes at or after
+    ``unknown_from``; a batch that would wait for a deadline past it
+    is deferred too, since an unknown arrival could launch it first.
 
-    The kernel has three stages:
+    The kernel has three stages and an assembly:
 
     1. *Canonical partition* (vectorized): maximal same-model runs are
        cut into ``mb``-sized canonical batches; per batch the wake
@@ -1074,11 +1101,26 @@ def _rr_feed(
        are computed as numpy arrays.
     2. *Launch fold* (Python, per batch): ``L = max(F, due)`` with the
        event fold's epsilon rule; a canonical batch is accepted when
-       its last member arrived by its launch (``lasta <= L``).
-    3. *Split repair* (scalar, only when 2 rejects): an idle instance
-       launched a partial batch — replay exact batches with
-       ``bisect_right`` member counts until the cursor realigns with a
-       canonical boundary.
+       its last member arrived by its launch (``lasta <= L``).  A
+       batch whose launch could tie with an arrival is never accepted
+       (``lasta`` = inf): two members at one instant, or a full
+       batch's early member within ``_EPS`` of its deadline, marked in
+       stage 1; an arrival within ``_EPS`` of the deadline a batch was
+       launched at, found after the fold, which then runs once more
+       with every such batch marked.
+    3. *Split repair* (scalar, only when 2 rejects): replay exact
+       batches until the cursor realigns with a canonical boundary.
+       Each launches at the event the general loop launches it at —
+       the first arrival at or after ``F`` at which the batch is due,
+       else the completion at ``F``, else the wake at the deadline —
+       with the members queued by that event.  Its lookups read
+       ``memoryview``s of the stage-1 arrays, so a feed converts only
+       the positions it replays.
+
+    The assembly gathers the launched batches' ``k``/setup/per-image/
+    service values with one index array over ``[canonical; scalar]``
+    batches (a range per accepted stretch or repair), then expands
+    them to per-member starts and finishes.
 
     Returns ``(consumed, starts, fins, L_arr, svc, k, setups,
     n_batches, F, loaded)``: per-member start/finish arrays covering
@@ -1125,6 +1167,17 @@ def _rr_feed(
     wake = heada + mw
     lasta = a[e - 1]
     due = np.where(k == mb, np.minimum(wake, lasta), wake)
+    # The event loops launch at the first *event* at which a batch is
+    # due, so an arrival tied with that event and behind it waits for
+    # the next batch, while stage 2 counts every arrival up to the
+    # launch instant.  Checking deadlines after the fold keeps the
+    # searches to the batches launched at one.
+    trip = wake - _EPS
+    if nj > 1 and bool(np.any(a[1:] == a[:-1])):
+        lasta[(k > 1) & (a[np.maximum(e - 2, s)] == lasta)] = _INF
+    if mb > 1:
+        fulls = np.flatnonzero(k == mb)
+        lasta[fulls[a[e[fulls] - 2] >= trip[fulls]]] = _INF
     if final:
         stop_t = total_b
     else:
@@ -1135,180 +1188,222 @@ def _rr_feed(
     # -- stage 2: launch fold ----------------------------------------
     due_l = due.tolist()
     svc_l = svc.tolist()
-    lasta_l = lasta.tolist()
-    heada_l = heada.tolist()
-    # Repair-path lookups are materialized lazily: most feeds accept
-    # every canonical batch, and these conversions would otherwise
-    # rival the fold itself.
-    s_l = rend_l = M_l = None
-    a_list = m_list = per_tab_l = setup_tab_l = None
-    L_list: list[float] = []
-    append_L = L_list.append
-    pieces: list[tuple] = []
-    sc_k: list[int] = []
-    sc_setup: list[float] = []
-    sc_per: list[float] = []
-    sc_svc: list[float] = []
-    scalar_setups = 0
-    t = 0
-    canon_from = 0
-    F_ = F
-    consumed = None
-    # One persistent iterator consumed strictly forward: repairs that
-    # replay canonical batches discard the replayed span instead of
-    # re-skimming from the start.
-    fold = zip(
-        islice(due_l, stop_t),
-        islice(lasta_l, stop_t),
-        islice(svc_l, stop_t),
-    )
-    pos = 0
-    while t < stop_t:
-        if t > pos:
-            for _ in islice(fold, t - pos):
-                pass
-            pos = t
-        rejected = False
-        for i, (d, lasta_t, svc_t) in enumerate(fold, pos):
-            if d <= F_:
-                # Busy at the deadline: launch at the completion F.
-                if lasta_t <= F_:
-                    append_L(F_)
-                    F_ += svc_t
-                    continue
-                L = F_
-            else:
-                # The event fold launches at a completion F when the
-                # head's wake deadline (head arrival + max-wait) is
-                # within _EPS at or below F and the head has arrived.
-                hd = heada_l[i]
-                if hd + mw - F_ <= _EPS and hd <= F_:
+    # Sparse reads (the fold's epsilon rule, split repair) go through
+    # memoryviews: a feed reads a few hundred of their positions, and
+    # whole-array ``.tolist()`` copies would rival the fold itself.
+    heada_l = memoryview(heada)
+    s_l = memoryview(s)
+    rend_l = memoryview(rend)
+    M_l = memoryview(M)
+    a_list = memoryview(np.ascontiguousarray(a))
+    m_list = memoryview(np.ascontiguousarray(m))
+    ahead_l = memoryview(np.ascontiguousarray(ahead))
+    per_tab_l = per_tab.tolist()
+    setup_tab_l = setup_tab.tolist()
+    flagged = False
+    while True:
+        lasta_l = lasta.tolist()
+        L_list: list[float] = []
+        append_L = L_list.append
+        # Launched batches as ``[lo, hi)`` ranges over ``[canonical;
+        # scalar]``: canonical batch ``t`` is ``t``, scalar batch ``x`` is
+        # ``total_b + x``.
+        piece_lo: list[int] = []
+        piece_hi: list[int] = []
+        sc_k: list[int] = []
+        sc_setup: list[float] = []
+        sc_per: list[float] = []
+        sc_svc: list[float] = []
+        scalar_setups = 0
+        t = 0
+        canon_from = 0
+        F_ = F
+        consumed = None
+        # One persistent iterator consumed strictly forward: repairs that
+        # replay canonical batches discard the replayed span instead of
+        # re-skimming from the start.
+        fold = zip(
+            islice(due_l, stop_t),
+            islice(lasta_l, stop_t),
+            islice(svc_l, stop_t),
+        )
+        pos = 0
+        while t < stop_t:
+            if t > pos:
+                for _ in islice(fold, t - pos):
+                    pass
+                pos = t
+            rejected = False
+            for i, (d, lasta_t, svc_t) in enumerate(fold, pos):
+                if d <= F_:
+                    # Busy at the deadline: launch at the completion F.
+                    if lasta_t <= F_:
+                        append_L(F_)
+                        F_ += svc_t
+                        continue
                     L = F_
                 else:
-                    L = d
-                if lasta_t <= L:
-                    append_L(L)
-                    F_ = L + svc_t
-                    continue
-            t = i
-            pos = i + 1
-            rejected = True
-            break
-        if not rejected:
-            t = stop_t
-            break
-        # -- stage 3: split repair -----------------------------------
-        if a_list is None:
-            s_l = s.tolist()
-            rend_l = rend.tolist()
-            M_l = M.tolist()
-            a_list = a.tolist()
-            m_list = m.tolist()
-            per_tab_l = per_tab.tolist()
-            setup_tab_l = setup_tab.tolist()
-        if t > canon_from:
-            pieces.append(("c", canon_from, t))
-        c = s_l[t]
-        run_end_c = rend_l[t]
-        loaded_c = M_l[t - 1] if t > 0 else loaded
-        tt = t + 1
-        x0 = len(sc_k)
-        while True:
-            if not final and run_end_c == nj and c + mb > nj:
-                consumed = c
+                    # The event fold launches at a completion F when the
+                    # head's wake deadline (head arrival + max-wait) is
+                    # within _EPS at or below F and the head has arrived.
+                    hd = heada_l[i]
+                    if hd + mw - F_ <= _EPS and hd <= F_:
+                        L = F_
+                    else:
+                        L = d
+                    if lasta_t <= L:
+                        append_L(L)
+                        F_ = L + svc_t
+                        continue
+                t = i
+                pos = i + 1
+                rejected = True
                 break
-            cap = c + mb
-            if cap > run_end_c:
-                cap = run_end_c
-            wake_c = a_list[c] + mw
-            if cap - c == mb:
-                t_full = a_list[cap - 1]
-                d_c = t_full if t_full < wake_c else wake_c
-            else:
-                d_c = wake_c
-            if d_c > F_:
-                if wake_c - F_ <= _EPS and a_list[c] <= F_:
-                    L = F_
+            if not rejected:
+                t = stop_t
+                break
+            # -- stage 3: split repair -----------------------------------
+            if t > canon_from:
+                piece_lo.append(canon_from)
+                piece_hi.append(t)
+            c = s_l[t]
+            run_end_c = rend_l[t]
+            loaded_c = M_l[t - 1] if t > 0 else loaded
+            tt = t + 1
+            x0 = len(sc_k)
+            while True:
+                if not final and run_end_c == nj and c + mb > nj:
+                    consumed = c
+                    break
+                cap = c + mb
+                if cap > run_end_c:
+                    cap = run_end_c
+                # The general loop's launch event: the first arrival from
+                # the head on while idle (at or after F) at which the batch
+                # is due, the completion at F, or the wake at the deadline.
+                # Arrivals at an instant precede the completion or wake
+                # there, and each arrival re-examines the queue.
+                head_c = a_list[c]
+                wake_c = head_c + mw
+                trip_c = wake_c - _EPS
+                idle = bisect_left(a_list, F_, c)
+                p = bisect_left(a_list, trip_c, idle)
+                full = cap - c == mb
+                if full and cap - 1 < p:
+                    p = cap - 1 if cap - 1 > idle else idle
+                if p < nj:
+                    a_p = a_list[p]
                 else:
-                    L = d_c
-            else:
-                L = F_
-            k_real = bisect_right(a_list, L, c, cap) - c
-            model_c = m_list[c]
-            cold_c = loaded_c != model_c
-            setup_c = setup_tab_l[model_c] if cold_c else 0.0
-            per_c = per_tab_l[model_c]
-            svc_c = setup_c + k_real * per_c
-            append_L(L)
-            sc_k.append(k_real)
-            sc_setup.append(setup_c)
-            sc_per.append(per_c)
-            sc_svc.append(svc_c)
-            if cold_c:
-                scalar_setups += 1
-            F_ = L + svc_c
-            loaded_c = model_c
-            c += k_real
-            while tt < total_b and s_l[tt] < c:
-                tt += 1
-            if tt < total_b:
-                if s_l[tt] == c:
-                    t = tt
+                    # Past the buffer the batch is full or waits for its
+                    # deadline; later arrivals are events, never members.
+                    q = bisect_left(
+                        ahead_l, F_ if full or F_ > trip_c else trip_c
+                    )
+                    a_p = ahead_l[q] if q < len(ahead_l) else _INF
+                if (
+                    F_ > head_c
+                    and a_p > F_
+                    and (F_ >= trip_c or (full and a_list[cap - 1] <= F_))
+                ):
+                    L = F_
+                    k_real = bisect_right(a_list, L, c, cap) - c
+                elif a_p <= wake_c or a_p <= F_:
+                    L = a_p
+                    k_real = (p + 1 if p < cap else cap) - c
+                elif unknown_from < wake_c:
+                    # An arrival not yet known may still come first.
+                    consumed = c
                     break
-                run_end_c = rend_l[tt - 1]
-            else:
-                if c >= nj:
-                    t = total_b
-                    break
-                run_end_c = rend_l[total_b - 1]
-        if len(sc_k) > x0:
-            pieces.append(("x", x0, len(sc_k)))
-        canon_from = t
-        if consumed is not None:
+                else:
+                    L = wake_c
+                    k_real = bisect_right(a_list, L, c, cap) - c
+                model_c = m_list[c]
+                cold_c = loaded_c != model_c
+                setup_c = setup_tab_l[model_c] if cold_c else 0.0
+                per_c = per_tab_l[model_c]
+                svc_c = setup_c + k_real * per_c
+                append_L(L)
+                sc_k.append(k_real)
+                sc_setup.append(setup_c)
+                sc_per.append(per_c)
+                sc_svc.append(svc_c)
+                if cold_c:
+                    scalar_setups += 1
+                F_ = L + svc_c
+                loaded_c = model_c
+                c += k_real
+                while tt < total_b and s_l[tt] < c:
+                    tt += 1
+                if tt < total_b:
+                    if s_l[tt] == c:
+                        t = tt
+                        break
+                    run_end_c = rend_l[tt - 1]
+                else:
+                    if c >= nj:
+                        t = total_b
+                        break
+                    run_end_c = rend_l[total_b - 1]
+            if len(sc_k) > x0:
+                piece_lo.append(total_b + x0)
+                piece_hi.append(total_b + len(sc_k))
+            canon_from = t
+            if consumed is not None:
+                break
+        if t > canon_from:
+            piece_lo.append(canon_from)
+            piece_hi.append(t)
+        if consumed is None:
+            # ``t``, not ``stop_t``: a split repair may run past the first
+            # deferred canonical batch and end exactly at ``nj``.
+            consumed = int(s[t]) if t < total_b else nj
+
+        # -- check launches at a deadline ----------------------------
+        nb = len(L_list)
+        if nb == 0:
+            return (
+                0, _EMPTY_F, _EMPTY_F, _EMPTY_F, _EMPTY_F, _EMPTY_I,
+                0, 0, F_, loaded,
+            )
+        L_arr = np.array(L_list, dtype=np.float64)
+        if sc_k:
+            lo = np.array(piece_lo, dtype=np.int64)
+            span = np.array(piece_hi, dtype=np.int64) - lo
+            idx = np.repeat(lo - (np.cumsum(span) - span), span)
+            idx += np.arange(nb, dtype=np.int64)
+            is_canon = idx < total_b
+            canon = idx[is_canon]
+            at_wake = canon[L_arr[is_canon] == wake[canon]]
+        else:
+            # No split repair launched a batch: the accepted canonical
+            # batches are the prefix ``[0, nb)``.
+            at_wake = np.flatnonzero(L_arr == wake[:nb])
+        if flagged or not _near_deadline(
+            a, ahead, unknown_from, wake[at_wake], trip[at_wake]
+        ).any():
             break
-    if t > canon_from:
-        pieces.append(("c", canon_from, t))
-    if consumed is None:
-        consumed = int(s[stop_t]) if stop_t < total_b else nj
+        lasta[_near_deadline(a, ahead, unknown_from, wake, trip)] = _INF
+        flagged = True
 
     # -- assembly ----------------------------------------------------
-    nb = len(L_list)
-    if nb == 0:
-        return (
-            0, _EMPTY_F, _EMPTY_F, _EMPTY_F, _EMPTY_F, _EMPTY_I,
-            0, 0, F_, loaded,
-        )
-    L_arr = np.array(L_list, dtype=np.float64)
-    if len(pieces) == 1 and pieces[0][0] == "c":
-        t0, t1 = pieces[0][1], pieces[0][2]
-        k_f = k[t0:t1]
-        setup_f = setup_eff[t0:t1]
-        per_f = per_b[t0:t1]
-        svc_f = svc[t0:t1]
-        setups_count = int(np.count_nonzero(cold[t0:t1]))
+    if not sc_k:
+        k_f = k[:nb]
+        setup_f = setup_eff[:nb]
+        per_f = per_b[:nb]
+        svc_f = svc[:nb]
+        setups_count = int(np.count_nonzero(cold[:nb]))
     else:
-        sck = np.asarray(sc_k, dtype=np.int64)
-        scsetup = np.asarray(sc_setup, dtype=np.float64)
-        scper = np.asarray(sc_per, dtype=np.float64)
-        scsvc = np.asarray(sc_svc, dtype=np.float64)
-        parts_k, parts_setup, parts_per, parts_svc = [], [], [], []
-        setups_count = scalar_setups
-        for kind, x0, x1 in pieces:
-            if kind == "c":
-                parts_k.append(k[x0:x1])
-                parts_setup.append(setup_eff[x0:x1])
-                parts_per.append(per_b[x0:x1])
-                parts_svc.append(svc[x0:x1])
-                setups_count += int(np.count_nonzero(cold[x0:x1]))
-            else:
-                parts_k.append(sck[x0:x1])
-                parts_setup.append(scsetup[x0:x1])
-                parts_per.append(scper[x0:x1])
-                parts_svc.append(scsvc[x0:x1])
-        k_f = np.concatenate(parts_k)
-        setup_f = np.concatenate(parts_setup)
-        per_f = np.concatenate(parts_per)
-        svc_f = np.concatenate(parts_svc)
+        k_f = np.concatenate((k, np.array(sc_k, dtype=np.int64)))[idx]
+        setup_f = np.concatenate(
+            (setup_eff, np.array(sc_setup, dtype=np.float64))
+        )[idx]
+        per_f = np.concatenate(
+            (per_b, np.array(sc_per, dtype=np.float64))
+        )[idx]
+        svc_f = np.concatenate(
+            (svc, np.array(sc_svc, dtype=np.float64))
+        )[idx]
+        setups_count = scalar_setups + int(np.count_nonzero(cold[canon]))
     members = int(k_f.sum())
     base = L_arr + setup_f
     starts_m = np.repeat(L_arr, k_f)
@@ -1600,7 +1695,10 @@ def run_streaming_round_robin(
     chunk's model ids, and advances every instance's timeline with the
     same :func:`_rr_feed` kernel the exact fast path uses — only
     deferring the few trailing positions (< ``max_batch``) whose batch
-    membership could still change.  Completed latencies are folded
+    membership could still change.  Each chunk is fed once the next is
+    drawn, whose arrivals may launch a batch waiting for its deadline
+    (a batch waiting past the next chunk is deferred too).  Completed
+    latencies are folded
     into a t-digest and discarded, so memory stays flat in ``n``: the
     million-request mode.
 
@@ -1643,7 +1741,10 @@ def run_streaming_round_robin(
     last_arrival = 0.0
     events = 0
 
-    def absorb(j: int, final: bool) -> None:
+    def absorb(
+        j: int, final: bool, ahead: np.ndarray = _EMPTY_F,
+        unknown_from: float = _INF,
+    ) -> None:
         nonlocal wait_sum, max_finish, events
         chunks_a = buf_a[j]
         if not chunks_a:
@@ -1671,7 +1772,7 @@ def run_streaming_round_robin(
             loaded_j,
         ) = _rr_feed(
             a, m, per_tab, setup_tab, max_batch, max_wait_s,
-            F[j], loaded[j], final,
+            F[j], loaded[j], final, ahead, unknown_from,
         )
         F[j] = F_j
         loaded[j] = loaded_j
@@ -1708,24 +1809,45 @@ def run_streaming_round_robin(
 
     from .arrival import iter_arrival_times
 
-    for times in iter_arrival_times(arrivals, n, rng, chunk):
-        cn = len(times)
-        u = rng.random(cn)
-        midx = np.minimum(
-            np.searchsorted(
-                cum_weights, u * cum_weights[-1], side="right"
-            ),
+    def draw_models(times: np.ndarray) -> np.ndarray:
+        u = rng.random(len(times))
+        return np.minimum(
+            np.searchsorted(cum_weights, u * cum_weights[-1], side="right"),
             nmodels - 1,
         ).astype(np.int64)
+
+    # Each chunk is fed once the next one is drawn (its times after this
+    # chunk's models: the RNG stream's order), so a launch at a wake
+    # deadline sees the arrivals that could still come first.  Arrivals
+    # past the next chunk come at or after its last timestamp
+    # (``unknown_from``; infinite once the stream is drawn whole).
+    chunks = iter_arrival_times(arrivals, n, rng, chunk)
+    times = next(chunks, None)
+    midx = draw_models(times) if times is not None else None
+    drawn = len(times) if times is not None else 0
+    while times is not None:
+        nxt = next(chunks, None)
+        nxt_midx = None
+        if nxt is not None:
+            nxt_midx = draw_models(nxt)
+            drawn += len(nxt)
+        unknown_from = (
+            float(nxt[-1]) if nxt is not None and drawn < n else _INF
+        )
+        cn = len(times)
         last_arrival = float(times[cn - 1])
         events += cn
+        nxt_offset = (offset + cn) % K
         for j in range(K):
             first = (j - offset) % K
             a_new = times[first::K]
             if len(a_new):
                 buf_a[j].append(np.ascontiguousarray(a_new))
                 buf_m[j].append(np.ascontiguousarray(midx[first::K]))
-            absorb(j, final=False)
+            ahead = (
+                nxt[(j - nxt_offset) % K::K] if nxt is not None else _EMPTY_F
+            )
+            absorb(j, False, ahead, unknown_from)
             # Flush window-pending batches the horizon has passed.
             if pend[j]:
                 keep = []
@@ -1735,7 +1857,8 @@ def run_streaming_round_robin(
                     else:
                         keep.append((L_val, fin_val, svc_val))
                 pend[j] = keep
-        offset = (offset + cn) % K
+        offset = nxt_offset
+        times, midx = nxt, nxt_midx
     for j in range(K):
         absorb(j, final=True)
     window_end = last_arrival

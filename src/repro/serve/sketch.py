@@ -28,10 +28,11 @@ Invariants:
 The scale function is the t-digest ``k1`` arcsine rule, which spends
 centroid resolution at both tails — that is where p95/p99 live, and
 where a naive equal-weight histogram sketch (or P²'s five markers)
-loses precision.  Centroid merging is fully vectorized: values are
-bucketed by ``floor(k1(q))`` of their cumulative mid-weight quantile
-and aggregated with ``np.add.reduceat``, so feeding the digest costs
-O(chunk log chunk) with no per-value Python work.
+loses precision.  Centroid merging is fully vectorized: the fresh
+values are sorted and merged with the sorted centroids, bucketed by
+``floor(k1(q))`` of their cumulative mid-weight quantile and aggregated
+with ``np.add.reduceat``, so feeding the digest costs O(chunk log
+chunk) with no per-value Python work.
 """
 
 from __future__ import annotations
@@ -113,22 +114,42 @@ class TDigest:
             self._compress()
 
     def _compress(self) -> None:
-        """Merge buffered values into the centroid set (vectorized)."""
-        if not self._buffer and self._weights.size:
+        """Merge buffered values into the centroid set (vectorized).
+
+        Only the fresh values are sorted; the (stably sorted) centroids
+        are then merged in, each before the fresh values equal to it.
+        That is the order a stable sort of ``[centroids, fresh]`` gives:
+        every fresh value weighs 1, so ties among them are
+        interchangeable (``-0.0`` and ``0.0`` aside, which latencies
+        never mix), and the merged means and weights are the same
+        bytes (``tests/serve/test_sketch.py`` checks this against the
+        stable-``argsort`` reference in ``tests/tdigest_reference.py``).
+        Centroid means can round out of order (a constant stream's
+        bucket means differ in the last bit), hence their own sort.
+        """
+        if not self._buffer:
             return
-        parts_m = [self._means] + self._buffer
-        parts_w = [self._weights] + [
-            np.ones(chunk.size, dtype=np.float64)
-            for chunk in self._buffer
-        ]
+        buffer = self._buffer
         self._buffer = []
-        means = np.concatenate(parts_m)
-        weights = np.concatenate(parts_w)
-        if means.size == 0:
-            return
-        order = np.argsort(means, kind="stable")
-        means = means[order]
-        weights = weights[order]
+        fresh = np.sort(
+            np.concatenate(buffer) if len(buffer) > 1 else buffer[0]
+        )
+        nc = self._means.size
+        if nc:
+            order = np.argsort(self._means, kind="stable")
+            centroids = self._means[order]
+            at = np.searchsorted(fresh, centroids, side="left")
+            at += np.arange(nc)
+            means = np.empty(nc + fresh.size, dtype=np.float64)
+            weights = np.ones(nc + fresh.size, dtype=np.float64)
+            is_fresh = np.ones(nc + fresh.size, dtype=bool)
+            means[at] = centroids
+            weights[at] = self._weights[order]
+            is_fresh[at] = False
+            means[is_fresh] = fresh
+        else:
+            means = fresh
+            weights = np.ones(fresh.size, dtype=np.float64)
         total = weights.sum()
         # Mid-weight cumulative quantile of each point, mapped through
         # the k1 arcsine scale; equal floor(k1) => same centroid.

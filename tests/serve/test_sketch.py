@@ -17,6 +17,9 @@ Tier-0 regression: ``stats="exact"`` must remain bit-for-bit the PR-4
 behaviour — full latency retention and ``np.percentile`` — which the
 parity goldens in ``test_engine_parity.py`` already pin; here we assert
 the sketch never silently replaces it.
+
+The digest's sort-and-merge compression is pinned byte for byte against
+the stable-``argsort`` original kept in ``tests/tdigest_reference.py``.
 """
 
 import dataclasses
@@ -32,6 +35,7 @@ from repro.serve.sketch import (
     TDigest,
     percentile,
 )
+from tdigest_reference import ReferenceTDigest
 
 #: Documented accuracy bound (relative error) for p50/p95/p99.
 REL_ERR = 0.01
@@ -130,6 +134,84 @@ class TestTDigest:
         digest.add(np.ones(4))
         with pytest.raises(ValueError):
             digest.quantile(1.5)
+
+
+def _same_state(digest, reference):
+    assert digest.count == reference.count
+    assert digest.min == reference.min and digest.max == reference.max
+    assert digest._means.tobytes() == reference._means.tobytes()
+    assert digest._weights.tobytes() == reference._weights.tobytes()
+
+
+#: Constants whose centroid means round out of order (a bucket's
+#: ``sum(c * w) / sum(w)`` differs from ``c`` in the last bit).
+_CONSTANTS = (0.1, 1 / 3, 0.7, 1e-3, 2.5e-4)
+
+
+class TestCompressMatchesReference:
+    """Sort-and-merge compression leaves the same centroid bytes as
+    the stable ``argsort`` of ``[centroids, fresh]``, after every add
+    and every ``quantile()``."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_same_centroids_after_every_operation(self, data):
+        digest = TDigest()
+        reference = ReferenceTDigest()
+        constant = data.draw(st.sampled_from(_CONSTANTS), label="constant")
+        for _ in range(data.draw(st.integers(1, 8), label="operations")):
+            if digest.count and data.draw(st.booleans(), label="query"):
+                q = data.draw(st.floats(0.0, 1.0), label="q")
+                assert digest.quantile(q) == reference.quantile(q)
+                _same_state(digest, reference)
+                continue
+            # Sizes below, at and just past the fill buffer's edge, or
+            # free (up to three buffers' worth in one add).
+            buffered = sum(chunk.size for chunk in digest._buffer)
+            edge = data.draw(st.sampled_from([-1, 0, 1, None]), label="edge")
+            if edge is None:
+                size = data.draw(st.integers(1, 3 * _BUFFER), label="size")
+            else:
+                size = max(1, _BUFFER - buffered + edge)
+            kind = data.draw(
+                st.sampled_from(["duplicates", "centroids", "constant",
+                                 "spread"]),
+                label="kind",
+            )
+            rng = np.random.default_rng(
+                data.draw(st.integers(0, 2**32 - 1), label="seed")
+            )
+            if kind == "duplicates":
+                pool = rng.lognormal(-6.0, 0.7, int(rng.integers(1, 9)))
+                values = rng.choice(pool, size)
+            elif kind == "centroids" and digest._means.size:
+                # Fresh values equal to current centroid means.
+                pool = np.concatenate(
+                    (digest._means, rng.lognormal(-6.0, 0.7, 4))
+                )
+                values = rng.choice(pool, size)
+            elif kind == "constant":
+                values = np.full(size, constant)
+            else:
+                values = rng.lognormal(-6.0, 0.7, size)
+            digest.add(values)
+            reference.add(values)
+            _same_state(digest, reference)
+
+    @pytest.mark.parametrize("constant", _CONSTANTS)
+    def test_constant_stream(self, constant):
+        digest = TDigest()
+        reference = ReferenceTDigest()
+        for size in (_BUFFER - 1, 1, _BUFFER, 3 * _BUFFER + 7, 5):
+            digest.add(np.full(size, constant))
+            reference.add(np.full(size, constant))
+            _same_state(digest, reference)
+        assert digest.quantile(0.5) == reference.quantile(0.5)
+        _same_state(digest, reference)
+        # The case the centroid sort exists for.
+        means = digest._means
+        if constant == 0.1:
+            assert np.any(means[1:] < means[:-1])
 
 
 class TestStreamingLatencyStats:

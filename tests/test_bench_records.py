@@ -1,5 +1,6 @@
 """Benchmark trajectory records (``benchmarks/conftest.py``): each
-saved session carries a ``host`` block, and unsaved sessions write
+session saved into the checkout carries a ``host`` block, and unsaved
+sessions, or sessions whose JSON goes outside the checkout, write
 nothing."""
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def test_saved_session_record_has_host(bench_conftest, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_conftest, "BENCH_LOG", log)
     bench_conftest._session_records.append({"test": "t"})
     bench_conftest.pytest_sessionfinish(
-        _session({"benchmark_json": "out.json"}), 0
+        _session({"benchmark_json": str(ROOT / "out.json")}), 0
     )
     (record,) = json.loads(log.read_text())
     assert record["benchmarks"] == [{"test": "t"}]
@@ -75,5 +76,51 @@ def test_unsaved_session_writes_nothing(bench_conftest, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_conftest, "BENCH_LOG", log)
     bench_conftest._session_records.append({"test": "t"})
     bench_conftest.pytest_sessionfinish(_session({}), 0)
+    assert not log.exists()
+    assert bench_conftest._session_records == []
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"benchmark_json": str(ROOT / ".benchmarks" / "b.json")},
+        # pytest-benchmark passes --benchmark-json as an open file.
+        {"benchmark_json": SimpleNamespace(name=str(ROOT / "b.json"))},
+        {"benchmark_save": "name"},
+        {"benchmark_autosave": True},
+        {
+            "benchmark_json": "/nonexistent-outside/b.json",
+            "benchmark_save": "name",
+        },
+    ],
+    ids=["json-inside", "json-file-inside", "save", "autosave",
+         "save-beside-outside-json"],
+)
+def test_session_saved_into_checkout_appends(
+    bench_conftest, tmp_path, monkeypatch, options
+):
+    log = tmp_path / "BENCH_engine.json"
+    monkeypatch.setattr(bench_conftest, "BENCH_LOG", log)
+    bench_conftest._session_records.append({"test": "t"})
+    bench_conftest.pytest_sessionfinish(_session(options), 0)
+    (record,) = json.loads(log.read_text())
+    assert record["benchmarks"] == [{"test": "t"}]
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["path", "file"])
+def test_json_outside_checkout_writes_nothing(
+    bench_conftest, tmp_path, monkeypatch, as_file
+):
+    # A parent-vs-change comparison writes its JSON to scratch space:
+    # the tracked log must stay untouched.
+    target = tmp_path / "scratch" / "b.json"
+    assert not target.resolve().is_relative_to(ROOT)
+    option = SimpleNamespace(name=str(target)) if as_file else str(target)
+    log = tmp_path / "BENCH_engine.json"
+    monkeypatch.setattr(bench_conftest, "BENCH_LOG", log)
+    bench_conftest._session_records.append({"test": "t"})
+    bench_conftest.pytest_sessionfinish(
+        _session({"benchmark_json": option}), 0
+    )
     assert not log.exists()
     assert bench_conftest._session_records == []
